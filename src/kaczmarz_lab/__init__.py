@@ -39,6 +39,7 @@ from .operator import (
     LFactor,
     RestrictedOperator,
     SharpMaps,
+    SweepOperator,
     apply_Ak_sharp,
     apply_G,
     apply_Gs,

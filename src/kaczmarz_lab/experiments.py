@@ -228,65 +228,72 @@ def _history_csv(outdir: Path, tag: str, hist) -> None:
         hist.write_csv(fh)
 
 
+def _head(hist, k: int):
+    """The first k sweeps of a history that stores its iterates."""
+    return dataclasses.replace(
+        hist,
+        residual_norms=hist.residual_norms[: k + 1],
+        sweep_count=k,
+        iterates=hist.iterates[: k + 1],
+        error_norms=None if hist.error_norms is None else hist.error_norms[: k + 1],
+    )
+
+
+def _errhist_method(p: TestProblem, cfg: ExperimentConfig, method: str, noisy_b, outdir: Path):
+    """Solve one method on the clean and the noisy data and write its CSVs.
+
+    The sweep variants solve all right-hand sides in one block run; CGLS
+    solves them one at a time.  Returns the clean error curve and the
+    method's summary record.  The iterates are dropped on return, so only
+    one method's are held at a time.
+    """
+    ref = p.x_bar
+    if method == "cgls":
+        k_max = max(cfg.sweeps, 1)
+        clean = cgls(p.A, p.b_bar, k_max)
+        clean = dataclasses.replace(clean, error_norms=np.linalg.norm(clean.iterates - ref, axis=1))
+        noisy = (cgls(p.A, b, k_max) for b in noisy_b)
+    else:
+        scfg = SweepConfig(
+            omega=cfg.omega, variant=method, max_sweeps=cfg.sweeps,
+            seed=cfg.solver_seed, store_iterates=bool(noisy_b),
+        )
+        clean, *noisy = run(p, np.column_stack([p.b_bar, *noisy_b]), scfg, reference=ref)
+    _history_csv(outdir, method, clean)
+    record = {
+        "final_error": float(clean.error_norms[-1]),
+        "final_residual": float(clean.residual_norms[-1]),
+    }
+    if noisy_b:
+        mins = []
+        with open(outdir / f"split_{method}.csv", "w") as fh:
+            for real, hist in enumerate(noisy):
+                k = min(clean.sweep_count, hist.sweep_count)
+                split = noise_stats.error_split_from_histories(_head(clean, k), _head(hist, k), ref)
+                split.write_csv(fh, realization=real, header=(real == 0))
+                mins.append(noise_stats.semiconvergence_min(split))
+        record["semiconvergence_min"] = mins
+    return clean.error_norms.tolist(), record
+
+
 def cmd_errhist(cfg: ExperimentConfig, outdir: Path) -> dict:
-    """Error histories for the configured methods, noise-free and noisy."""
+    """Error histories for the configured methods, noise-free and noisy.
+
+    Each noise realization is drawn once and shared by all methods.
+    """
     _prepare(outdir, cfg)
     if cfg.sigma > 0 and cfg.sweeps < 1:
         raise ConfigError("noisy error histories need at least one sweep")
     p = make_problem(cfg)
-    ref = p.x_bar
+    noisy_b = [
+        p.b_bar + cfg.sigma * np.random.default_rng([cfg.noise_seed, real]).standard_normal(p.m)
+        for real in range(cfg.realizations)
+    ] if cfg.sigma > 0 else []
     summary = {"methods": {}, "problem": p.name, "m": p.m, "n": p.n}
     series = {}
     for method in cfg.methods:
-        if method == "cgls":
-            clean = cgls(p.A, p.b_bar, max(cfg.sweeps, 1))
-            err = np.linalg.norm(clean.iterates - ref, axis=1)
-            hist = dataclasses.replace(clean, error_norms=err)
-        else:
-            scfg = SweepConfig(
-                omega=cfg.omega, variant=method, max_sweeps=cfg.sweeps,
-                seed=cfg.solver_seed, store_iterates=False,
-            )
-            hist = run(p, p.b_bar, scfg, reference=ref)
-        _history_csv(outdir, method, hist)
-        series[method] = (
-            list(range(hist.sweep_count + 1)),
-            hist.error_norms.tolist(),
-        )
-        summary["methods"][method] = {
-            "final_error": float(hist.error_norms[-1]),
-            "final_residual": float(hist.residual_norms[-1]),
-        }
-        if cfg.sigma > 0:
-            mins = []
-            for real in range(cfg.realizations):
-                rng = np.random.default_rng([cfg.noise_seed, real])
-                b = p.b_bar + cfg.sigma * rng.standard_normal(p.m)
-                if method == "cgls":
-                    noisy = cgls(p.A, b, max(cfg.sweeps, 1))
-                    kmax = min(noisy.sweep_count, clean.sweep_count)
-                    split = noise_stats.error_split_from_histories(
-                        dataclasses.replace(
-                            clean,
-                            iterates=clean.iterates[: kmax + 1],
-                            residual_norms=clean.residual_norms[: kmax + 1],
-                            sweep_count=kmax,
-                        ),
-                        dataclasses.replace(
-                            noisy,
-                            iterates=noisy.iterates[: kmax + 1],
-                            residual_norms=noisy.residual_norms[: kmax + 1],
-                            sweep_count=kmax,
-                        ),
-                        ref,
-                    )
-                else:
-                    split = noise_stats.error_split(p, b, scfg)
-                mode = "w" if real == 0 else "a"
-                with open(outdir / f"split_{method}.csv", mode) as fh:
-                    split.write_csv(fh, realization=real, header=(real == 0))
-                mins.append(noise_stats.semiconvergence_min(split))
-            summary["methods"][method]["semiconvergence_min"] = mins
+        errors, summary["methods"][method] = _errhist_method(p, cfg, method, noisy_b, outdir)
+        series[method] = (list(range(len(errors))), errors)
     svgplot.line_plot(
         outdir / "errhist.svg",
         series,

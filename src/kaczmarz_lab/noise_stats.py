@@ -91,9 +91,9 @@ def error_split(
 ) -> ErrorSplit:
     """Run the solver on b_bar and on b_noisy and split the error.
 
-    Both solves use identical configuration (in particular the same row
-    order and randomization seed), so the iteration-error curve is
-    independent of the noise realization.
+    Both right-hand sides are solved in one block run, so they share the
+    configuration (in particular the row order and randomization seed) and
+    the iteration-error curve is independent of the noise realization.
     """
     if k_max is None:
         k_max = cfg.max_sweeps
@@ -104,8 +104,10 @@ def error_split(
         seed=cfg.seed,
         store_iterates=True,
     )
-    clean = run(p, p.b_bar, cfg_run)
-    noisy = run(p, np.asarray(b_noisy, dtype=float), cfg_run)
+    b_noisy = np.asarray(b_noisy, dtype=float)
+    if b_noisy.shape != p.b_bar.shape:
+        raise ValueError(f"b_noisy must have shape {p.b_bar.shape}, got {b_noisy.shape}")
+    clean, noisy = run(p, np.column_stack([p.b_bar, b_noisy]), cfg_run)
     return error_split_from_histories(clean, noisy, p.x_bar)
 
 

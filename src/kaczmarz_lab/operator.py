@@ -13,6 +13,8 @@ orthonormal SVD basis V.
 
 G itself is never formed as an n-by-n dense matrix when applications
 suffice; the restricted matrix is the only dense operator-level object.
+:class:`SweepOperator` applies the sweep itself to n-by-R blocks of
+iterates, one column per right-hand side.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dtrsm
 
 from .errors import NumericalError
 from .linalg import SvdResult, eig_general, solve_lower, solve_upper, svd
@@ -29,6 +32,7 @@ __all__ = [
     "LFactor",
     "RestrictedOperator",
     "SharpMaps",
+    "SweepOperator",
     "build_L",
     "apply_G",
     "apply_Gt",
@@ -98,6 +102,42 @@ def build_L(A, omega: float) -> LFactor:
         raise ValueError("matrix has a zero row; L would be singular")
     L = np.tril(AAT, -1) + np.diag(d / omega)
     return LFactor(L=L, omega=float(omega), D_diag=d)
+
+
+class SweepOperator:
+    """Sweeps over A x = b applied to n-by-R blocks of iterates at once.
+
+    The down half-sweep (rows 1..m) is X + A^T L^-1 (B - A X) and the up
+    half-sweep (rows m..1) is X + A^T L^-T (B - A X), on the same L from
+    :func:`build_L`.  Every product goes through scipy's BLAS wrappers on
+    Fortran-ordered arrays: interleaving them with numpy's ``@``, which
+    links its own OpenBLAS, stalls when both libraries run threads.
+    """
+
+    def __init__(self, A, omega: float):
+        A = np.asarray(A, dtype=float)
+        self.A = np.asfortranarray(A)
+        self.L = np.asfortranarray(build_L(A, omega).L)
+
+    def residual(self, X, B) -> np.ndarray:
+        """B - A X."""
+        return dgemm(-1.0, self.A, X, 1.0, B)
+
+    def _half_sweep(self, X, B, trans: int) -> np.ndarray:
+        Y = dtrsm(1.0, self.L, self.residual(X, B), lower=1, trans_a=trans, overwrite_b=1)
+        return dgemm(1.0, self.A, Y, 1.0, X, trans_a=1)
+
+    def down(self, X, B) -> np.ndarray:
+        """One standard sweep: X + A^T L^-1 (B - A X)."""
+        return self._half_sweep(X, B, 0)
+
+    def up(self, X, B) -> np.ndarray:
+        """The reversed sweep: X + A^T L^-T (B - A X)."""
+        return self._half_sweep(X, B, 1)
+
+    def symmetric(self, X, B) -> np.ndarray:
+        """One symmetric sweep: the down half, then the up half."""
+        return self.up(self.down(X, B), B)
 
 
 def apply_G(lf: LFactor, A, x) -> np.ndarray:

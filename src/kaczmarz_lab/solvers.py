@@ -10,9 +10,14 @@ Variants: ``standard`` visits rows in storage order; ``symmetric`` visits
 which is redundant at omega = 1); ``randomized`` draws m row indices
 uniformly with replacement from a seeded generator.
 
-Sweeps are inherently sequential over rows.  Squared row norms are
-computed once per solve and shared by all sweeps.  Iterations are never
-auto-stopped; ``max_sweeps`` governs.
+``sweep_standard``, ``sweep_symmetric`` and ``sweep_randomized`` are the
+literal row loops, and the first two are the reference for the matrix
+form.  :func:`run` takes one right-hand side or an m-by-R block of them
+and advances all R iterates together: the standard and symmetric variants
+through the matrix form x + A^T L^-1 (b - A x) of
+:class:`~kaczmarz_lab.operator.SweepOperator`, the randomized variant
+through the row loop, with one row order shared by every column.
+Iterations are never auto-stopped; ``max_sweeps`` governs.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .operator import SweepOperator
 
 __all__ = [
     "SweepConfig",
@@ -90,9 +97,10 @@ def row_norms_squared(A) -> np.ndarray:
 
 
 def _project_rows(A, b, x, omega, rn, order):
+    # x and b are a vector and an m-vector, or n-by-R and m-by-R blocks
     for i in order:
         ai = A[i]
-        x += (omega * (b[i] - ai @ x) / rn[i]) * ai
+        x += np.multiply.outer(ai, omega * (b[i] - ai @ x) / rn[i])
     return x
 
 
@@ -137,43 +145,82 @@ def sweep_randomized(A, b, x, omega: float, rng: np.random.Generator, rn=None) -
     return _project_rows(A, b, x, omega, rn, order)
 
 
-def run(p, b, cfg: SweepConfig, reference=None) -> IterationHistory:
+def _rhs_block(b, m: int) -> np.ndarray:
+    """b as a Fortran-ordered m-by-R block; loud on a bad shape or value."""
+    B = np.asarray(b, dtype=float)
+    if B.ndim not in (1, 2) or B.shape[0] != m or B.size == 0:
+        raise ValueError(
+            f"b must be an {m}-vector or an {m}-by-R block, R >= 1, got shape {B.shape}"
+        )
+    if not np.all(np.isfinite(B)):
+        raise ValueError("b has non-finite entries")
+    return np.asfortranarray(B.reshape(m, -1))
+
+
+def run(p, b, cfg: SweepConfig, reference=None):
     """Drive cfg.max_sweeps sweeps on problem p with data b, from x0 = 0.
 
-    Records the residual norm ||b - A x_k|| per sweep, the error norm
-    ||x_k - reference|| when a reference is given, and the iterates
-    themselves when cfg.store_iterates is set.
+    ``b`` is an m-vector, giving one :class:`IterationHistory`, or an
+    m-by-R block, giving a tuple of R histories in column order.  All
+    columns are swept together.  Each history records the residual norm
+    ||b - A x_k|| per sweep, the error norm ||x_k - reference|| when a
+    reference n-vector is given, and the iterates themselves when
+    cfg.store_iterates is set.  Raises ValueError for a b of the wrong
+    length or with non-finite entries, and for a reference of the wrong
+    length.
     """
     A = np.asarray(p.A, dtype=float)
-    b = np.asarray(b, dtype=float)
     m, n = A.shape
-    rn = row_norms_squared(A)
-    rng = np.random.default_rng(cfg.seed) if cfg.variant == "randomized" else None
+    B = _rhs_block(b, m)
+    R, K = B.shape[1], cfg.max_sweeps
 
-    x = np.zeros(n)
-    iterates = [x.copy()] if cfg.store_iterates else None
-    residuals = [float(np.linalg.norm(b - A @ x))]
-    errors = [float(np.linalg.norm(x - reference))] if reference is not None else None
+    if cfg.variant == "randomized":
+        rn = row_norms_squared(A)
+        rng = np.random.default_rng(cfg.seed)
 
-    for _ in range(cfg.max_sweeps):
-        if cfg.variant == "standard":
-            x = sweep_standard(A, b, x, cfg.omega, rn)
-        elif cfg.variant == "symmetric":
-            x = sweep_symmetric(A, b, x, cfg.omega, rn)
-        else:
-            x = sweep_randomized(A, b, x, cfg.omega, rng, rn)
-        residuals.append(float(np.linalg.norm(b - A @ x)))
+        def sweep(X):
+            return sweep_randomized(A, B, X, cfg.omega, rng, rn)
+
+        def residual(X):
+            return B - A @ X
+    else:
+        op = SweepOperator(A, cfg.omega)
+        half = op.down if cfg.variant == "standard" else op.symmetric
+
+        def sweep(X):
+            return half(X, B)
+
+        def residual(X):
+            return op.residual(X, B)
+
+    residuals = np.empty((R, K + 1))
+    errors = None if reference is None else np.empty((R, K + 1))
+    iterates = np.empty((R, K + 1, n)) if cfg.store_iterates else None
+    if reference is not None:
+        reference = np.asarray(reference, dtype=float)
+        if reference.shape != (n,):
+            raise ValueError(f"reference must be an {n}-vector, got shape {reference.shape}")
+        reference = reference[:, None]
+    X = np.zeros((n, R), order="F")
+    for k in range(K + 1):
+        if k:
+            X = sweep(X)
+        residuals[:, k] = np.linalg.norm(residual(X), axis=0)
         if errors is not None:
-            errors.append(float(np.linalg.norm(x - reference)))
+            errors[:, k] = np.linalg.norm(X - reference, axis=0)
         if iterates is not None:
-            iterates.append(x.copy())
+            iterates[:, k] = X.T
 
-    return IterationHistory(
-        residual_norms=np.array(residuals),
-        sweep_count=cfg.max_sweeps,
-        iterates=np.array(iterates) if iterates is not None else None,
-        error_norms=np.array(errors) if errors is not None else None,
+    hists = tuple(
+        IterationHistory(
+            residual_norms=residuals[j],
+            sweep_count=K,
+            iterates=None if iterates is None else iterates[j],
+            error_norms=None if errors is None else errors[j],
+        )
+        for j in range(R)
     )
+    return hists if np.ndim(b) == 2 else hists[0]
 
 
 def cgls(A, b, k_max: int) -> IterationHistory:

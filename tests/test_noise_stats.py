@@ -40,6 +40,11 @@ class TestErrorSplit:
         assert np.all(np.abs(s.recon_err - s.iter_err) <= s.noise_err + 1e-12)
         assert np.all(s.noise_err <= s.recon_err + s.iter_err + 1e-12)
 
+    def test_wrong_length_rejected(self):
+        p = kl.gravity(8, 0.1)
+        with pytest.raises(ValueError, match="b_noisy must have shape"):
+            kl.error_split(p, np.ones(7), kl.SweepConfig(max_sweeps=2))
+
     def test_semiconvergence_on_realizations(self, gravity128_06):
         cfg = kl.SweepConfig(max_sweeps=200)
         for seed in range(5):

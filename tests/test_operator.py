@@ -103,6 +103,46 @@ class TestApplyGt:
         assert np.linalg.norm(got - Gs @ x) <= 1e-10 * max(1.0, np.linalg.norm(x))
 
 
+class TestSweepOperator:
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_half_sweeps_match_triangular_solves(self, omega):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((9, 6))
+        X = rng.standard_normal((6, 3))
+        B = rng.standard_normal((9, 3))
+        op = kl.SweepOperator(A, omega)
+        lf = kl.build_L(A, omega)
+        down = X + A.T @ kl.solve_lower(lf.L, B - A @ X)
+        up = X + A.T @ kl.solve_upper(lf.L.T, B - A @ X)
+        np.testing.assert_allclose(op.down(X, B), down, rtol=0, atol=1e-12 * np.abs(down).max())
+        np.testing.assert_allclose(op.up(X, B), up, rtol=0, atol=1e-12 * np.abs(up).max())
+        sym = op.symmetric(X, B)
+        np.testing.assert_array_equal(sym, op.up(op.down(X, B), B))
+
+    def test_error_propagates_through_G_and_Gt(self):
+        # the difference of two sweeps on the same data is G (resp. G^T)
+        # applied to the difference of their starting points
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((8, 5))
+        X, Z = rng.standard_normal((2, 5, 4))
+        B = rng.standard_normal((8, 4))
+        op = kl.SweepOperator(A, 0.9)
+        lf = kl.build_L(A, 0.9)
+        for half, apply in ((op.down, kl.apply_G), (op.up, kl.apply_Gt)):
+            want = apply(lf, A, X - Z)
+            got = half(X, B) - half(Z, B)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_inputs_left_unchanged(self):
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((6, 4))
+        X = np.asfortranarray(rng.standard_normal((4, 2)))
+        B = np.asfortranarray(rng.standard_normal((6, 2)))
+        X0, B0 = X.copy(), B.copy()
+        kl.SweepOperator(A, 1.2).symmetric(X, B)
+        assert np.array_equal(X, X0) and np.array_equal(B, B0)
+
+
 class TestRestriction:
     def test_full_rank_spectrum_preserved(self):
         p = kl.gravity(20, 0.1)

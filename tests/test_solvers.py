@@ -179,6 +179,89 @@ class TestRun:
         assert len(lines) == 5
 
 
+def _assert_rel_close(got, want, rel=1e-12):
+    """Normwise: max |got - want| within rel times max |want|."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def _noisy_block(p):
+    rng = np.random.default_rng(8)
+    return np.column_stack([
+        p.b_bar,
+        p.b_bar + 1e-2 * np.abs(p.b_bar).max() * rng.standard_normal(p.m),
+        rng.standard_normal(p.m),
+    ])
+
+
+class TestRunBlock:
+    @pytest.mark.parametrize("variant", ["standard", "symmetric", "randomized"])
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_columns_match_vector_runs(self, small_problems, variant, omega):
+        # randomized: one seeded row order serves every column
+        cfg = kl.SweepConfig(omega=omega, variant=variant, max_sweeps=30,
+                             seed=5, store_iterates=True)
+        for p in small_problems:
+            B = _noisy_block(p)
+            block = kl.run(p, B, cfg, reference=p.x_bar)
+            assert isinstance(block, tuple) and len(block) == B.shape[1]
+            for j, h in enumerate(block):
+                v = kl.run(p, B[:, j], cfg, reference=p.x_bar)
+                assert h.sweep_count == v.sweep_count == 30
+                _assert_rel_close(h.residual_norms, v.residual_norms)
+                _assert_rel_close(h.error_norms, v.error_norms)
+                _assert_rel_close(h.iterates, v.iterates)
+
+    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_vector_run_matches_row_loop(self, small_problems, variant, omega):
+        sweep = kl.sweep_standard if variant == "standard" else kl.sweep_symmetric
+        cfg = kl.SweepConfig(omega=omega, variant=variant, max_sweeps=30,
+                             store_iterates=True)
+        for p in small_problems:
+            h = kl.run(p, p.b_bar, cfg)
+            x = np.zeros(p.n)
+            want = [x]
+            for _ in range(30):
+                x = sweep(p.A, p.b_bar, x, omega)
+                want.append(x)
+            _assert_rel_close(h.iterates, np.array(want))
+            res = [np.linalg.norm(p.b_bar - p.A @ x) for x in want]
+            _assert_rel_close(h.residual_norms, res)
+
+    def test_single_column_block_gives_one_tuple(self):
+        p = kl.gravity(8, 0.1)
+        out = kl.run(p, p.b_bar[:, None], kl.SweepConfig(max_sweeps=3))
+        assert isinstance(out, tuple) and len(out) == 1
+        assert out[0].residual_norms.shape == (4,)
+
+
+class TestRunInputChecks:
+    @pytest.mark.parametrize("shape", [(7,), (9,), (7, 2), (9, 2), (8, 0), (8, 2, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        p = kl.gravity(8, 0.1)
+        with pytest.raises(ValueError, match="must be an 8-vector or an 8-by-R block"):
+            kl.run(p, np.ones(shape), kl.SweepConfig(max_sweeps=2))
+
+    def test_wrong_length_reference_rejected(self):
+        p = kl.gravity(8, 0.1)
+        with pytest.raises(ValueError, match="reference must be an 8-vector"):
+            kl.run(p, p.b_bar, kl.SweepConfig(max_sweeps=2), reference=np.ones(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_non_finite_rejected(self, bad, block):
+        p = kl.gravity(8, 0.1)
+        b = p.b_bar.copy()
+        b[3] = bad
+        if block:
+            b = np.column_stack([p.b_bar, b])
+        for variant in ("standard", "randomized"):
+            with pytest.raises(ValueError, match="non-finite"):
+                kl.run(p, b, kl.SweepConfig(variant=variant, max_sweeps=2))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("omega", [0.0, 2.0, -0.5, 2.5])
     def test_omega_range(self, omega):
