@@ -357,7 +357,7 @@ def cmd_noisestats(cfg: ExperimentConfig, outdir: Path) -> dict:
     sv = svd(p.A, cfg.rank_tol)
     lf = build_L(p.A, cfg.omega)
     sm = sharp_maps(p.A, lf, sv)
-    rep = spectral.spectrum(sm.ro, cfg.zero_tol)
+    rep = spectral.spectrum(sm.ro, cfg.zero_tol, sm.eig)
     ks = tuple(int(k) for k in cfg.ks)
 
     exp = noise_stats.expected_norms(sm, rep, cfg.sigma, ks, cfg.n_mc, cfg.mc_seed)

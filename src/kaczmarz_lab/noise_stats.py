@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operator import SharpMaps, apply_Ak_sharp
+from .operator import SharpMaps, apply_Ak_sharp  # noqa: F401  (re-exported per-k reference route)
 from .problems import TestProblem
 from .solvers import IterationHistory, SweepConfig, run
 from .spectral import SpectrumReport
@@ -171,8 +171,9 @@ class ExpectationReport:
     ``e1[j]`` = sigma^2 ||A_k||_F^2 for the k = ks[j] sweep map (the
     expected squared noise-error norm), ``e2[j]`` the eigenbasis
     counterpart, and ``mc``/``mc_stderr`` the Monte Carlo estimate used
-    for validation.  ``e1_estimated`` marks a stochastic trace estimate
-    (used when the problem is too large to form the map explicitly).
+    for validation.  ``e1_estimated`` marks a stochastic trace estimate,
+    used for n > EXPLICIT_MAP_MAX_N: 256 Gaussian probes per k, drawn
+    separately from (and after) the Monte Carlo samples.
     """
 
     ks: np.ndarray
@@ -205,10 +206,15 @@ def expected_norms(
     """Expected squared noise-error norms, closed form and Monte Carlo.
 
     E|xi_i|^2 is computed exactly from the noise covariance (sigma^2 times
-    the squared row norms of W^+ composed with the limit map); sampling is
-    used only for the validation column.  The Frobenius norms are taken on
-    explicitly formed k-sweep maps up to n = 512 and estimated from the
-    Monte Carlo probes themselves beyond that.
+    the squared row norms of M = W^+ A_limit); sampling is used only for
+    the validation column.  The Frobenius norms are taken on explicitly
+    formed k-sweep maps up to n = EXPLICIT_MAP_MAX_N.  Beyond that they are
+    estimated from 256 standard Gaussian probes per k, drawn from the same
+    generator after the n_mc Monte Carlo samples.
+
+    M does not depend on k and is formed once, as its real and imaginary
+    parts; so are the Monte Carlo coefficients M e.  Each k only scales the
+    coefficients by 1 - lambda^k and lifts them with W.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -219,28 +225,38 @@ def expected_norms(
     m = sm.lf.m
     n = sm.A.shape[1]
 
-    # rows of W^+ A_limit drive the xi covariance
-    M = sm.W_inv @ sm.a_sharp_matrix().astype(complex)
-    e_xi2 = sigma**2 * np.einsum("ij,ij->i", M, M.conj()).real
+    # rows of M = W^+ A_limit drive the xi covariance
+    a_sharp = sm.a_sharp_matrix()
+    M_r, M_i = sm.W_inv.real @ a_sharp, sm.W_inv.imag @ a_sharp
+    del a_sharp
+    e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
     phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     e2 = phi2 @ e_xi2
 
+    def k_sweep(phi, Z_r, Z_i):
+        """Re(W diag(phi) Z) for Z = Z_r + i Z_i, in real arithmetic."""
+        p_r, p_i = phi.real[:, None], phi.imag[:, None]
+        return sm.W.real @ (p_r * Z_r - p_i * Z_i) - sm.W.imag @ (p_r * Z_i + p_i * Z_r)
+
     rng = np.random.default_rng(seed)
-    draws = sigma * rng.standard_normal((n_mc, m))
+    draws = rng.standard_normal((n_mc, m))
+    draws *= sigma  # in place: the values of sigma * draws, without a second n_mc-by-m array
+    Z_r, Z_i = M_r @ draws.T, M_i @ draws.T
+    del draws
     mc = np.empty(ks.size)
     mc_stderr = np.empty(ks.size)
     e1 = np.empty(ks.size)
     e1_estimated = n > EXPLICIT_MAP_MAX_N
     for j, k in enumerate(ks):
+        phi = 1.0 - lam ** int(k)
         if e1_estimated:
-            probes = rng.standard_normal((256, m))
+            probes = rng.standard_normal((256, m)).T
             e1[j] = sigma**2 * np.mean(
-                np.sum(apply_Ak_sharp(sm, probes.T, int(k)) ** 2, axis=0)
+                np.sum(k_sweep(phi, M_r @ probes, M_i @ probes) ** 2, axis=0)
             )
         else:
-            Ak = np.real(sm.W @ ((1.0 - lam[:, None] ** int(k)) * M))
-            e1[j] = sigma**2 * np.linalg.norm(Ak, "fro") ** 2
-        norms2 = np.sum(apply_Ak_sharp(sm, draws.T, int(k)) ** 2, axis=0)
+            e1[j] = sigma**2 * np.linalg.norm(k_sweep(phi, M_r, M_i), "fro") ** 2
+        norms2 = np.sum(k_sweep(phi, Z_r, Z_i) ** 2, axis=0)
         mc[j] = float(np.mean(norms2))
         mc_stderr[j] = float(np.std(norms2, ddof=1) / np.sqrt(n_mc))
     return ExpectationReport(

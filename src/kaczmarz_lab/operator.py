@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
 
 from .errors import NumericalError
-from .linalg import SvdResult, eig_general, solve_lower, solve_upper, svd
+from .linalg import EigResult, SvdResult, eig_general, solve_lower, solve_upper, svd
 from .problems import TestProblem
 
 __all__ = [
@@ -197,7 +197,9 @@ class SharpMaps:
 
     ``lam`` holds the eigenvalues (descending modulus), ``W`` the lifted
     eigenvectors, ``W_inv`` the left inverse of W on the row space, and
-    ``kappa_W`` the condition number of C.
+    ``kappa_W`` the condition number of C.  ``eig`` is the eigendecomposition
+    of ``ro.Gv`` they come from, kept so that a spectrum report can be built
+    without a second eigensolve.
     """
 
     A: np.ndarray
@@ -210,6 +212,7 @@ class SharpMaps:
     W_inv: np.ndarray
     kappa_W: float
     ro: RestrictedOperator = field(repr=False)
+    eig: EigResult = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -271,6 +274,7 @@ def sharp_maps(
         W_inv=W_inv,
         kappa_W=eig.kappa,
         ro=ro,
+        eig=eig,
     )
 
 
@@ -280,7 +284,9 @@ def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     Evaluated spectrally as W (I - Lambda^k) W^+ (limit of e); k = 0
     yields the zero vector and k -> infinity approaches the fixed point.
     The result is real; the imaginary round-off from the complex
-    eigenbasis is discarded.
+    eigenbasis is discarded.  Each call applies the full limit map;
+    ``expected_norms`` instead forms W^+ A_limit once for all k, and the
+    tests compare it with this route.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

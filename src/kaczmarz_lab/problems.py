@@ -68,6 +68,17 @@ class TestProblem:
         return self.A.shape[1]
 
     def validate(self) -> None:
+        """Raise ValueError unless shapes, finiteness and the invariants hold."""
+        if self.A.ndim != 2:
+            raise ValueError(f"problem {self.name!r}: A must be 2-d, got shape {self.A.shape}")
+        for label, vec, size in (("x_bar", self.x_bar, self.n), ("b_bar", self.b_bar, self.m)):
+            if vec.shape != (size,):
+                raise ValueError(
+                    f"problem {self.name!r}: {label} must have shape ({size},), got {vec.shape}"
+                )
+        for label, arr in (("A", self.A), ("x_bar", self.x_bar), ("b_bar", self.b_bar)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"problem {self.name!r}: {label} has non-finite entries")
         rn = np.einsum("ij,ij->i", self.A, self.A)
         if np.any(rn == 0.0):
             raise ValueError(f"problem {self.name!r} has a zero row")
@@ -369,7 +380,12 @@ def save_problem(p: TestProblem, path) -> None:
 
 
 def load_problem(path) -> TestProblem:
-    """Read a problem written by :func:`save_problem`."""
+    """Read a problem written by :func:`save_problem`.
+
+    Raises ValueError when the container is inconsistent: a header that
+    disagrees with the matrix, or a problem that fails
+    :meth:`TestProblem.validate`.
+    """
     with zipfile.ZipFile(path, "r") as zf:
         header = json.loads(zf.read("header.json"))
         arrays = {
@@ -383,6 +399,7 @@ def load_problem(path) -> TestProblem:
         name=header["name"],
         params=header["params"],
     )
+    p.validate()
     if p.m != header["m"] or p.n != header["n"]:
         raise ValueError("container header disagrees with matrix shape")
     return p

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from kaczmarz_lab import linalg, operator, spectral
 from kaczmarz_lab.cli import main
 from kaczmarz_lab.experiments import COMMANDS, ExperimentConfig, run_command
 
@@ -62,6 +63,20 @@ def test_rerun_byte_identical(command, tmp_path):
         outs.append(_csv_bytes(out / command))
     assert outs[0] == outs[1]
     assert all(outs[0].values())
+
+
+def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
+    # sharp_maps keeps its EigResult and the spectrum report reuses it
+    shapes = []
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return linalg.eig_general(M)
+
+    for module in (operator, spectral):
+        monkeypatch.setattr(module, "eig_general", counting)
+    assert main(["noisestats", *SMALL["noisestats"], "--out", str(tmp_path)]) == 0
+    assert shapes == [(32, 32)]
 
 
 class TestExitCodes:

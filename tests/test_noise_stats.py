@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import kaczmarz_lab as kl
+from kaczmarz_lab import noise_stats
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,56 @@ class TestExpectedNorms:
             exp = kl.expected_norms(sm, rep, sigma=1e-2, ks=ks, n_mc=10, seed=10)
             assert np.all(np.diff(exp.e1) >= -1e-12 * exp.e1.max())
             assert np.all(np.diff(exp.e2) >= -1e-12 * exp.e2.max())
+
+
+def _per_k_reference(sm, sigma, ks, n_mc, seed, estimated):
+    """E1, mc and stderr through apply_Ak_sharp, one full map per k.
+
+    Draws from the generator in the order expected_norms documents: the
+    n_mc Monte Carlo samples first, then 256 E1 probes per k when the
+    estimator is used.
+    """
+    m = sm.lf.m
+    rng = np.random.default_rng(seed)
+    draws = sigma * rng.standard_normal((n_mc, m))
+    e1, mc, stderr = [], [], []
+    for k in ks:
+        if estimated:
+            probes = rng.standard_normal((256, m))
+            e1.append(sigma**2 * np.mean(np.sum(kl.apply_Ak_sharp(sm, probes.T, k) ** 2, axis=0)))
+        else:
+            Ak = kl.apply_Ak_sharp(sm, np.eye(m), k)
+            e1.append(sigma**2 * np.linalg.norm(Ak, "fro") ** 2)
+        norms2 = np.sum(kl.apply_Ak_sharp(sm, draws.T, k) ** 2, axis=0)
+        mc.append(np.mean(norms2))
+        stderr.append(np.std(norms2, ddof=1) / np.sqrt(n_mc))
+    return np.array(e1), np.array(mc), np.array(stderr)
+
+
+class TestExpectedNormsAgainstPerKRoute:
+    # expected_norms forms W^+ A_limit once and only rescales per k; the
+    # reference sends every sample through apply_Ak_sharp for every k
+    KS = [0, 1, 5, 20]
+
+    @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
+    def test_both_branches(self, gravity32_machinery, monkeypatch, max_n):
+        p, sm, rep = gravity32_machinery
+        monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
+        exp = kl.expected_norms(sm, rep, sigma=3e-3, ks=self.KS, n_mc=300, seed=11)
+        assert exp.e1_estimated == (p.n > max_n)
+        e1, mc, stderr = _per_k_reference(sm, 3e-3, self.KS, 300, 11, exp.e1_estimated)
+        for got, want in ((exp.e1, e1), (exp.mc, mc), (exp.mc_stderr, stderr)):
+            assert got[0] == want[0] == 0.0
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_xi_profile_norms(self, gravity32_machinery):
+        p, sm, rep = gravity32_machinery
+        e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(3e-3, seed=12))
+        prof = kl.xi_profile(sm, rep, e, self.KS)
+        xi = sm.W_inv @ sm.apply_A_sharp(e)
+        for j, k in enumerate(self.KS):
+            want = np.sum(np.abs(1.0 - sm.lam**k) ** 2 * np.abs(xi) ** 2)
+            assert prof.norms[j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestMonotonicityProbe:

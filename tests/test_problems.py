@@ -1,5 +1,7 @@
 """Tests for the problem generators, orderings, and the noise model."""
 
+import io
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -201,3 +203,55 @@ class TestContainerFormat:
         kl.save_problem(p, a)
         kl.save_problem(p, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def _doctored(tmp_path, **arrays):
+    """A container of gravity(12, 0.1) with the named .npy payloads replaced."""
+    good, bad = tmp_path / "good.kcz", tmp_path / "bad.kcz"
+    kl.save_problem(kl.gravity(12, 0.1), good)
+    with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+        for info in src.infolist():
+            data = src.read(info)
+            name = info.filename.removesuffix(".npy")
+            if name in arrays:
+                buf = io.BytesIO()
+                np.save(buf, arrays[name](np.load(io.BytesIO(data))))
+                data = buf.getvalue()
+            dst.writestr(info, data)
+    return bad
+
+
+class TestContainerRejectsInconsistent:
+    def test_untouched_copy_loads(self, tmp_path):
+        q = kl.load_problem(_doctored(tmp_path))
+        assert q.m == q.n == 12
+
+    @pytest.mark.parametrize("name, doctor, match", [
+        pytest.param("x_bar", lambda v: v[:-1], "x_bar must have shape", id="x_bar-short"),
+        pytest.param("b_bar", lambda v: np.append(v, 0.0), "b_bar must have shape", id="b_bar-long"),
+        pytest.param("b_bar", lambda v: v[:1], "b_bar must have shape", id="b_bar-broadcastable"),
+        pytest.param("A", np.ravel, "A must be 2-d", id="A-flat"),
+    ])
+    def test_wrong_shape(self, tmp_path, name, doctor, match):
+        with pytest.raises(ValueError, match=match):
+            kl.load_problem(_doctored(tmp_path, **{name: doctor}))
+
+    @pytest.mark.parametrize("name", ["A", "x_bar", "b_bar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite(self, tmp_path, name, value):
+        def doctor(arr):
+            arr = arr.copy()
+            arr.flat[3] = value
+            return arr
+
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            kl.load_problem(_doctored(tmp_path, **{name: doctor}))
+
+    def test_inconsistent(self, tmp_path):
+        def doctor(b):
+            b = b.copy()
+            b[5] *= 1.0 + 1e-6
+            return b
+
+        with pytest.raises(ValueError, match="not consistent"):
+            kl.load_problem(_doctored(tmp_path, b_bar=doctor))
