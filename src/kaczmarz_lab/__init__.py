@@ -19,6 +19,7 @@ from .linalg import (
     LeastNormResult,
     SvdResult,
     eig_general,
+    eigvals,
     least_norm_solution,
     solve_lower,
     solve_upper,

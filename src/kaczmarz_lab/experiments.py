@@ -93,6 +93,12 @@ class ExperimentConfig:
             raise ConfigError("sweeps/realizations/n_mc out of range")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
+        for name in ("zero_tol", "im_tol", "rank_tol"):
+            tol = getattr(self, name)
+            if tol is not None and not (
+                isinstance(tol, (int, float)) and np.isfinite(tol) and tol >= 0
+            ):
+                raise ConfigError(f"{name} must be finite and nonnegative")
         if self.omega_grid is not None:
             grid = tuple(float(w) for w in self.omega_grid)
             if not grid or any(not 0.0 < w < 2.0 for w in grid):

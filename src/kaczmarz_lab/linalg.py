@@ -25,6 +25,7 @@ __all__ = [
     "default_rank_tol",
     "svd",
     "eig_general",
+    "eigvals",
     "solve_lower",
     "solve_upper",
     "least_norm_solution",
@@ -136,6 +137,18 @@ def eig_general(M) -> EigResult:
     X = np.ascontiguousarray(X[:, order])
     kappa = float(np.linalg.cond(X, 2))
     return EigResult(eigenvalues=w, eigenvectors=X, kappa=kappa)
+
+
+def eigvals(M) -> np.ndarray:
+    """Eigenvalues only (complex, in LAPACK's order) of a square real matrix.
+
+    Goes through scipy's LAPACK, so callers whose products run in scipy's
+    BLAS stay inside one OpenBLAS.
+    """
+    M = _as_matrix(M)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got {M.shape}")
+    return sla.eigvals(M, check_finite=False)
 
 
 def _check_triangular_diag(T: np.ndarray) -> None:

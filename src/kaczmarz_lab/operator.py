@@ -14,7 +14,8 @@ orthonormal SVD basis V.
 G itself is never formed as an n-by-n dense matrix when applications
 suffice; the restricted matrix is the only dense operator-level object.
 :class:`SweepOperator` applies the sweep itself to n-by-R blocks of
-iterates, one column per right-hand side.
+iterates, one column per right-hand side; ``apply_G``/``apply_Gt`` and
+both restrictions are its sweeps on zero data.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
 
 from .errors import NumericalError
-from .linalg import EigResult, SvdResult, eig_general, solve_lower, solve_upper, svd
+from .linalg import (
+    EigResult, SvdResult, _check_triangular_diag, eig_general, solve_lower, solve_upper, svd,
+)
 from .problems import TestProblem
 
 __all__ = [
@@ -96,7 +99,7 @@ def build_L(A, omega: float) -> LFactor:
     A = np.asarray(A, dtype=float)
     if omega <= 0:
         raise ValueError("omega must be positive")
-    AAT = A @ A.T
+    AAT = dgemm(1.0, A, A, trans_b=1)
     d = np.diag(AAT).copy()
     if np.any(d == 0.0):
         raise ValueError("matrix has a zero row; L would be singular")
@@ -109,54 +112,69 @@ class SweepOperator:
 
     The down half-sweep (rows 1..m) is X + A^T L^-1 (B - A X) and the up
     half-sweep (rows m..1) is X + A^T L^-T (B - A X), on the same L from
-    :func:`build_L`.  Every product goes through scipy's BLAS wrappers on
+    :func:`build_L`.  With no data (B = None, i.e. zero) they apply G and
+    G^T.  Every product goes through scipy's BLAS wrappers on
     Fortran-ordered arrays: interleaving them with numpy's ``@``, which
     links its own OpenBLAS, stalls when both libraries run threads.
     """
 
     def __init__(self, A, omega: float):
-        A = np.asarray(A, dtype=float)
-        self.A = np.asfortranarray(A)
-        self.L = np.asfortranarray(build_L(A, omega).L)
+        self._bind(A, build_L(A, omega))
 
-    def residual(self, X, B) -> np.ndarray:
-        """B - A X."""
+    @classmethod
+    def from_factor(cls, A, lf: LFactor) -> "SweepOperator":
+        """The operator on an existing factor of A, without a second build_L."""
+        op = cls.__new__(cls)
+        op._bind(A, lf)
+        return op
+
+    def _bind(self, A, lf: LFactor) -> None:
+        _check_triangular_diag(lf.L)
+        self.A = np.asfortranarray(A, dtype=float)
+        self.L = np.asfortranarray(lf.L)
+
+    def residual(self, X, B=None) -> np.ndarray:
+        """B - A X (just -A X when B is None)."""
+        if B is None:
+            return dgemm(-1.0, self.A, X)
         return dgemm(-1.0, self.A, X, 1.0, B)
 
     def _half_sweep(self, X, B, trans: int) -> np.ndarray:
         Y = dtrsm(1.0, self.L, self.residual(X, B), lower=1, trans_a=trans, overwrite_b=1)
         return dgemm(1.0, self.A, Y, 1.0, X, trans_a=1)
 
-    def down(self, X, B) -> np.ndarray:
-        """One standard sweep: X + A^T L^-1 (B - A X)."""
+    def down(self, X, B=None) -> np.ndarray:
+        """One standard sweep: X + A^T L^-1 (B - A X); G X when B is None."""
         return self._half_sweep(X, B, 0)
 
-    def up(self, X, B) -> np.ndarray:
-        """The reversed sweep: X + A^T L^-T (B - A X)."""
+    def up(self, X, B=None) -> np.ndarray:
+        """The reversed sweep: X + A^T L^-T (B - A X); G^T X when B is None."""
         return self._half_sweep(X, B, 1)
 
-    def symmetric(self, X, B) -> np.ndarray:
+    def symmetric(self, X, B=None) -> np.ndarray:
         """One symmetric sweep: the down half, then the up half."""
         return self.up(self.down(X, B), B)
 
 
+def _apply(lf: LFactor, A, x, sweep) -> np.ndarray:
+    """A zero-data ``SweepOperator`` sweep on a vector or on the columns of x."""
+    x = np.asarray(x, dtype=float)
+    return sweep(SweepOperator.from_factor(A, lf), x.reshape(x.shape[0], -1)).reshape(x.shape)
+
+
 def apply_G(lf: LFactor, A, x) -> np.ndarray:
     """Apply G = I - A^T L^-1 A to a vector or to columns of a matrix."""
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return x - A.T @ solve_lower(lf.L, A @ x)
+    return _apply(lf, A, x, SweepOperator.down)
 
 
 def apply_Gt(lf: LFactor, A, x) -> np.ndarray:
     """Apply the up-sweep operator G^T = I - A^T L^-T A."""
-    A = np.asarray(A, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return x - A.T @ solve_upper(lf.L.T, A @ x)
+    return _apply(lf, A, x, SweepOperator.up)
 
 
 def apply_Gs(lf: LFactor, A, x) -> np.ndarray:
     """Apply the symmetric-sweep operator G^T G (down sweep, then up)."""
-    return apply_Gt(lf, A, apply_G(lf, A, x))
+    return _apply(lf, A, x, SweepOperator.symmetric)
 
 
 def restrict_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
@@ -166,8 +184,8 @@ def restrict_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
     with r right-hand sides.
     """
     V = sv.V
-    GV = apply_G(lf, A, V)
-    return RestrictedOperator(Gv=V.T @ GV, basis=V, omega=lf.omega, kind="standard")
+    Gv = dgemm(1.0, V, apply_G(lf, A, V), trans_a=1)
+    return RestrictedOperator(Gv=Gv, basis=V, omega=lf.omega, kind="standard")
 
 
 def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
@@ -178,8 +196,8 @@ def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator
     serve as an independent cross-check of norm/spectral identities.
     """
     V = sv.V
-    GsV = apply_Gt(lf, A, apply_G(lf, A, V))
-    return RestrictedOperator(Gv=V.T @ GsV, basis=V, omega=lf.omega, kind="symmetric")
+    Gv = dgemm(1.0, V, apply_Gs(lf, A, V), trans_a=1)
+    return RestrictedOperator(Gv=Gv, basis=V, omega=lf.omega, kind="symmetric")
 
 
 @dataclass(frozen=True)

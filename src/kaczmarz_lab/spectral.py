@@ -9,11 +9,11 @@ regime where the spectrum becomes real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EigResult, SvdResult, eig_general, solve_lower
+from .linalg import EigResult, SvdResult, eig_general, eigvals, solve_lower
 from .operator import LFactor, RestrictedOperator, build_L, restrict_to_V
 
 __all__ = [
@@ -52,19 +52,26 @@ NEAR_DEFECTIVE_KAPPA = 1e12
 class SpectrumReport:
     """Eigenvalues of a restricted operator plus summary statistics.
 
-    ``eigenvalues`` are sorted by descending modulus; ``W`` is the lifted
-    eigenvector matrix (basis @ C) and ``kappa_W`` the condition number
-    of C.  ``zero_count`` counts |lambda| <= zero_tol.
+    ``eigenvalues`` are sorted by descending modulus and ``C`` holds the
+    eigenvectors of the restricted matrix; ``W`` is the lifted eigenvector
+    matrix basis @ C, formed on each read, and ``kappa_W`` the condition
+    number of C.  ``zero_count`` counts |lambda| <= zero_tol.
     """
 
     eigenvalues: np.ndarray
-    W: np.ndarray
+    basis: np.ndarray = field(repr=False)
+    C: np.ndarray = field(repr=False)
     kappa_W: float
     rho: float
     zero_count: int
     zero_tol: float
     omega: float
     near_defective: bool = False
+
+    @property
+    def W(self) -> np.ndarray:
+        """The lifted eigenvectors basis @ C (n-by-r, complex)."""
+        return self.basis @ self.C
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,8 @@ def spectrum(
     rho = float(np.abs(lam[0])) if lam.size else 0.0
     return SpectrumReport(
         eigenvalues=lam,
-        W=ro.basis @ eig.eigenvectors,
+        basis=ro.basis,
+        C=eig.eigenvectors,
         kappa_W=eig.kappa,
         rho=rho,
         zero_count=int(np.sum(np.abs(lam) <= zero_tol)),
@@ -304,12 +312,18 @@ def small_omega_scan(
     and its eigenvalues (no eigenvectors) classified: largest modulus,
     largest |imaginary part|, count of numerically zero eigenvalues, and
     count of eigenvalues with nonpositive real part.
+
+    Every product and the eigensolve go through scipy's BLAS and LAPACK
+    (``build_L``, the ``SweepOperator`` engine behind ``restrict_to_V``,
+    ``linalg.eigvals``); mixing in numpy's OpenBLAS makes the idle
+    threads of one library spin while the other works.  A is made
+    Fortran-ordered once, so no step copies it per omega.
     """
-    A = np.asarray(A, dtype=float)
+    A = np.asfortranarray(A, dtype=float)
     rows = []
     for omega in sorted(float(w) for w in omegas):
         ro = restrict_to_V(A, build_L(A, omega), sv)
-        lam = np.linalg.eigvals(ro.Gv)
+        lam = eigvals(ro.Gv)
         rows.append(
             OmegaScanRow(
                 omega=omega,
@@ -347,8 +361,8 @@ def symmetric_relations(
     """
     if ro_G.omega != ro_Gs.omega:
         raise ValueError("restricted operators use different omega")
-    rho_G = float(np.max(np.abs(np.linalg.eigvals(ro_G.Gv))))
-    rho_Gs = float(np.max(np.abs(np.linalg.eigvals(ro_Gs.Gv))))
+    rho_G = float(np.max(np.abs(eigvals(ro_G.Gv))))
+    rho_Gs = float(np.max(np.abs(eigvals(ro_Gs.Gv))))
     norm_G = float(np.linalg.norm(ro_G.Gv, 2))
     return SymmetricRelations(
         rho_G=rho_G,

@@ -108,6 +108,19 @@ class TestExitCodes:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--im-tol", "nan"), ("--zero-tol", "-1"),
+                                             ("--rank-tol", "-1")])
+    def test_config_error_bad_tolerance(self, flag, value, tmp_path, capsys):
+        rc = main(["omegasweep", "--problem", "gravity", "--n", "16",
+                   "--omega-grid", "0.5", "1.0", flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_config_error_tolerance_not_a_number(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"problem": "gravity", "n": 16, "zero_tol": "abc"}))
+        assert main(["eigplot", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+
     def test_noisestats_requires_noise(self, tmp_path):
         rc = main(["noisestats", "--problem", "gravity", "--n", "16",
                    "--sigma", "0", "--out", str(tmp_path)])

@@ -93,6 +93,25 @@ class TestEigGeneral:
         np.testing.assert_allclose(res.eigenvalues, [2.0, 1.0, -1.0])
 
 
+class TestEigvals:
+    def test_matches_eig_general(self):
+        M = np.random.default_rng(14).standard_normal((7, 7))
+        got = np.sort_complex(kl.eigvals(M))
+        want = np.sort_complex(kl.eig_general(M).eigenvalues)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_complex_output_for_real_spectrum(self):
+        got = kl.eigvals(np.diag([3.0, -1.0]))
+        assert np.iscomplexobj(got)
+        np.testing.assert_array_equal(np.sort(got.real), [-1.0, 3.0])
+
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.ones(3),
+                                   np.array([[1.0, np.inf], [0.0, 1.0]])])
+    def test_bad_input_rejected(self, M):
+        with pytest.raises(ValueError):
+            kl.eigvals(M)
+
+
 def _gauss_jordan_inverse(M):
     """Explicit inverse by Gauss-Jordan elimination (test oracle)."""
     n = M.shape[0]

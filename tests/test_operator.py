@@ -143,6 +143,51 @@ class TestSweepOperator:
         assert np.array_equal(X, X0) and np.array_equal(B, B0)
 
 
+def _dense_sweep_operators(A, lf):
+    """G, G^T and G^T G formed explicitly from the numpy inverse of L."""
+    Linv = np.linalg.inv(lf.L)
+    G = np.eye(A.shape[1]) - A.T @ Linv @ A
+    Gt = np.eye(A.shape[1]) - A.T @ Linv.T @ A
+    return G, Gt, Gt @ G
+
+
+class TestEngineBackedOperators:
+    """apply_G/apply_Gt/apply_Gs run the SweepOperator half-sweeps on zero data."""
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_match_dense_operators(self, small_problems, omega):
+        rng = np.random.default_rng(11)
+        for p in small_problems:
+            lf = kl.build_L(p.A, omega)
+            dense = _dense_sweep_operators(p.A, lf)
+            for shape in ((p.n,), (p.n, 1), (p.n, 3)):
+                x = rng.standard_normal(shape)
+                for apply, M in zip((kl.apply_G, kl.apply_Gt, kl.apply_Gs), dense):
+                    got, want = apply(lf, p.A, x), M @ x
+                    assert got.shape == x.shape
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+    def test_zero_diagonal_factor_rejected(self):
+        # a hand-built factor bypasses build_L's zero-row check
+        A = np.array([[1.0, 0.0], [3.0, 1.0]])
+        lf = kl.LFactor(L=np.array([[1.0, 0.0], [3.0, 0.0]]), omega=1.0,
+                        D_diag=np.array([1.0, 0.0]))
+        for apply in (kl.apply_G, kl.apply_Gt, kl.apply_Gs):
+            with pytest.raises(NumericalError, match="singular triangular"):
+                apply(lf, A, np.ones(2))
+        with pytest.raises(NumericalError, match="singular triangular"):
+            kl.SweepOperator.from_factor(A, lf)
+
+    def test_from_factor_matches_fresh_operator(self):
+        rng = np.random.default_rng(13)
+        A = rng.standard_normal((9, 6))
+        X, B = rng.standard_normal((6, 2)), rng.standard_normal((9, 2))
+        fresh = kl.SweepOperator(A, 1.3)
+        shared = kl.SweepOperator.from_factor(A, kl.build_L(A, 1.3))
+        np.testing.assert_array_equal(shared.symmetric(X, B), fresh.symmetric(X, B))
+
+
 class TestRestriction:
     def test_full_rank_spectrum_preserved(self):
         p = kl.gravity(20, 0.1)

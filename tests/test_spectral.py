@@ -221,6 +221,46 @@ class TestSmallOmega:
             assert row.zero_count >= 0 and row.n_nonpos_real >= 0
 
 
+class TestSmallOmegaAgainstDenseRoute:
+    """Scan rows against eigenvalues of V^T G V with G formed from inv(L)."""
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_rows_match_dense_eigenvalues(self, small_problems, omega):
+        # the battery includes gravity(32, 0.06)
+        for p in small_problems:
+            sv = kl.svd(p.A)
+            lf = kl.build_L(p.A, omega)
+            G = np.eye(p.n) - p.A.T @ np.linalg.inv(lf.L) @ p.A
+            lam = np.linalg.eigvals(sv.V.T @ G @ sv.V)
+            row = kl.small_omega_scan(p.A, sv, [omega]).rows[0]
+            rho = np.max(np.abs(lam))
+            assert row.rho == pytest.approx(rho, rel=1e-10)
+            assert row.max_im == pytest.approx(np.max(np.abs(lam.imag)), rel=1e-10, abs=1e-14)
+            zero = np.abs(lam) <= kl.spectral.DEFAULT_ZERO_TOL
+            assert row.zero_count == np.sum(zero)
+            # an exactly zero eigenvalue has a real part of either sign at
+            # rounding level, so only the other eigenvalues are counted
+            # exactly; the zero ones count as nonpositive or not
+            nonpos = int(np.sum(lam.real[~zero] <= 0.0))
+            assert nonpos <= row.n_nonpos_real <= nonpos + row.zero_count
+
+    def test_scan_stays_in_one_library(self, monkeypatch):
+        # the scan's speed depends on never mixing numpy's OpenBLAS with
+        # scipy's: no numpy eigensolve, no scipy triangular solve between
+        # numpy products
+        def forbidden(*args, **kwargs):
+            raise AssertionError("small_omega_scan left scipy's BLAS")
+
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        for module in (kl.linalg, kl.operator, kl.spectral):
+            for name in ("solve_lower", "solve_upper"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        p = kl.gravity(32, 0.06)
+        scan = kl.small_omega_scan(p.A, kl.svd(p.A), [0.5, 1.0, 1.5])
+        assert len(scan.rows) == 3
+
+
 class TestSymmetricRelations:
     def test_radius_equals_squared_norm_battery(self, small_problems):
         # ten instances: the double-sweep radius equals the squared
