@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import noise_stats, spectral, svgplot
 from .errors import ConfigError
-from .linalg import svd
+from .linalg import blas_threads, svd
 from .operator import build_L, restrict_to_V, sharp_maps
 from .problems import (
     NoiseModel,
@@ -39,6 +42,17 @@ OUTPUT_ROOT_ENV = "KACZMARZ_LAB_OUT"
 
 _PROBLEMS = ("gravity", "baart", "paralleltomo")
 _METHODS = ("standard", "symmetric", "randomized", "cgls")
+
+#: Problems with max(m, n) up to this size run every command on one BLAS
+#: thread; larger ones keep the library's count.  On a 2-vCPU host one
+#: omega-scan step (build_L, restriction, eigvals) on gravity(n) took
+#: 3.1/11.4/24.1/70.5 ms on one thread and 4.3/12.9/25.5/67.0 ms on two at
+#: n = 128/256/384/512; another run had two threads ahead from n = 384
+#: (29.8 against 31.8 ms).  At r = 1008 (tomography) two threads run the
+#: eigensolve about 25 % faster.  The rule reads the size alone, never the
+#: host, so a given problem sees the same thread count wherever two are
+#: available.
+ONE_THREAD_MAX_DIM = 256
 
 
 @dataclass
@@ -76,34 +90,49 @@ class ExperimentConfig:
     MAX_DIM = 4096
 
     def validate(self) -> None:
+        """Type- and range-check every field; raise ConfigError on the first bad one."""
         if self.problem not in _PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
+        for name, lo in (("n", 2), ("N", 2), ("n_angles", 1), ("rays", 1), ("sweeps", 0),
+                         ("realizations", 1), ("n_mc", 2), ("ordering_seed", 0),
+                         ("solver_seed", 0), ("noise_seed", 0), ("mc_seed", 0)):
+            if not _is_int(getattr(self, name), lo):
+                raise ConfigError(f"{name} must be an integer >= {lo}")
+        if self.problem == "baart" and (self.n < 4 or self.n % 2):
+            raise ConfigError("baart needs an even n >= 4")
         if self.n > self.MAX_DIM or self.N * self.N > self.MAX_DIM:
             raise ConfigError(f"problem dimension capped at {self.MAX_DIM}")
-        if not 0.0 < self.omega < 2.0:
+        if not (_is_real(self.d) and self.d > 0):
+            raise ConfigError("d must be finite and positive")
+        for name, optional in (("sigma", False), ("width", True), ("zero_tol", False),
+                               ("im_tol", False), ("rank_tol", True)):
+            value = getattr(self, name)
+            if not (optional and value is None or _is_real(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and nonnegative")
+        if not _is_omega(self.omega):
             raise ConfigError("omega must lie in (0, 2)")
         if self.ordering not in ("default", "random"):
             raise ConfigError("ordering must be 'default' or 'random'")
         if self.xbar_mode not in ("default", "first-row"):
             raise ConfigError("xbar_mode must be 'default' or 'first-row'")
+        if not isinstance(self.methods, tuple) or not self.methods:
+            raise ConfigError("methods must be a nonempty list")
         for mth in self.methods:
             if mth not in _METHODS:
                 raise ConfigError(f"unknown method {mth!r}; choose from {_METHODS}")
-        if self.sweeps < 0 or self.realizations < 1 or self.n_mc < 2:
-            raise ConfigError("sweeps/realizations/n_mc out of range")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        for name in ("zero_tol", "im_tol", "rank_tol"):
-            tol = getattr(self, name)
-            if tol is not None and not (
-                isinstance(tol, (int, float)) and np.isfinite(tol) and tol >= 0
-            ):
-                raise ConfigError(f"{name} must be finite and nonnegative")
+        if not (isinstance(self.ks, tuple) and self.ks
+                and all(_is_int(k, 1) for k in self.ks)):
+            raise ConfigError("ks must be a nonempty list of integers >= 1")
+        for name, optional in (("omega_grid", True), ("omegas_bounds", False)):
+            grid = getattr(self, name)
+            if optional and grid is None:
+                continue
+            if not (isinstance(grid, tuple) and grid and all(map(_is_omega, grid))):
+                raise ConfigError(f"{name} values must lie in (0, 2)")
         if self.omega_grid is not None:
-            grid = tuple(float(w) for w in self.omega_grid)
-            if not grid or any(not 0.0 < w < 2.0 for w in grid):
-                raise ConfigError("omega_grid values must lie in (0, 2)")
-            self.omega_grid = grid
+            self.omega_grid = tuple(float(w) for w in self.omega_grid)
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out must be a path")
 
     @classmethod
     def from_sources(cls, config_path=None, overrides=None) -> "ExperimentConfig":
@@ -137,7 +166,7 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key in ("methods", "ks", "omega_grid", "omegas_bounds"):
-            if key in values and values[key] is not None:
+            if isinstance(values.get(key), list):
                 values[key] = tuple(values[key])
         cfg = cls(**values)
         cfg.validate()
@@ -153,6 +182,18 @@ class ExperimentConfig:
             if d[key] is not None:
                 d[key] = list(d[key])
         return d
+
+
+def _is_int(value, lo: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_omega(value) -> bool:
+    return _is_real(value) and 0.0 < value < 2.0
 
 
 def _fmt(x) -> str:
@@ -192,10 +233,9 @@ def _prepare(outdir: Path, cfg: ExperimentConfig) -> None:
         fh.write("\n")
 
 
-def cmd_eigplot(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_eigplot(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectrum of the restricted sweep operator: CSV + complex-plane SVG."""
     _prepare(outdir, cfg)
-    p = make_problem(cfg)
     sv = svd(p.A, cfg.rank_tol)
     ro = restrict_to_V(p.A, build_L(p.A, cfg.omega), sv)
     rep = spectral.spectrum(ro, cfg.zero_tol)
@@ -282,7 +322,7 @@ def _errhist_method(p: TestProblem, cfg: ExperimentConfig, method: str, noisy_b,
     return clean.error_norms.tolist(), record
 
 
-def cmd_errhist(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_errhist(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Error histories for the configured methods, noise-free and noisy.
 
     Each noise realization is drawn once and shared by all methods.
@@ -290,7 +330,6 @@ def cmd_errhist(cfg: ExperimentConfig, outdir: Path) -> dict:
     _prepare(outdir, cfg)
     if cfg.sigma > 0 and cfg.sweeps < 1:
         raise ConfigError("noisy error histories need at least one sweep")
-    p = make_problem(cfg)
     noisy_b = [
         p.b_bar + cfg.sigma * np.random.default_rng([cfg.noise_seed, real]).standard_normal(p.m)
         for real in range(cfg.realizations)
@@ -312,10 +351,9 @@ def cmd_errhist(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def cmd_omegasweep(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_omegasweep(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectrum statistics over an omega grid; detects the all-real edge."""
     _prepare(outdir, cfg)
-    p = make_problem(cfg)
     sv = svd(p.A, cfg.rank_tol)
     grid = cfg.omega_grid or tuple(np.round(np.arange(0.02, 2.0, 0.02), 10))
     scan = spectral.small_omega_scan(p.A, sv, grid, cfg.zero_tol, cfg.im_tol)
@@ -354,12 +392,11 @@ def cmd_omegasweep(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def cmd_noisestats(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Expected noise-error norms, xi decomposition, and factor growth."""
     _prepare(outdir, cfg)
     if cfg.sigma <= 0:
         raise ConfigError("noisestats requires sigma > 0")
-    p = make_problem(cfg)
     sv = svd(p.A, cfg.rank_tol)
     lf = build_L(p.A, cfg.omega)
     sm = sharp_maps(p.A, lf, sv)
@@ -402,16 +439,13 @@ def cmd_noisestats(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectral-radius bounds table across the configured omega values."""
     _prepare(outdir, cfg)
-    p = make_problem(cfg)
     sv = svd(p.A, cfg.rank_tol)
     rows = []
     reports = []
     for omega in cfg.omegas_bounds:
-        if not 0.0 < float(omega) < 2.0:
-            raise ConfigError("bounds omegas must lie in (0, 2)")
         lf = build_L(p.A, float(omega))
         ro = restrict_to_V(p.A, lf, sv)
         rep = spectral.rho_bounds(p.A, sv, lf, ro)
@@ -447,10 +481,9 @@ def cmd_bounds(cfg: ExperimentConfig, outdir: Path) -> dict:
     return summary
 
 
-def cmd_structure(cfg: ExperimentConfig, outdir: Path) -> dict:
+def cmd_structure(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Exact row-orthogonality structure of the configured matrix."""
     _prepare(outdir, cfg)
-    p = make_problem(cfg)
     rep = spectral.structural_orthogonality(p.A)
     _write_rows(
         outdir / "structure.csv",
@@ -478,8 +511,15 @@ COMMANDS = {
 
 
 def run_command(name: str, cfg: ExperimentConfig, outdir=None) -> dict:
-    """Dispatch one command; the output directory defaults to <root>/<name>."""
+    """Build the configured problem and run one command on it.
+
+    The output directory defaults to <root>/<name>.  A problem with
+    ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one BLAS thread.
+    """
     if name not in COMMANDS:
         raise ConfigError(f"unknown command {name!r}")
     out = Path(outdir) if outdir is not None else cfg.resolved_out(name)
-    return COMMANDS[name](cfg, out)
+    p = make_problem(cfg)
+    threads = blas_threads(1) if max(p.A.shape) <= ONE_THREAD_MAX_DIM else nullcontext()
+    with threads:
+        return COMMANDS[name](cfg, p, out)

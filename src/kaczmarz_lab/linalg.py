@@ -5,12 +5,16 @@ complex output, forward/backward triangular solves, and the least-norm
 solve used as the reference solution of consistent systems.
 
 All inputs are 64-bit real; only eigendecompositions produce complex
-output.  Every routine is a pure function of its arguments and is safe to
-call from parallel workers.
+output.  Every numerical routine is a pure function of its arguments and
+is safe to call from parallel workers.  The exception is
+:func:`blas_threads`: the OpenBLAS thread count it lowers is global to the
+process, so it also governs any other thread's BLAS calls inside its block.
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +33,17 @@ __all__ = [
     "solve_lower",
     "solve_upper",
     "least_norm_solution",
+    "blas_threads",
 ]
+
+#: (getter, setter) symbol pairs of the OpenBLAS thread count: the
+#: ``scipy_openblas`` builds that numpy (64-bit integers, ``64_`` suffix)
+#: and scipy ship, then a plain OpenBLAS.
+_THREAD_SYMBOLS = tuple(
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+)
 
 
 def _as_matrix(A) -> np.ndarray:
@@ -191,3 +205,56 @@ def least_norm_solution(
     bnorm = float(np.linalg.norm(b))
     inconsistent = residual > consistency_tol * bnorm if bnorm > 0 else False
     return LeastNormResult(x=x, residual=residual, inconsistent=inconsistent)
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+
+    Read from ``/proc/self/maps``; an empty list where that file or the
+    symbols are missing (another platform or BLAS).
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+@contextmanager
+def blas_threads(k: int):
+    """Run the block with every mapped OpenBLAS on at most ``k`` threads.
+
+    A build already at ``k`` threads or fewer (say, through
+    ``OPENBLAS_NUM_THREADS``) is left alone, so no count is ever raised;
+    each lowered count is restored on exit, also when the block raises.
+    The builds are looked up on entry, and without any the block runs
+    unchanged.  The count is global to the process (see the module
+    docstring).
+    """
+    if k < 1:
+        raise ValueError("thread count must be at least 1")
+    lowered = []
+    try:
+        for get, set_ in _openblas_thread_controls():
+            n = get()
+            if n > k:
+                set_(k)
+                lowered.append((set_, n))
+        yield
+    finally:
+        for set_, n in reversed(lowered):
+            set_(n)

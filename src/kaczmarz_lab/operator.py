@@ -115,7 +115,9 @@ class SweepOperator:
     :func:`build_L`.  With no data (B = None, i.e. zero) they apply G and
     G^T.  Every product goes through scipy's BLAS wrappers on
     Fortran-ordered arrays: interleaving them with numpy's ``@``, which
-    links its own OpenBLAS, stalls when both libraries run threads.
+    links its own OpenBLAS, stalls when both libraries run several
+    threads.  The CLI runs desk-small problems on one thread of each
+    (``experiments.ONE_THREAD_MAX_DIM``); larger ones keep the default.
     """
 
     def __init__(self, A, omega: float):

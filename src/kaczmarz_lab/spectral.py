@@ -316,7 +316,9 @@ def small_omega_scan(
     Every product and the eigensolve go through scipy's BLAS and LAPACK
     (``build_L``, the ``SweepOperator`` engine behind ``restrict_to_V``,
     ``linalg.eigvals``); mixing in numpy's OpenBLAS makes the idle
-    threads of one library spin while the other works.  A is made
+    threads of one library spin while the other works.  At r = 128 even
+    one library's second thread costs time, so the CLI runs such scans on
+    one BLAS thread (``experiments.ONE_THREAD_MAX_DIM``).  A is made
     Fortran-ordered once, so no step copies it per omega.
     """
     A = np.asfortranarray(A, dtype=float)

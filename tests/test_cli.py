@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from kaczmarz_lab import linalg, operator, spectral
+from kaczmarz_lab import experiments, linalg, operator, spectral
 from kaczmarz_lab.cli import main
 from kaczmarz_lab.experiments import COMMANDS, ExperimentConfig, run_command
 
@@ -65,6 +65,19 @@ def test_rerun_byte_identical(command, tmp_path):
     assert all(outs[0].values())
 
 
+@pytest.mark.parametrize("command", ["omegasweep", "errhist"])
+def test_csv_independent_of_blas_threads(command, tmp_path, monkeypatch):
+    # the thread rule of run_command must not change a byte: the same CSVs
+    # on one BLAS thread and on the library's default of two or more
+    if max(get() for get, _ in linalg._openblas_thread_controls()) < 2:
+        pytest.skip("needs an OpenBLAS with at least two threads")
+    monkeypatch.setattr(experiments, "ONE_THREAD_MAX_DIM", 0)
+    assert main([command, *SMALL[command], "--out", str(tmp_path / "multi")]) == 0
+    with linalg.blas_threads(1):
+        assert main([command, *SMALL[command], "--out", str(tmp_path / "one")]) == 0
+    assert _csv_bytes(tmp_path / "multi" / command) == _csv_bytes(tmp_path / "one" / command)
+
+
 def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
     # sharp_maps keeps its EigResult and the spectrum report reuses it
     shapes = []
@@ -120,6 +133,29 @@ class TestExitCodes:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"problem": "gravity", "n": 16, "zero_tol": "abc"}))
         assert main(["eigplot", "--config", str(cfg_file), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, args", [
+        ("errhist", ["--sigma", "nan"]),
+        ("errhist", ["--sigma", "inf"]),
+        ("noisestats", ["--sigma", "nan"]),
+        ("noisestats", ["--sigma", "0.01", "--ks", "0"]),
+        ("noisestats", ["--sigma", "0.01", "--ks", "-1"]),
+        ("structure", ["--n", "0"]),
+        ("structure", ["--problem", "paralleltomo", "--N", "0"]),
+        ("structure", ["--problem", "paralleltomo", "--N", "8", "--rays", "0"]),
+        ("errhist", ["--methods", "randomized", "--solver-seed", "-1"]),
+        ("eigplot", {"sigma": "abc"}),
+    ], ids=["sigma-nan", "sigma-inf", "noisestats-sigma-nan", "ks-0", "ks-negative", "n-0",
+            "N-0", "rays-0", "solver-seed-negative", "sigma-string"])
+    def test_config_error_bad_value(self, command, args, tmp_path, capsys):
+        if isinstance(args, dict):
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"problem": "gravity", "n": 16, **args}))
+            args = ["--config", str(cfg_file)]
+        else:
+            args = ["--problem", "gravity", "--n", "16", *args]
+        assert main([command, *args, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_noisestats_requires_noise(self, tmp_path):
         rc = main(["noisestats", "--problem", "gravity", "--n", "16",

@@ -1,9 +1,15 @@
 """Tests for the dense linear-algebra substrate."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import kaczmarz_lab as kl
+from kaczmarz_lab import experiments, linalg
 from kaczmarz_lab.errors import NumericalError
 
 
@@ -188,3 +194,105 @@ class TestLeastNorm:
         res = kl.least_norm_solution(A, A @ rng.standard_normal(4))
         for v in null_basis.T:
             assert abs(v @ res.x) <= 1e-10 * np.linalg.norm(res.x)
+
+
+def _thread_counts():
+    return [get() for get, _ in linalg._openblas_thread_controls()]
+
+
+class _FakeBuild:
+    """A stand-in OpenBLAS whose thread count is a plain attribute."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def control(self):
+        return (lambda: self.threads, lambda k: setattr(self, "threads", k))
+
+
+class TestBlasThreads:
+    def test_lowers_only_and_restores(self, monkeypatch):
+        builds = [_FakeBuild(4), _FakeBuild(1)]
+        monkeypatch.setattr(linalg, "_openblas_thread_controls",
+                            lambda: [b.control() for b in builds])
+        with linalg.blas_threads(2):
+            assert [b.threads for b in builds] == [2, 1]
+        assert [b.threads for b in builds] == [4, 1]
+
+    def test_restores_on_exception(self, monkeypatch):
+        builds = [_FakeBuild(2), _FakeBuild(3)]
+        monkeypatch.setattr(linalg, "_openblas_thread_controls",
+                            lambda: [b.control() for b in builds])
+        with pytest.raises(RuntimeError, match="inside"):
+            with linalg.blas_threads(1):
+                assert [b.threads for b in builds] == [1, 1]
+                raise RuntimeError("inside")
+        assert [b.threads for b in builds] == [2, 3]
+
+    def test_real_builds_restored(self):
+        before = _thread_counts()
+        with pytest.raises(RuntimeError):
+            with linalg.blas_threads(1):
+                assert _thread_counts() == [min(c, 1) for c in before]
+                raise RuntimeError
+        assert _thread_counts() == before
+
+    def test_no_build_found_is_a_noop(self, monkeypatch):
+        real = linalg._openblas_thread_controls()
+        before = [get() for get, _ in real]
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: [])
+        with linalg.blas_threads(1):
+            assert [get() for get, _ in real] == before
+            np.testing.assert_allclose(kl.svd(np.eye(3)).S, np.ones(3))
+
+    def test_rejects_zero_threads(self):
+        with pytest.raises(ValueError):
+            with linalg.blas_threads(0):
+                pass  # pragma: no cover
+
+    @pytest.mark.parametrize("cfg", [
+        experiments.ExperimentConfig(problem="gravity", n=32, d=0.06),
+        experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32),
+    ], ids=["gravity32", "paralleltomo24"])
+    def test_run_command_size_rule(self, cfg, tmp_path, monkeypatch):
+        # one thread inside a desk-small command, the counts untouched
+        # above the threshold, and the caller's counts back afterwards
+        before = _thread_counts()
+        seen = []
+        real = experiments.COMMANDS["structure"]
+
+        def spy(cfg, p, outdir):
+            seen.append((max(p.A.shape), _thread_counts()))
+            return real(cfg, p, outdir)
+
+        monkeypatch.setitem(experiments.COMMANDS, "structure", spy)
+        experiments.run_command("structure", cfg, tmp_path)
+        [(size, inside)] = seen
+        if size <= experiments.ONE_THREAD_MAX_DIM:
+            assert inside == [min(c, 1) for c in before]
+        else:
+            assert inside == before
+        assert _thread_counts() == before
+
+    def test_never_raises_a_count(self, tmp_path):
+        # with OPENBLAS_NUM_THREADS=1 every count stays at 1: under a
+        # larger request, and through a large and a small command
+        script = """
+import json, sys
+from kaczmarz_lab import experiments, linalg
+counts = lambda: [get() for get, _ in linalg._openblas_thread_controls()]
+seen = [counts()]
+with linalg.blas_threads(2):
+    seen.append(counts())
+for cfg in (experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32),
+            experiments.ExperimentConfig(problem="gravity", n=32, d=0.06)):
+    experiments.run_command("structure", cfg, sys.argv[1])
+    seen.append(counts())
+print(json.dumps(seen))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env, check=True)
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert len(seen) == 4
+        assert all(counts == [1] * len(seen[0]) for counts in seen)
