@@ -16,8 +16,11 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 
 from .errors import NumericalError
@@ -207,11 +210,31 @@ def least_norm_solution(
     return LeastNormResult(x=x, residual=residual, inconsistent=inconsistent)
 
 
-def _openblas_thread_controls() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
+class _ThreadControl(NamedTuple):
+    """Thread-count functions of one mapped OpenBLAS and whose build it is."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    owner: str | None  # "numpy", "scipy", or None for a library outside both packages
+
+
+def _owner(path: str) -> str | None:
+    """The package ("numpy" or "scipy") whose wheel ships the library at ``path``."""
+    for pkg in (np, scipy):
+        here = Path(pkg.__file__).parent
+        for d in (here, here.parent / f"{pkg.__name__}.libs"):
+            if Path(path).is_relative_to(d):
+                return pkg.__name__
+    return None
+
+
+def _openblas_thread_controls() -> list[_ThreadControl]:
+    """The thread-count controls of every OpenBLAS mapped into the process.
 
     Read from ``/proc/self/maps``; an empty list where that file or the
-    symbols are missing (another platform or BLAS).
+    symbols are missing (another platform or BLAS).  Each control names the
+    package that ships its library, so numpy's build (``numpy.libs``) and
+    scipy's (``scipy.libs``) can be told apart.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -229,16 +252,19 @@ def _openblas_thread_controls() -> list[tuple]:
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
+                controls.append(_ThreadControl(get, set_, _owner(path)))
                 break
     return controls
 
 
 @contextmanager
-def blas_threads(k: int):
-    """Run the block with every mapped OpenBLAS on at most ``k`` threads.
+def blas_threads(k: int, scipy_only: bool = False):
+    """Run the block with the mapped OpenBLAS builds on at most ``k`` threads.
 
-    A build already at ``k`` threads or fewer (say, through
+    Every build is lowered, or with ``scipy_only`` only scipy's, and that
+    only when numpy's build is a separate library: where one OpenBLAS
+    serves both packages, or the builds cannot be told apart, nothing is
+    lowered.  A build already at ``k`` threads or fewer (say, through
     ``OPENBLAS_NUM_THREADS``) is left alone, so no count is ever raised;
     each lowered count is restored on exit, also when the block raises.
     The builds are looked up on entry, and without any the block runs
@@ -247,13 +273,17 @@ def blas_threads(k: int):
     """
     if k < 1:
         raise ValueError("thread count must be at least 1")
+    controls = _openblas_thread_controls()
+    if scipy_only:
+        told_apart = {"numpy", "scipy"} <= {c.owner for c in controls}
+        controls = [c for c in controls if told_apart and c.owner == "scipy"]
     lowered = []
     try:
-        for get, set_ in _openblas_thread_controls():
-            n = get()
+        for c in controls:
+            n = c.get()
             if n > k:
-                set_(k)
-                lowered.append((set_, n))
+                c.set(k)
+                lowered.append((c.set, n))
         yield
     finally:
         for set_, n in reversed(lowered):

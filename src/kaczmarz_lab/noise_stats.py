@@ -14,8 +14,12 @@ For white noise the expectations have closed forms
     E ||(k-sweep map) e||^2 = sigma^2 * || (k-sweep map) ||_F^2
     E ||xi^k||^2            = sum_i |1 - lambda_i^k|^2 * E|xi_i|^2,
 
-with E|xi_i|^2 = sigma^2 * ||row_i(W^+ A_limit)||^2 obtained by exact
-covariance propagation (Monte Carlo sampling is kept for validation only).
+with E|xi_i|^2 = sigma^2 * ||row_i(M)||^2 obtained by exact covariance
+propagation (Monte Carlo sampling is kept for validation only).  The
+coefficient map M = W^+ A_limit comes from the eigendecomposition itself:
+I - G|_V = C (I - Lambda) C^-1 gives M = (I - Lambda)^-1 W^+ B, with
+B = A^T L^-1 for the standard sweep and A^T S for the symmetric one, so
+neither the fixed-point matrix nor an LU of I - G|_V is formed.
 """
 
 from __future__ import annotations
@@ -138,20 +142,37 @@ class XiProfile:
             )
 
 
+def _check_ks(ks) -> np.ndarray:
+    """The iteration counts as integers; ValueError for a negative or fractional one."""
+    raw = np.asarray(list(ks))
+    with np.errstate(invalid="ignore"):
+        ks = raw.astype(int)
+    if np.any(ks != raw) or np.any(ks < 0):
+        raise ValueError("iteration counts k must be nonnegative integers")
+    return ks
+
+
 def xi_profile(sm: SharpMaps, sr: SpectrumReport, e, ks) -> XiProfile:
     """Per-mode decomposition of the noise error for iteration counts ks.
 
-    Requires an invertible eigenbasis: raises NumericalError when the
-    eigenvector condition number exceeds 1e12.
+    The coefficients are xi = M e = (I - Lambda)^-1 W^+ (B e).  Requires an
+    invertible eigenbasis: raises NumericalError when the eigenvector
+    condition number exceeds 1e12.  Raises ValueError for an ``e`` of the
+    wrong length or with non-finite entries, and for a negative or
+    fractional k.
     """
     if sm.kappa_W > 1e12:
         raise NumericalError(
             f"eigenbasis is near-defective (kappa = {sm.kappa_W:.3e})"
         )
     e = np.asarray(e, dtype=float)
-    xi = sm.W_inv @ sm.apply_A_sharp(e).astype(complex)
+    if e.shape != (sm.lf.m,):
+        raise ValueError(f"e must have shape ({sm.lf.m},), got {e.shape}")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("e has non-finite entries")
+    ks = _check_ks(ks)
     lam = sm.lam
-    ks = np.asarray(list(ks), dtype=int)
+    xi = (sm.W_inv @ sm.apply_B(e)) / (1.0 - lam)
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     terms = factors * (np.abs(xi) ** 2)[None, :]
     return XiProfile(
@@ -168,12 +189,13 @@ def xi_profile(sm: SharpMaps, sr: SpectrumReport, e, ks) -> XiProfile:
 class ExpectationReport:
     """Closed-form and sampled expectations of the squared noise error.
 
-    ``e1[j]`` = sigma^2 ||A_k||_F^2 for the k = ks[j] sweep map (the
-    expected squared noise-error norm), ``e2[j]`` the eigenbasis
-    counterpart, and ``mc``/``mc_stderr`` the Monte Carlo estimate used
-    for validation.  ``e1_estimated`` marks a stochastic trace estimate,
-    used for n > EXPLICIT_MAP_MAX_N: 256 Gaussian probes per k, drawn
-    separately from (and after) the Monte Carlo samples.
+    ``e1[j]`` = sigma^2 ||A_k||_F^2 for the k = ks[j] sweep map
+    A_k = W (I - Lambda^k) M with M = (I - Lambda)^-1 W^+ B (the expected
+    squared noise-error norm), ``e2[j]`` the eigenbasis counterpart, and
+    ``mc``/``mc_stderr`` the Monte Carlo estimate used for validation.
+    ``e1_estimated`` marks a stochastic trace estimate, used for
+    n > EXPLICIT_MAP_MAX_N: 256 Gaussian probes per k, drawn separately
+    from (and after) the Monte Carlo samples.
     """
 
     ks: np.ndarray
@@ -206,29 +228,34 @@ def expected_norms(
     """Expected squared noise-error norms, closed form and Monte Carlo.
 
     E|xi_i|^2 is computed exactly from the noise covariance (sigma^2 times
-    the squared row norms of M = W^+ A_limit); sampling is used only for
-    the validation column.  The Frobenius norms are taken on explicitly
-    formed k-sweep maps up to n = EXPLICIT_MAP_MAX_N.  Beyond that they are
-    estimated from 256 standard Gaussian probes per k, drawn from the same
-    generator after the n_mc Monte Carlo samples.
+    the squared row norms of the coefficient map M = W^+ A_limit); sampling
+    is used only for the validation column.  The Frobenius norms are taken
+    on explicitly formed k-sweep maps up to n = EXPLICIT_MAP_MAX_N.  Beyond
+    that they are estimated from 256 standard Gaussian probes per k, drawn
+    from the same generator after the n_mc Monte Carlo samples.
 
     M does not depend on k and is formed once, as its real and imaginary
-    parts; so are the Monte Carlo coefficients M e.  Each k only scales the
-    coefficients by 1 - lambda^k and lifts them with W.
+    parts, from M = (I - Lambda)^-1 W^+ B: the rows of W^+ are scaled by
+    1 / (1 - lambda) and multiplied by B, whose transpose takes triangular
+    solves on the n columns of A (``SharpMaps.b_transpose``).  The Monte
+    Carlo coefficients M e are formed once too.  Each k only scales the
+    coefficients by 1 - lambda^k and lifts them with W.  Raises ValueError
+    for a negative or non-finite sigma and for a negative or fractional k.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError("sigma must be finite and nonnegative")
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2")
-    ks = np.asarray(list(ks), dtype=int)
+    ks = _check_ks(ks)
     lam = sm.lam
     m = sm.lf.m
     n = sm.A.shape[1]
 
-    # rows of M = W^+ A_limit drive the xi covariance
-    a_sharp = sm.a_sharp_matrix()
-    M_r, M_i = sm.W_inv.real @ a_sharp, sm.W_inv.imag @ a_sharp
-    del a_sharp
+    # rows of M = (I - Lambda)^-1 W^+ B drive the xi covariance
+    DW_inv = sm.W_inv / (1.0 - lam)[:, None]
+    B = sm.b_transpose().T
+    M_r, M_i = DW_inv.real @ B, DW_inv.imag @ B
+    del DW_inv, B
     e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
     phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     e2 = phi2 @ e_xi2

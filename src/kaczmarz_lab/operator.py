@@ -116,8 +116,12 @@ class SweepOperator:
     G^T.  Every product goes through scipy's BLAS wrappers on
     Fortran-ordered arrays: interleaving them with numpy's ``@``, which
     links its own OpenBLAS, stalls when both libraries run several
-    threads.  The CLI runs desk-small problems on one thread of each
-    (``experiments.ONE_THREAD_MAX_DIM``); larger ones keep the default.
+    threads, because the idle pool's threads spin while the other works.
+    The CLI runs desk-small problems on one thread of each
+    (``experiments.ONE_THREAD_MAX_DIM``).  Above that, the commands whose
+    dense work is numpy's LAPACK run scipy's build on one thread
+    (``experiments.SCIPY_ONE_THREAD_COMMANDS``), and the others, whose work
+    is this engine, keep both counts.
     """
 
     def __init__(self, A, omega: float):
@@ -254,9 +258,19 @@ class SharpMaps:
         coeff = np.linalg.solve(np.eye(self.r) - self.ro.Gv, V.T @ y)
         return V @ coeff
 
-    def a_sharp_matrix(self) -> np.ndarray:
-        """The n-by-m fixed-point matrix, formed explicitly (desk scale)."""
-        return self.apply_A_sharp(np.eye(self.lf.m))
+    def b_transpose(self) -> np.ndarray:
+        """B^T as an m-by-n matrix: L^-T A, or S A for the symmetric sweep.
+
+        Triangular solves (``dtrsm``) on the n columns of A, not on the m
+        columns of the identity; ``lf.L.T`` is the Fortran-ordered upper
+        factor L^T, so L itself is not copied.
+        """
+        U = self.lf.L.T
+        Y = self.A
+        if self.variant == "symmetric":
+            Y = dtrsm(1.0, U, Y, trans_a=1)  # L^-1 A
+            Y *= ((2.0 / self.lf.omega - 1.0) * self.lf.D_diag)[:, None]
+        return dtrsm(1.0, U, Y)
 
 
 def sharp_maps(
@@ -304,9 +318,10 @@ def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     Evaluated spectrally as W (I - Lambda^k) W^+ (limit of e); k = 0
     yields the zero vector and k -> infinity approaches the fixed point.
     The result is real; the imaginary round-off from the complex
-    eigenbasis is discarded.  Each call applies the full limit map;
-    ``expected_norms`` instead forms W^+ A_limit once for all k, and the
-    tests compare it with this route.
+    eigenbasis is discarded.  Each call applies the full limit map, with
+    a fresh LU of I - G|_V; ``expected_norms`` and ``xi_profile`` instead
+    take the coefficients from W^+ A_limit = (I - Lambda)^-1 W^+ B, and the
+    tests compare them with this route.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -65,17 +65,47 @@ def test_rerun_byte_identical(command, tmp_path):
     assert all(outs[0].values())
 
 
-@pytest.mark.parametrize("command", ["omegasweep", "errhist"])
-def test_csv_independent_of_blas_threads(command, tmp_path, monkeypatch):
+TOMO24 = ["--problem", "paralleltomo", "--N", "24", "--n-angles", "32", "--rays", "32"]
+
+
+@pytest.mark.parametrize("command, args", [
+    pytest.param("omegasweep", SMALL["omegasweep"], id="omegasweep"),
+    pytest.param("errhist", SMALL["errhist"], id="errhist"),
+    pytest.param("eigplot", TOMO24, id="eigplot-tomo24"),
+    pytest.param("noisestats", [*TOMO24, "--sigma", "5e-3", "--ks", "1", "20", "--n-mc", "20"],
+                 id="noisestats-tomo24"),
+])
+def test_csv_independent_of_blas_threads(command, args, tmp_path, monkeypatch):
     # the thread rule of run_command must not change a byte: the same CSVs
-    # on one BLAS thread and on the library's default of two or more
-    if max(get() for get, _ in linalg._openblas_thread_controls()) < 2:
+    # under the rule (one thread on the SMALL configs, scipy's build on one
+    # thread for the tomography commands) and on the library's default of
+    # two or more
+    if max(c.get() for c in linalg._openblas_thread_controls()) < 2:
         pytest.skip("needs an OpenBLAS with at least two threads")
+    assert main([command, *args, "--out", str(tmp_path / "rule")]) == 0
     monkeypatch.setattr(experiments, "ONE_THREAD_MAX_DIM", 0)
-    assert main([command, *SMALL[command], "--out", str(tmp_path / "multi")]) == 0
-    with linalg.blas_threads(1):
-        assert main([command, *SMALL[command], "--out", str(tmp_path / "one")]) == 0
-    assert _csv_bytes(tmp_path / "multi" / command) == _csv_bytes(tmp_path / "one" / command)
+    monkeypatch.setattr(experiments, "SCIPY_ONE_THREAD_COMMANDS", frozenset())
+    assert main([command, *args, "--out", str(tmp_path / "multi")]) == 0
+    assert _csv_bytes(tmp_path / "multi" / command) == _csv_bytes(tmp_path / "rule" / command)
+
+
+def test_scipy_pin_set_is_the_eig_general_commands(tmp_path, monkeypatch):
+    # the pin is for commands whose dense work is numpy's eig_general; a
+    # command that stops calling it (or starts) must move in or out of the set
+    callers = set()
+    command = None
+    real = linalg.eig_general
+
+    def spy(M):
+        callers.add(command)
+        return real(M)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kaczmarz_lab") and getattr(module, "eig_general", None) is real:
+            monkeypatch.setattr(module, "eig_general", spy)
+    for command in sorted(COMMANDS):
+        assert main([command, *SMALL[command], "--out", str(tmp_path)]) == 0
+    assert callers == experiments.SCIPY_ONE_THREAD_COMMANDS
 
 
 def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):

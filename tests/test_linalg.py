@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import kaczmarz_lab as kl
 from kaczmarz_lab import experiments, linalg
@@ -197,17 +199,19 @@ class TestLeastNorm:
 
 
 def _thread_counts():
-    return [get() for get, _ in linalg._openblas_thread_controls()]
+    return [c.get() for c in linalg._openblas_thread_controls()]
 
 
 class _FakeBuild:
     """A stand-in OpenBLAS whose thread count is a plain attribute."""
 
-    def __init__(self, threads):
+    def __init__(self, threads, owner=None):
         self.threads = threads
+        self.owner = owner
 
     def control(self):
-        return (lambda: self.threads, lambda k: setattr(self, "threads", k))
+        return linalg._ThreadControl(
+            lambda: self.threads, lambda k: setattr(self, "threads", k), self.owner)
 
 
 class TestBlasThreads:
@@ -239,10 +243,10 @@ class TestBlasThreads:
 
     def test_no_build_found_is_a_noop(self, monkeypatch):
         real = linalg._openblas_thread_controls()
-        before = [get() for get, _ in real]
+        before = [c.get() for c in real]
         monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: [])
         with linalg.blas_threads(1):
-            assert [get() for get, _ in real] == before
+            assert [c.get() for c in real] == before
             np.testing.assert_allclose(kl.svd(np.eye(3)).S, np.ones(3))
 
     def test_rejects_zero_threads(self):
@@ -250,43 +254,96 @@ class TestBlasThreads:
             with linalg.blas_threads(0):
                 pass  # pragma: no cover
 
+    def test_scipy_only_lowers_only_scipys_build(self, monkeypatch):
+        builds = [_FakeBuild(2, "numpy"), _FakeBuild(3, "scipy"), _FakeBuild(4)]
+        monkeypatch.setattr(linalg, "_openblas_thread_controls",
+                            lambda: [b.control() for b in builds])
+        with linalg.blas_threads(1, scipy_only=True):
+            assert [b.threads for b in builds] == [2, 1, 4]
+        assert [b.threads for b in builds] == [2, 3, 4]
+
+    @pytest.mark.parametrize("owners", [[None], ["numpy"], ["scipy"], [None, None],
+                                        ["scipy", None]],
+                             ids=["shared", "numpy-only", "scipy-only", "unknown-pair",
+                                  "no-numpy-build"])
+    def test_one_shared_build_lowers_nothing(self, monkeypatch, owners):
+        # one OpenBLAS serving both packages, or builds that cannot be told
+        # apart: lowering "scipy's" would lower numpy's too, so nothing is
+        builds = [_FakeBuild(2, owner) for owner in owners]
+        monkeypatch.setattr(linalg, "_openblas_thread_controls",
+                            lambda: [b.control() for b in builds])
+        with linalg.blas_threads(1, scipy_only=True):
+            assert [b.threads for b in builds] == [2] * len(owners)
+        with linalg.blas_threads(1):
+            assert [b.threads for b in builds] == [1] * len(owners)
+
+    def test_owner_from_library_path(self):
+        site = Path(np.__file__).parent.parent
+        assert linalg._owner(str(site / "numpy.libs" / "libscipy_openblas64_-x.so")) == "numpy"
+        assert linalg._owner(str(site / "scipy.libs" / "libscipy_openblas-x.so")) == "scipy"
+        assert linalg._owner(str(Path(scipy.__file__).parent / ".dylibs" / "lib.so")) == "scipy"
+        assert linalg._owner("/usr/lib/x86_64-linux-gnu/libopenblas.so.0") is None
+
+    def test_real_wheel_builds_told_apart(self):
+        site = Path(np.__file__).parent.parent
+        if not all(any((site / d).glob("*openblas*")) for d in ("numpy.libs", "scipy.libs")):
+            pytest.skip("numpy and scipy do not each bundle an OpenBLAS here")
+        owners = sorted(c.owner for c in linalg._openblas_thread_controls())
+        assert owners == ["numpy", "scipy"]
+
     @pytest.mark.parametrize("cfg", [
         experiments.ExperimentConfig(problem="gravity", n=32, d=0.06),
         experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32),
     ], ids=["gravity32", "paralleltomo24"])
     def test_run_command_size_rule(self, cfg, tmp_path, monkeypatch):
-        # one thread inside a desk-small command, the counts untouched
-        # above the threshold, and the caller's counts back afterwards
+        # one thread inside every desk-small command; above the threshold
+        # scipy's build on one thread inside the eigendecomposition commands
+        # and both counts untouched inside the others; the caller's counts
+        # back afterwards
+        controls = linalg._openblas_thread_controls()
+        owners = [c.owner for c in controls]
+        told_apart = {"numpy", "scipy"} <= set(owners)
         before = _thread_counts()
-        seen = []
-        real = experiments.COMMANDS["structure"]
+        seen = {}
 
-        def spy(cfg, p, outdir):
-            seen.append((max(p.A.shape), _thread_counts()))
-            return real(cfg, p, outdir)
+        def spy(name):
+            def command(cfg, p, outdir):
+                seen[name] = (max(p.A.shape), _thread_counts())
+                return {}
+            return command
 
-        monkeypatch.setitem(experiments.COMMANDS, "structure", spy)
-        experiments.run_command("structure", cfg, tmp_path)
-        [(size, inside)] = seen
-        if size <= experiments.ONE_THREAD_MAX_DIM:
-            assert inside == [min(c, 1) for c in before]
-        else:
-            assert inside == before
-        assert _thread_counts() == before
+        for name in experiments.COMMANDS:
+            monkeypatch.setitem(experiments.COMMANDS, name, spy(name))
+            experiments.run_command(name, cfg, tmp_path)
+            assert _thread_counts() == before
+        assert set(seen) == set(experiments.COMMANDS)
+        for name, (size, inside) in seen.items():
+            if size <= experiments.ONE_THREAD_MAX_DIM:
+                want = [min(n, 1) for n in before]
+            elif name in experiments.SCIPY_ONE_THREAD_COMMANDS:
+                want = [min(n, 1) if told_apart and owner == "scipy" else n
+                        for n, owner in zip(before, owners)]
+            else:
+                want = before
+            assert inside == want, name
 
     def test_never_raises_a_count(self, tmp_path):
-        # with OPENBLAS_NUM_THREADS=1 every count stays at 1: under a
-        # larger request, and through a large and a small command
+        # with OPENBLAS_NUM_THREADS=1 every count stays at 1: under larger
+        # requests, and through large commands with and without the scipy
+        # pin and a small one
         script = """
 import json, sys
 from kaczmarz_lab import experiments, linalg
-counts = lambda: [get() for get, _ in linalg._openblas_thread_controls()]
+counts = lambda: [c.get() for c in linalg._openblas_thread_controls()]
 seen = [counts()]
 with linalg.blas_threads(2):
     seen.append(counts())
-for cfg in (experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32),
-            experiments.ExperimentConfig(problem="gravity", n=32, d=0.06)):
-    experiments.run_command("structure", cfg, sys.argv[1])
+with linalg.blas_threads(2, scipy_only=True):
+    seen.append(counts())
+tomo = experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32)
+for name, cfg in (("eigplot", tomo), ("structure", tomo),
+                  ("structure", experiments.ExperimentConfig(problem="gravity", n=32, d=0.06))):
+    experiments.run_command(name, cfg, sys.argv[1])
     seen.append(counts())
 print(json.dumps(seen))
 """
@@ -294,5 +351,5 @@ print(json.dumps(seen))
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True, env=env, check=True)
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert len(seen) == 4
+        assert len(seen) == 6
         assert all(counts == [1] * len(seen[0]) for counts in seen)

@@ -218,14 +218,26 @@ def _per_k_reference(sm, sigma, ks, n_mc, seed, estimated):
     return np.array(e1), np.array(mc), np.array(stderr)
 
 
+@pytest.fixture(scope="module", params=["standard", "symmetric"])
+def gravity32_variant(request):
+    # the symmetric sweep has its own B = A^T S, so it gets its own check
+    p = kl.gravity(32, 0.06)
+    sv = kl.svd(p.A)
+    lf = kl.build_L(p.A, 1.0)
+    sm = kl.sharp_maps(p.A, lf, sv, variant=request.param)
+    restrict = kl.restrict_to_V if request.param == "standard" else kl.restrict_symmetric_to_V
+    return p, sm, kl.spectrum(restrict(p.A, lf, sv))
+
+
 class TestExpectedNormsAgainstPerKRoute:
-    # expected_norms forms W^+ A_limit once and only rescales per k; the
-    # reference sends every sample through apply_Ak_sharp for every k
+    # expected_norms forms M = (I - Lambda)^-1 W^+ B once and only rescales
+    # per k; the reference sends every sample through apply_Ak_sharp (the
+    # fixed-point map with an LU of I - G|_V) for every k
     KS = [0, 1, 5, 20]
 
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
-    def test_both_branches(self, gravity32_machinery, monkeypatch, max_n):
-        p, sm, rep = gravity32_machinery
+    def test_both_branches(self, gravity32_variant, monkeypatch, max_n):
+        p, sm, rep = gravity32_variant
         monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
         exp = kl.expected_norms(sm, rep, sigma=3e-3, ks=self.KS, n_mc=300, seed=11)
         assert exp.e1_estimated == (p.n > max_n)
@@ -234,14 +246,53 @@ class TestExpectedNormsAgainstPerKRoute:
             assert got[0] == want[0] == 0.0
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
-    def test_xi_profile_norms(self, gravity32_machinery):
-        p, sm, rep = gravity32_machinery
+    def test_xi_profile_norms(self, gravity32_variant):
+        p, sm, rep = gravity32_variant
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(3e-3, seed=12))
         prof = kl.xi_profile(sm, rep, e, self.KS)
         xi = sm.W_inv @ sm.apply_A_sharp(e)
         for j, k in enumerate(self.KS):
             want = np.sum(np.abs(1.0 - sm.lam**k) ** 2 * np.abs(xi) ** 2)
             assert prof.norms[j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class TestRejectsBadInput:
+    # a bad sigma, k or noise vector fails loudly instead of returning NaN,
+    # inf or a meaningless number
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0])
+    def test_expected_norms_bad_sigma(self, gravity32_machinery, sigma):
+        p, sm, rep = gravity32_machinery
+        with pytest.raises(ValueError, match="sigma"):
+            kl.expected_norms(sm, rep, sigma=sigma, ks=[1], n_mc=10)
+
+    @pytest.mark.parametrize("ks", [[-1], [0, 5, -2], [2.5], [1, np.nan]],
+                             ids=["negative", "negative-among-valid", "fractional", "nan"])
+    def test_bad_k(self, gravity32_machinery, ks):
+        # k = 2.5 used to be truncated to 2 without a word
+        p, sm, rep = gravity32_machinery
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            kl.expected_norms(sm, rep, sigma=1e-3, ks=ks, n_mc=10)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            kl.xi_profile(sm, rep, np.zeros(p.m), ks)
+
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
+    def test_xi_profile_bad_e(self, gravity32_machinery, bad):
+        p, sm, rep = gravity32_machinery
+        e = np.full(p.m, 1e-3)
+        if bad in ("nan", "inf"):
+            e[3] = np.nan if bad == "nan" else np.inf
+        else:
+            e = {"short": e[:-1], "long": np.append(e, 0.0),
+                 "matrix": e[:, None]}[bad]
+        with pytest.raises(ValueError, match="e "):
+            kl.xi_profile(sm, rep, e, [1])
+
+    def test_k_zero_stays_valid(self, gravity32_machinery):
+        p, sm, rep = gravity32_machinery
+        exp = kl.expected_norms(sm, rep, sigma=1e-3, ks=[0], n_mc=10)
+        prof = kl.xi_profile(sm, rep, np.full(p.m, 1e-3), [0])
+        assert exp.e1[0] == exp.e2[0] == exp.mc[0] == 0.0
+        assert prof.norms[0] == 0.0
 
 
 class TestMonotonicityProbe:

@@ -351,6 +351,22 @@ class TestSharpMaps:
         got = kl.apply_Ak_sharp(sm, p.b_bar, 5)
         assert np.linalg.norm(got - h.iterates[5]) <= 1e-8 * max(1.0, np.linalg.norm(got))
 
+    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_b_transpose_matches_dense_B(self, small_problems, variant, omega):
+        # B = A^T L^-1, or A^T S with S = (2/omega - 1) L^-T D L^-1, formed
+        # from an explicit inverse of L
+        for p in small_problems:
+            lf = kl.build_L(p.A, omega)
+            sm = kl.sharp_maps(p.A, lf, kl.svd(p.A, rank_tol=1e-6), variant=variant)
+            Linv = np.linalg.inv(lf.L)
+            S = Linv if variant == "standard" else (
+                (2.0 / omega - 1.0) * Linv.T @ np.diag(lf.D_diag) @ Linv)
+            want = (p.A.T @ S).T
+            got = sm.b_transpose()
+            assert got.shape == (p.m, p.n)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), p.name
+
     def test_non_convergent_mode_raises(self):
         # omega -> 0 makes L blow up and G approach the identity, so an
         # eigenvalue lands on 1 and the fixed point is undefined
