@@ -2,8 +2,11 @@
 
 Each command consumes an :class:`ExperimentConfig`, writes CSV files (the
 canonical artifacts) plus small SVG plots into its own output directory,
-and returns a summary dict.  The resolved configuration is always written
-alongside the outputs, and every command is deterministic given (config,
+and returns a summary dict.  Every CSV goes through
+:func:`~kaczmarz_lab.tables.write_table`.  :func:`run_command` owns the
+rest of the directory: it writes the resolved configuration as
+``config.json`` before the command runs and the returned summary as
+``summary.json`` after it.  Every command is deterministic given (config,
 seed): rerunning reproduces byte-identical CSVs.
 """
 
@@ -35,6 +38,7 @@ from .problems import (
     random_ordering,
 )
 from .solvers import SweepConfig, cgls, run
+from .tables import write_table
 
 __all__ = ["ExperimentConfig", "COMMANDS", "run_command"]
 
@@ -151,8 +155,7 @@ class ExperimentConfig:
         values = {}
         if config_path is not None:
             path = Path(config_path)
-            if not path.exists():
-                raise ConfigError(f"config file not found: {path}")
+            loads = json.loads
             if path.suffix == ".toml":
                 try:
                     import tomllib
@@ -164,12 +167,17 @@ class ExperimentConfig:
                             "TOML configs need Python >= 3.11 or the tomli package; "
                             "use JSON instead"
                         ) from exc
-                values = tomllib.loads(path.read_text())
-            else:
-                try:
-                    values = json.loads(path.read_text())
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"bad config file {path}: {exc}") from exc
+                loads = tomllib.loads
+            try:
+                text = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+            try:
+                values = loads(text)
+            except ValueError as exc:  # JSON and TOML decode errors are ValueErrors
+                raise ConfigError(f"bad config file {path}: {exc}") from exc
+            if not isinstance(values, dict):
+                raise ConfigError(f"config file {path} must hold a table of settings")
         if overrides:
             values.update({k: v for k, v in overrides.items() if v is not None})
         known = {f.name for f in dataclasses.fields(cls)}
@@ -207,15 +215,9 @@ def _is_omega(value) -> bool:
     return _is_real(value) and 0.0 < value < 2.0
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _write_rows(path: Path, header: str, rows) -> None:
+def _write_rows(path: Path, columns) -> None:
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+        write_table(fh, columns)
 
 
 def make_problem(cfg: ExperimentConfig) -> TestProblem:
@@ -237,25 +239,24 @@ def make_problem(cfg: ExperimentConfig) -> TestProblem:
     return p
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+
+
 def _prepare(outdir: Path, cfg: ExperimentConfig) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "config.json", "w") as fh:
-        json.dump(cfg.as_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "config.json", cfg.as_dict())
 
 
 def cmd_eigplot(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectrum of the restricted sweep operator: CSV + complex-plane SVG."""
-    _prepare(outdir, cfg)
     sv = svd(p.A, cfg.rank_tol)
     ro = restrict_to_V(p.A, build_L(p.A, cfg.omega), sv)
     rep = spectral.spectrum(ro, cfg.zero_tol)
     lam = rep.eigenvalues
-    _write_rows(
-        outdir / "spectrum.csv",
-        "idx,re,im,modulus",
-        [(i, _fmt(l.real), _fmt(l.imag), _fmt(abs(l))) for i, l in enumerate(lam)],
-    )
+    # hypot is scalar abs(); np.abs of a complex array rounds differently
+    _write_rows(outdir / "spectrum.csv", {"idx": range(lam.size), "re": lam.real, "im": lam.imag,
+                                          "modulus": np.hypot(lam.real, lam.imag)})
     svgplot.scatter_plot(
         outdir / "spectrum.svg",
         lam.real.tolist(),
@@ -276,7 +277,6 @@ def cmd_eigplot(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         "top_is_complex": top_is_complex,
         "near_defective": rep.near_defective,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return summary
 
 
@@ -338,7 +338,6 @@ def cmd_errhist(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
 
     Each noise realization is drawn once and shared by all methods.
     """
-    _prepare(outdir, cfg)
     if cfg.sigma > 0 and cfg.sweeps < 1:
         raise ConfigError("noisy error histories need at least one sweep")
     noisy_b = [
@@ -358,24 +357,18 @@ def cmd_errhist(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         ylabel="||x_k - x_ref||",
         logy=True,
     )
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return summary
 
 
 def cmd_omegasweep(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectrum statistics over an omega grid; detects the all-real edge."""
-    _prepare(outdir, cfg)
     sv = svd(p.A, cfg.rank_tol)
     grid = cfg.omega_grid or tuple(np.round(np.arange(0.02, 2.0, 0.02), 10))
     scan = spectral.small_omega_scan(p.A, sv, grid, cfg.zero_tol, cfg.im_tol)
-    _write_rows(
-        outdir / "scan.csv",
-        "omega,rho,max_im,zero_count,n_nonpos_real",
-        [
-            (_fmt(r.omega), _fmt(r.rho), _fmt(r.max_im), r.zero_count, r.n_nonpos_real)
-            for r in scan.rows
-        ],
-    )
+    _write_rows(outdir / "scan.csv", {
+        col: [getattr(r, col) for r in scan.rows]
+        for col in ("omega", "rho", "max_im", "zero_count", "n_nonpos_real")
+    })
     svgplot.line_plot(
         outdir / "scan.svg",
         {
@@ -399,31 +392,27 @@ def cmd_omegasweep(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         "omega0": omega0,
         "zero_counts": {str(r.omega): r.zero_count for r in scan.rows},
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return summary
 
 
 def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Expected noise-error norms, xi decomposition, and factor growth."""
-    _prepare(outdir, cfg)
     if cfg.sigma <= 0:
         raise ConfigError("noisestats requires sigma > 0")
     sv = svd(p.A, cfg.rank_tol)
-    lf = build_L(p.A, cfg.omega)
-    sm = sharp_maps(p.A, lf, sv)
-    rep = spectral.spectrum(sm.ro, cfg.zero_tol, sm.eig)
+    sm = sharp_maps(p.A, build_L(p.A, cfg.omega), sv)
     ks = tuple(int(k) for k in cfg.ks)
 
-    exp = noise_stats.expected_norms(sm, rep, cfg.sigma, ks, cfg.n_mc, cfg.mc_seed)
+    exp = noise_stats.expected_norms(sm, cfg.sigma, ks, cfg.n_mc, cfg.mc_seed)
     with open(outdir / "expectation.csv", "w") as fh:
         exp.write_csv(fh)
 
     e = add_noise(np.zeros(p.m), NoiseModel(cfg.sigma, cfg.noise_seed))
-    prof = noise_stats.xi_profile(sm, rep, e, ks)
+    prof = noise_stats.xi_profile(sm, e, ks)
     with open(outdir / "xi.csv", "w") as fh:
         prof.write_csv(fh)
 
-    mono = noise_stats.monotonicity_probe(rep, range(1, max(ks) + 1))
+    mono = noise_stats.monotonicity_probe(sm.lam, range(1, max(ks) + 1))
     with open(outdir / "monotonicity.csv", "w") as fh:
         mono.write_csv(fh)
 
@@ -446,40 +435,22 @@ def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         "e2_monotone": mono.e2_monotone,
         "kappa_W": sm.kappa_W,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return summary
 
 
 def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectral-radius bounds table across the configured omega values."""
-    _prepare(outdir, cfg)
     sv = svd(p.A, cfg.rank_tol)
-    rows = []
     reports = []
     for omega in cfg.omegas_bounds:
         lf = build_L(p.A, float(omega))
-        ro = restrict_to_V(p.A, lf, sv)
-        rep = spectral.rho_bounds(p.A, sv, lf, ro)
-        reports.append(rep)
-        rows.append(
-            (
-                p.name,
-                _fmt(omega),
-                _fmt(rep.rho_actual),
-                _fmt(rep.norm_G),
-                _fmt(rep.bound_L),
-                _fmt(rep.bound_nu),
-                _fmt(rep.nu),
-                _fmt(rep.bf_bound),
-                _fmt(rep.be_bound),
-                int(rep.assumption_met),
-            )
-        )
-    _write_rows(
-        outdir / "bounds.csv",
-        "problem,omega,rho,norm_G,bound_L,bound_nu,nu,bf_bound,be_bound,assumption_met",
-        rows,
-    )
+        reports.append(spectral.rho_bounds(p.A, sv, lf, restrict_to_V(p.A, lf, sv)))
+    columns = {"problem": [p.name] * len(reports), "omega": [r.omega for r in reports],
+               "rho": [r.rho_actual for r in reports]}
+    for col in ("norm_G", "bound_L", "bound_nu", "nu", "bf_bound", "be_bound"):
+        columns[col] = [getattr(r, col) for r in reports]
+    columns["assumption_met"] = [int(r.assumption_met) for r in reports]
+    _write_rows(outdir / "bounds.csv", columns)
     summary = {
         "rows": [
             {"omega": r.omega, "rho": r.rho_actual, "bound_L": r.bound_L,
@@ -488,25 +459,22 @@ def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
             for r in reports
         ]
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     return summary
 
 
 def cmd_structure(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Exact row-orthogonality structure of the configured matrix."""
-    _prepare(outdir, cfg)
     rep = spectral.structural_orthogonality(p.A)
-    _write_rows(
-        outdir / "structure.csv",
-        "problem,m,n,leading_diag_block,orth_pairs,near_orth",
-        [(p.name, p.m, p.n, rep.leading_diag_block, rep.orth_pairs, _fmt(rep.near_orth))],
-    )
+    _write_rows(outdir / "structure.csv", {
+        "problem": [p.name], "m": [p.m], "n": [p.n],
+        "leading_diag_block": [rep.leading_diag_block], "orth_pairs": [rep.orth_pairs],
+        "near_orth": [rep.near_orth],
+    })
     summary = {
         "leading_diag_block": rep.leading_diag_block,
         "orth_pairs": rep.orth_pairs,
         "near_orth": rep.near_orth,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
     print(f"leading_diag_block = {rep.leading_diag_block}")
     return summary
 
@@ -522,9 +490,12 @@ COMMANDS = {
 
 
 def run_command(name: str, cfg: ExperimentConfig, outdir=None) -> dict:
-    """Build the configured problem and run one command on it.
+    """Build the configured problem, run one command on it and return its summary.
 
-    The output directory defaults to <root>/<name>.  A problem with
+    The output directory defaults to <root>/<name>.  ``config.json`` is
+    written there before the command runs, so it is left even when the
+    command raises, and ``summary.json`` from the returned summary after
+    it.  A problem with
     ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one BLAS thread; above that,
     the commands in ``SCIPY_ONE_THREAD_COMMANDS`` run with scipy's OpenBLAS
     on one thread, and the others keep the counts.
@@ -539,5 +510,8 @@ def run_command(name: str, cfg: ExperimentConfig, outdir=None) -> dict:
         threads = blas_threads(1, scipy_only=True)
     else:
         threads = nullcontext()
+    _prepare(out, cfg)
     with threads:
-        return COMMANDS[name](cfg, p, out)
+        summary = COMMANDS[name](cfg, p, out)
+    _write_json(out / "summary.json", summary)
+    return summary

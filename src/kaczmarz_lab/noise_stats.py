@@ -32,7 +32,7 @@ from .errors import NumericalError
 from .operator import SharpMaps, apply_Ak_sharp  # noqa: F401  (re-exported per-k reference route)
 from .problems import TestProblem
 from .solvers import IterationHistory, SweepConfig, run
-from .spectral import SpectrumReport
+from .tables import write_table
 
 __all__ = [
     "ErrorSplit",
@@ -66,13 +66,9 @@ class ErrorSplit:
 
     def write_csv(self, fh, realization: int = 0, header: bool = True) -> None:
         """CSV columns: k, recon, iter, noise, realization."""
-        if header:
-            fh.write("k,recon,iter,noise,realization\n")
-        for k in range(self.recon_err.size):
-            fh.write(
-                f"{k},{float(self.recon_err[k])!r},{float(self.iter_err[k])!r},"
-                f"{float(self.noise_err[k])!r},{realization}\n"
-            )
+        n = self.recon_err.size
+        write_table(fh, {"k": range(n), "recon": self.recon_err, "iter": self.iter_err,
+                         "noise": self.noise_err, "realization": [realization] * n}, header)
 
 
 def error_split_from_histories(
@@ -134,12 +130,10 @@ class XiProfile:
 
     def write_csv(self, fh) -> None:
         """CSV columns: i, re, im, modulus, lambda_modulus."""
-        fh.write("i,re,im,modulus,lambda_modulus\n")
-        for i, (x, l) in enumerate(zip(self.xi, self.lam)):
-            fh.write(
-                f"{i},{float(x.real)!r},{float(x.imag)!r},"
-                f"{float(abs(x))!r},{float(abs(l))!r}\n"
-            )
+        # hypot is scalar abs(); np.abs of a complex array rounds differently
+        write_table(fh, {"i": range(self.xi.size), "re": self.xi.real, "im": self.xi.imag,
+                         "modulus": np.hypot(self.xi.real, self.xi.imag),
+                         "lambda_modulus": np.hypot(self.lam.real, self.lam.imag)})
 
 
 def _check_ks(ks) -> np.ndarray:
@@ -152,7 +146,7 @@ def _check_ks(ks) -> np.ndarray:
     return ks
 
 
-def xi_profile(sm: SharpMaps, sr: SpectrumReport, e, ks) -> XiProfile:
+def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     """Per-mode decomposition of the noise error for iteration counts ks.
 
     The coefficients are xi = M e = (I - Lambda)^-1 W^+ (B e).  Requires an
@@ -209,17 +203,12 @@ class ExpectationReport:
 
     def write_csv(self, fh) -> None:
         """CSV columns: k, E1, E2, mc, stderr."""
-        fh.write("k,E1,E2,mc,stderr\n")
-        for j, k in enumerate(self.ks):
-            fh.write(
-                f"{int(k)},{float(self.e1[j])!r},{float(self.e2[j])!r},"
-                f"{float(self.mc[j])!r},{float(self.mc_stderr[j])!r}\n"
-            )
+        write_table(fh, {"k": self.ks, "E1": self.e1, "E2": self.e2, "mc": self.mc,
+                         "stderr": self.mc_stderr})
 
 
 def expected_norms(
     sm: SharpMaps,
-    sr: SpectrumReport,
     sigma: float,
     ks,
     n_mc: int = 10_000,
@@ -315,20 +304,19 @@ class MonotonicityReport:
 
     def write_csv(self, fh) -> None:
         """CSV columns: k, e2_unit."""
-        fh.write("k,e2_unit\n")
-        for j, k in enumerate(self.ks):
-            fh.write(f"{int(k)},{float(self.e2_unit[j])!r}\n")
+        write_table(fh, {"k": self.ks, "e2_unit": self.e2_unit})
 
 
-def monotonicity_probe(sr: SpectrumReport, ks) -> MonotonicityReport:
+def monotonicity_probe(lam, ks) -> MonotonicityReport:
     """Evaluate factor curves and their sum for the iteration counts ks.
 
+    ``lam`` holds the eigenvalues of the restricted sweep operator.
     Individual curves for complex eigenvalues may bump up and down (the
     factor |1 - lambda^k| can exceed 1), yet their sum over a large
     spectrum typically grows monotonically; this probe quantifies both.
     """
     ks = np.asarray(sorted(set(int(k) for k in ks)), dtype=int)
-    lam = sr.eigenvalues
+    lam = np.asarray(lam)
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None])
     e2_unit = np.sum(factors**2, axis=1)
     diffs = np.diff(factors, axis=0)

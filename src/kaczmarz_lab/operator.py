@@ -27,7 +27,7 @@ from scipy.linalg.blas import dgemm, dtrsm
 
 from .errors import NumericalError
 from .linalg import (
-    EigResult, SvdResult, _check_triangular_diag, eig_general, solve_lower, solve_upper, svd,
+    SvdResult, _check_triangular_diag, eig_general, solve_lower, solve_upper, svd,
 )
 from .problems import TestProblem
 
@@ -80,13 +80,6 @@ class RestrictedOperator:
     @property
     def r(self) -> int:
         return self.Gv.shape[0]
-
-    def write_csv(self, fh) -> None:
-        """Dump the dense restricted matrix; columns i, j, value."""
-        fh.write("i,j,value\n")
-        for i in range(self.Gv.shape[0]):
-            for j in range(self.Gv.shape[1]):
-                fh.write(f"{i},{j},{float(self.Gv[i, j])!r}\n")
 
 
 def build_L(A, omega: float) -> LFactor:
@@ -221,9 +214,7 @@ class SharpMaps:
 
     ``lam`` holds the eigenvalues (descending modulus), ``W`` the lifted
     eigenvectors, ``W_inv`` the left inverse of W on the row space, and
-    ``kappa_W`` the condition number of C.  ``eig`` is the eigendecomposition
-    of ``ro.Gv`` they come from, kept so that a spectrum report can be built
-    without a second eigensolve.
+    ``kappa_W`` the condition number of C.
     """
 
     A: np.ndarray
@@ -236,7 +227,6 @@ class SharpMaps:
     W_inv: np.ndarray
     kappa_W: float
     ro: RestrictedOperator = field(repr=False)
-    eig: EigResult = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -308,7 +298,6 @@ def sharp_maps(
         W_inv=W_inv,
         kappa_W=eig.kappa,
         ro=ro,
-        eig=eig,
     )
 
 

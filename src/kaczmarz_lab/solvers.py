@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import SweepOperator
+from .tables import write_table
 
 __all__ = [
     "SweepConfig",
@@ -78,13 +79,10 @@ class IterationHistory:
 
     def write_csv(self, fh) -> None:
         """CSV columns: sweep, residual_norm[, error_norm]."""
-        has_err = self.error_norms is not None
-        fh.write("sweep,residual_norm" + (",error_norm\n" if has_err else "\n"))
-        for k in range(self.sweep_count + 1):
-            line = f"{k},{float(self.residual_norms[k])!r}"
-            if has_err:
-                line += f",{float(self.error_norms[k])!r}"
-            fh.write(line + "\n")
+        columns = {"sweep": range(self.sweep_count + 1), "residual_norm": self.residual_norms}
+        if self.error_norms is not None:
+            columns["error_norm"] = self.error_norms
+        write_table(fh, columns)
 
 
 def row_norms_squared(A) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EigResult, SvdResult, eig_general, eigvals, solve_lower
+from .linalg import SvdResult, eig_general, eigvals, solve_lower
 from .operator import LFactor, RestrictedOperator, build_L, restrict_to_V
 
 __all__ = [
@@ -120,18 +120,9 @@ class BoundsReport:
     omega: float
 
 
-def spectrum(
-    ro: RestrictedOperator,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    eig: EigResult | None = None,
-) -> SpectrumReport:
-    """Eigendecompose a restricted operator and summarize its spectrum.
-
-    ``eig`` is an eigendecomposition of ``ro.Gv`` that the caller already
-    holds (``SharpMaps.eig``); it is used instead of a second eigensolve.
-    """
-    if eig is None:
-        eig = eig_general(ro.Gv)
+def spectrum(ro: RestrictedOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
+    """Eigendecompose a restricted operator and summarize its spectrum."""
+    eig = eig_general(ro.Gv)
     lam = eig.eigenvalues
     rho = float(np.abs(lam[0])) if lam.size else 0.0
     return SpectrumReport(

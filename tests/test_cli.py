@@ -9,6 +9,7 @@ import pytest
 
 from kaczmarz_lab import experiments, linalg, operator, spectral
 from kaczmarz_lab.cli import main
+from kaczmarz_lab.errors import ConfigError
 from kaczmarz_lab.experiments import COMMANDS, ExperimentConfig, run_command
 
 
@@ -89,6 +90,44 @@ def test_csv_independent_of_blas_threads(command, args, tmp_path, monkeypatch):
     assert _csv_bytes(tmp_path / "multi" / command) == _csv_bytes(tmp_path / "rule" / command)
 
 
+@pytest.mark.parametrize("command, fname", [("eigplot", "spectrum.csv"), ("noisestats", "xi.csv")])
+def test_modulus_is_scalar_abs(command, fname, tmp_path):
+    # the CSV moduli are what scalar abs() of the complex value gives; np.abs
+    # on a complex array rounds some of them differently in the last bit
+    assert main([command, *SMALL[command], "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / command / fname).read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    assert len(rows) == 32
+    for row in rows:
+        assert float(row["modulus"]) == abs(complex(float(row["re"]), float(row["im"])))
+
+
+class TestOutputStep:
+    # run_command writes config.json before the command and summary.json,
+    # from the returned dict, after it
+    def test_config_error_leaves_config_only(self, tmp_path):
+        cfg = ExperimentConfig(problem="gravity", n=16, d=0.1)
+        with pytest.raises(ConfigError, match="sigma"):
+            run_command("noisestats", cfg, outdir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+        assert json.loads((tmp_path / "config.json").read_text()) == cfg.as_dict()
+
+    @pytest.mark.parametrize("command, fields", [
+        ("eigplot", {}),
+        ("errhist", {"sweeps": 5, "sigma": 1e-3, "realizations": 2,
+                     "methods": ("standard", "cgls")}),
+        ("omegasweep", {"omega_grid": (0.5, 1.0)}),
+        ("noisestats", {"sigma": 1e-3, "n_mc": 10}),
+        ("bounds", {"omegas_bounds": (1.0,)}),
+        ("structure", {}),
+    ], ids=["eigplot", "errhist", "omegasweep", "noisestats", "bounds", "structure"])
+    def test_summary_file_is_the_returned_dict(self, command, fields, tmp_path):
+        cfg = ExperimentConfig(problem="gravity", n=32, d=0.06, **fields)
+        summary = run_command(command, cfg, outdir=tmp_path)
+        assert isinstance(summary, dict) and summary
+        assert json.loads((tmp_path / "summary.json").read_text()) == summary
+
+
 def test_scipy_pin_set_is_the_eig_general_commands(tmp_path, monkeypatch):
     # the pin is for commands whose dense work is numpy's eig_general; a
     # command that stops calling it (or starts) must move in or out of the set
@@ -109,7 +148,8 @@ def test_scipy_pin_set_is_the_eig_general_commands(tmp_path, monkeypatch):
 
 
 def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
-    # sharp_maps keeps its EigResult and the spectrum report reuses it
+    # sharp_maps' eigendecomposition is the only one: noisestats reads its
+    # eigenvalues and kappa_W from there and builds no spectrum report
     shapes = []
 
     def counting(M):
@@ -191,6 +231,21 @@ class TestExitCodes:
         rc = main(["noisestats", "--problem", "gravity", "--n", "16",
                    "--sigma", "0", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("name, text", [
+        ("bad.toml", "n = \n"),
+        ("list.json", "[1, 2]"),
+        ("string.json", '"abc"'),
+        ("dir.json", None),
+    ], ids=["toml-decode", "json-list", "json-string", "directory"])
+    def test_config_error_bad_file(self, name, text, tmp_path, capsys):
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text)
+        assert main(["structure", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestConfigSources:

@@ -14,8 +14,7 @@ def gravity32_machinery():
     sv = kl.svd(p.A)
     lf = kl.build_L(p.A, 1.0)
     sm = kl.sharp_maps(p.A, lf, sv)
-    rep = kl.spectrum(kl.restrict_to_V(p.A, lf, sv))
-    return p, sm, rep
+    return p, sm
 
 
 class TestErrorSplit:
@@ -59,9 +58,9 @@ class TestErrorSplit:
 
 class TestXiProfile:
     def test_k_zero_vanishes(self, gravity32_machinery):
-        p, sm, rep = gravity32_machinery
+        p, sm = gravity32_machinery
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(5e-3, seed=3))
-        prof = kl.xi_profile(sm, rep, e, ks=[0, 1])
+        prof = kl.xi_profile(sm, e, ks=[0, 1])
         assert prof.norms[0] == 0.0
         assert prof.norms[1] > 0.0
 
@@ -73,10 +72,10 @@ class TestXiProfile:
 
     def test_norm_identity_against_operator_route(self, gravity32_machinery):
         # the honest route applies the sweep operator k times
-        p, sm, rep = gravity32_machinery
+        p, sm = gravity32_machinery
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(1e-2, seed=4))
         ks = [1, 3, 10]
-        prof = kl.xi_profile(sm, rep, e, ks)
+        prof = kl.xi_profile(sm, e, ks)
         y0 = sm.apply_A_sharp(e)
         for j, k in enumerate(ks):
             gk = y0.copy()
@@ -94,10 +93,9 @@ class TestXiProfile:
         sv = kl.svd(p.A)
         lf = kl.build_L(p.A, 1.0)
         sm = kl.sharp_maps(p.A, lf, sv)
-        rep = kl.spectrum(kl.restrict_to_V(p.A, lf, sv))
         for seed in range(3):
             e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(5e-3, seed))
-            prof = kl.xi_profile(sm, rep, e, ks=[1])
+            prof = kl.xi_profile(sm, e, ks=[1])
             corr = spearmanr(np.abs(prof.lam), np.abs(prof.xi)).statistic
             assert corr > 0.0
 
@@ -108,24 +106,23 @@ class TestXiProfile:
         sv = kl.svd(p.A, rank_tol=1e-6)
         lf = kl.build_L(p.A, 1.0)
         sm = kl.sharp_maps(p.A, lf, sv)
-        rep = kl.spectrum(kl.restrict_to_V(p.A, lf, sv))
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(5e-3, seed=1))
-        prof = kl.xi_profile(sm, rep, e, ks=[1])
+        prof = kl.xi_profile(sm, e, ks=[1])
         assert spearmanr(np.abs(prof.lam), np.abs(prof.xi)).statistic > 0.9
 
     def test_near_defective_raises(self, gravity32_machinery):
-        p, sm, rep = gravity32_machinery
+        p, sm = gravity32_machinery
         import dataclasses
 
         bad = dataclasses.replace(sm, kappa_W=1e13)
         with pytest.raises(kl.NumericalError, match="near-defective"):
-            kl.xi_profile(bad, rep, np.zeros(p.m), ks=[1])
+            kl.xi_profile(bad, np.zeros(p.m), ks=[1])
 
 
 class TestExpectedNorms:
     def test_sigma_zero_all_zero(self, gravity32_machinery):
-        p, sm, rep = gravity32_machinery
-        exp = kl.expected_norms(sm, rep, sigma=0.0, ks=[1, 5], n_mc=10, seed=0)
+        p, sm = gravity32_machinery
+        exp = kl.expected_norms(sm, sigma=0.0, ks=[1, 5], n_mc=10, seed=0)
         assert np.all(exp.e1 == 0.0) and np.all(exp.e2 == 0.0)
         assert np.all(exp.mc == 0.0)
 
@@ -134,8 +131,7 @@ class TestExpectedNorms:
         A = rng.standard_normal((16, 16)) + 2 * np.eye(16)
         sv = kl.svd(A)
         sm = kl.sharp_maps(A, kl.build_L(A, 1.0), sv)
-        rep = kl.spectrum(kl.restrict_to_V(A, kl.build_L(A, 1.0), sv))
-        exp = kl.expected_norms(sm, rep, sigma=0.7, ks=[1, 5, 20], n_mc=10_000, seed=7)
+        exp = kl.expected_norms(sm, sigma=0.7, ks=[1, 5, 20], n_mc=10_000, seed=7)
         for j in range(3):
             assert abs(exp.mc[j] - exp.e1[j]) <= 3.0 * exp.mc_stderr[j]
         assert not exp.e1_estimated
@@ -143,8 +139,8 @@ class TestExpectedNorms:
     def test_frobenius_identity_gravity(self, gravity32_machinery):
         # sample mean of squared propagated standard Gaussians converges
         # to the squared Frobenius norm of the k-sweep map
-        p, sm, rep = gravity32_machinery
-        exp = kl.expected_norms(sm, rep, sigma=1.0, ks=[1, 5, 20], n_mc=10_000, seed=8)
+        p, sm = gravity32_machinery
+        exp = kl.expected_norms(sm, sigma=1.0, ks=[1, 5, 20], n_mc=10_000, seed=8)
         for j in range(3):
             assert abs(exp.mc[j] - exp.e1[j]) <= 3.0 * exp.mc_stderr[j]
 
@@ -157,9 +153,8 @@ class TestExpectedNorms:
         sv = kl.svd(p.A, rank_tol=1e-6)
         sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), sv)
         assert sm.kappa_W < 10.0
-        rep = kl.spectrum(kl.restrict_to_V(p.A, kl.build_L(p.A, 1.0), sv))
         ks = [1, 2, 5, 10, 20, 50]
-        exp = kl.expected_norms(sm, rep, sigma=sigma, ks=ks, n_mc=100, seed=9)
+        exp = kl.expected_norms(sm, sigma=sigma, ks=ks, n_mc=100, seed=9)
         gap = np.abs(np.log10(exp.e1) - np.log10(exp.e2))
         assert np.max(gap) <= 1.0
 
@@ -173,9 +168,8 @@ class TestExpectedNorms:
         p = kl.gravity(32, 0.06)
         sv = kl.svd(p.A)
         sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), sv)
-        rep = kl.spectrum(kl.restrict_to_V(p.A, kl.build_L(p.A, 1.0), sv))
         ks = [1, 2, 5, 10, 20, 50]
-        exp = kl.expected_norms(sm, rep, sigma=sigma, ks=ks, n_mc=100, seed=9)
+        exp = kl.expected_norms(sm, sigma=sigma, ks=ks, n_mc=100, seed=9)
         gap = np.log10(exp.e1) - np.log10(exp.e2)
         assert np.max(gap) - np.min(gap) <= 1.0
 
@@ -187,9 +181,8 @@ class TestExpectedNorms:
         for omega in (0.8, 1.0):
             lf = kl.build_L(p.A, omega)
             sm = kl.sharp_maps(p.A, lf, sv, variant="symmetric")
-            rep = kl.spectrum(kl.restrict_symmetric_to_V(p.A, lf, sv))
             ks = list(range(1, 31))
-            exp = kl.expected_norms(sm, rep, sigma=1e-2, ks=ks, n_mc=10, seed=10)
+            exp = kl.expected_norms(sm, sigma=1e-2, ks=ks, n_mc=10, seed=10)
             assert np.all(np.diff(exp.e1) >= -1e-12 * exp.e1.max())
             assert np.all(np.diff(exp.e2) >= -1e-12 * exp.e2.max())
 
@@ -223,10 +216,8 @@ def gravity32_variant(request):
     # the symmetric sweep has its own B = A^T S, so it gets its own check
     p = kl.gravity(32, 0.06)
     sv = kl.svd(p.A)
-    lf = kl.build_L(p.A, 1.0)
-    sm = kl.sharp_maps(p.A, lf, sv, variant=request.param)
-    restrict = kl.restrict_to_V if request.param == "standard" else kl.restrict_symmetric_to_V
-    return p, sm, kl.spectrum(restrict(p.A, lf, sv))
+    sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), sv, variant=request.param)
+    return p, sm
 
 
 class TestExpectedNormsAgainstPerKRoute:
@@ -237,9 +228,9 @@ class TestExpectedNormsAgainstPerKRoute:
 
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
     def test_both_branches(self, gravity32_variant, monkeypatch, max_n):
-        p, sm, rep = gravity32_variant
+        p, sm = gravity32_variant
         monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
-        exp = kl.expected_norms(sm, rep, sigma=3e-3, ks=self.KS, n_mc=300, seed=11)
+        exp = kl.expected_norms(sm, sigma=3e-3, ks=self.KS, n_mc=300, seed=11)
         assert exp.e1_estimated == (p.n > max_n)
         e1, mc, stderr = _per_k_reference(sm, 3e-3, self.KS, 300, 11, exp.e1_estimated)
         for got, want in ((exp.e1, e1), (exp.mc, mc), (exp.mc_stderr, stderr)):
@@ -247,9 +238,9 @@ class TestExpectedNormsAgainstPerKRoute:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_xi_profile_norms(self, gravity32_variant):
-        p, sm, rep = gravity32_variant
+        p, sm = gravity32_variant
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(3e-3, seed=12))
-        prof = kl.xi_profile(sm, rep, e, self.KS)
+        prof = kl.xi_profile(sm, e, self.KS)
         xi = sm.W_inv @ sm.apply_A_sharp(e)
         for j, k in enumerate(self.KS):
             want = np.sum(np.abs(1.0 - sm.lam**k) ** 2 * np.abs(xi) ** 2)
@@ -261,23 +252,23 @@ class TestRejectsBadInput:
     # inf or a meaningless number
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0])
     def test_expected_norms_bad_sigma(self, gravity32_machinery, sigma):
-        p, sm, rep = gravity32_machinery
+        p, sm = gravity32_machinery
         with pytest.raises(ValueError, match="sigma"):
-            kl.expected_norms(sm, rep, sigma=sigma, ks=[1], n_mc=10)
+            kl.expected_norms(sm, sigma=sigma, ks=[1], n_mc=10)
 
     @pytest.mark.parametrize("ks", [[-1], [0, 5, -2], [2.5], [1, np.nan]],
                              ids=["negative", "negative-among-valid", "fractional", "nan"])
     def test_bad_k(self, gravity32_machinery, ks):
         # k = 2.5 used to be truncated to 2 without a word
-        p, sm, rep = gravity32_machinery
+        p, sm = gravity32_machinery
         with pytest.raises(ValueError, match="nonnegative integers"):
-            kl.expected_norms(sm, rep, sigma=1e-3, ks=ks, n_mc=10)
+            kl.expected_norms(sm, sigma=1e-3, ks=ks, n_mc=10)
         with pytest.raises(ValueError, match="nonnegative integers"):
-            kl.xi_profile(sm, rep, np.zeros(p.m), ks)
+            kl.xi_profile(sm, np.zeros(p.m), ks)
 
     @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
     def test_xi_profile_bad_e(self, gravity32_machinery, bad):
-        p, sm, rep = gravity32_machinery
+        p, sm = gravity32_machinery
         e = np.full(p.m, 1e-3)
         if bad in ("nan", "inf"):
             e[3] = np.nan if bad == "nan" else np.inf
@@ -285,12 +276,12 @@ class TestRejectsBadInput:
             e = {"short": e[:-1], "long": np.append(e, 0.0),
                  "matrix": e[:, None]}[bad]
         with pytest.raises(ValueError, match="e "):
-            kl.xi_profile(sm, rep, e, [1])
+            kl.xi_profile(sm, e, [1])
 
     def test_k_zero_stays_valid(self, gravity32_machinery):
-        p, sm, rep = gravity32_machinery
-        exp = kl.expected_norms(sm, rep, sigma=1e-3, ks=[0], n_mc=10)
-        prof = kl.xi_profile(sm, rep, np.full(p.m, 1e-3), [0])
+        p, sm = gravity32_machinery
+        exp = kl.expected_norms(sm, sigma=1e-3, ks=[0], n_mc=10)
+        prof = kl.xi_profile(sm, np.full(p.m, 1e-3), [0])
         assert exp.e1[0] == exp.e2[0] == exp.mc[0] == 0.0
         assert prof.norms[0] == 0.0
 
@@ -304,15 +295,15 @@ class TestMonotonicityProbe:
         ro = kl.restrict_to_V(A, kl.build_L(A, 0.5), sv)
         rep = kl.spectrum(ro)
         assert np.all(rep.eigenvalues.imag == 0.0)
-        mono = kl.monotonicity_probe(rep, range(1, 40))
+        mono = kl.monotonicity_probe(rep.eigenvalues, range(1, 40))
         assert mono.e2_monotone
         assert np.all(mono.bumps == 0)
 
     def test_gravity_bumps_but_monotone_sum(self, gravity32_machinery):
         # individual curves for the small eigenvalues bump, yet the sum
         # over all modes grows monotonically
-        p, sm, rep = gravity32_machinery
-        mono = kl.monotonicity_probe(rep, range(1, 60))
+        p, sm = gravity32_machinery
+        mono = kl.monotonicity_probe(sm.lam, range(1, 60))
         assert np.any(mono.bumps > 0)
         assert mono.e2_monotone
 

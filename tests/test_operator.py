@@ -234,18 +234,6 @@ class TestRestriction:
                     assert rho < 1.0
 
 
-def test_restricted_operator_csv_export():
-    import io
-
-    p = kl.gravity(5, 0.1)
-    ro = kl.restrict_to_V(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A))
-    buf = io.StringIO()
-    ro.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "i,j,value"
-    assert len(lines) == 1 + ro.r * ro.r
-
-
 class TestLemmaSpectrumEquality:
     @pytest.mark.parametrize("shape", [(8, 5), (5, 8)])
     def test_nonzero_spectra_agree(self, shape):

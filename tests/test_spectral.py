@@ -39,16 +39,6 @@ class TestSpectrum:
         assert rep.W.shape == (128, sv.rank)
         assert not rep.near_defective
 
-    def test_report_from_sharp_maps_eig(self):
-        p = kl.gravity(32, 0.06)
-        sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A))
-        reused = kl.spectrum(sm.ro, eig=sm.eig)
-        fresh = kl.spectrum(sm.ro)
-        np.testing.assert_array_equal(reused.eigenvalues, fresh.eigenvalues)
-        np.testing.assert_array_equal(reused.W, fresh.W)
-        for name in ("rho", "zero_count", "zero_tol", "kappa_W", "near_defective", "omega"):
-            assert getattr(reused, name) == getattr(fresh, name), name
-
 
 class TestStructuralOrthogonality:
     def test_diagonal_matrix_full_block(self):
