@@ -441,10 +441,12 @@ def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
 def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectral-radius bounds table across the configured omega values."""
     sv = svd(p.A, cfg.rank_tol)
+    kappa_X = spectral.bauer_fike_kappa(p.A)  # independent of omega: once per command
     reports = []
     for omega in cfg.omegas_bounds:
         lf = build_L(p.A, float(omega))
-        reports.append(spectral.rho_bounds(p.A, sv, lf, restrict_to_V(p.A, lf, sv)))
+        reports.append(spectral.rho_bounds(p.A, sv, lf, restrict_to_V(p.A, lf, sv),
+                                           kappa_X=kappa_X))
     columns = {"problem": [p.name] * len(reports), "omega": [r.omega for r in reports],
                "rho": [r.rho_actual for r in reports]}
     for col in ("norm_G", "bound_L", "bound_nu", "nu", "bf_bound", "be_bound"):

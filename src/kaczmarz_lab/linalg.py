@@ -85,12 +85,46 @@ class EigResult:
     ``eigenvalues`` are sorted by descending modulus, ties broken by
     descending real part then ascending imaginary part, so reports are
     deterministic.  ``eigenvectors`` columns pair with the eigenvalues.
-    ``kappa`` is the 2-norm condition number of the eigenvector matrix.
+    Both arrays are real when every eigenvalue is real.
+
+    ``conj[i]`` is the index of the conjugate of eigenvalue i (i itself
+    for a real one); ``eigenvalues[conj]`` equals their conjugates and
+    ``eigenvectors[:, conj]`` the conjugate vectors, exactly, and ``conj``
+    is an involution.
+
+    ``kappa`` is the 2-norm condition number of the eigenvector matrix C.
+    It is taken on the real matrix R whose columns are x for a real mode
+    and sqrt(2) Re x, sqrt(2) Im x for a conjugate pair (x, conj(x)):
+    each pair's columns are [x, conj(x)] = [sqrt(2) Re x, sqrt(2) Im x] Q
+    with the unitary Q = [[1, 1], [i, -i]] / sqrt(2), so C = R Q with a
+    block-unitary Q and cond(C) = cond(R) exactly (Golub and Van Loan,
+    *Matrix Computations*, 7.4).
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     kappa: float
+    conj: np.ndarray
+
+    def real_vectors(self) -> np.ndarray:
+        """The real basis of the eigenvectors: C = R0 times a block matrix.
+
+        Column i is Re x_i for a real mode and for the member of a pair
+        with Im lambda > 0, and Im x_j for the member whose partner j has
+        Im lambda_j > 0: the real vector pair that LAPACK's ``dgeev``
+        returns, in the sorted order.  A real spectrum gives C itself.
+        """
+        return _real_vectors(self.eigenvalues, self.eigenvectors, self.conj)
+
+
+def _real_vectors(lam: np.ndarray, C: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """:meth:`EigResult.real_vectors` of eigenpairs (lam, C) with partners ``conj``."""
+    if not np.iscomplexobj(C):
+        return C
+    R0 = C.real.copy()
+    up = np.flatnonzero(lam.imag > 0)
+    R0[:, conj[up]] = C[:, up].imag
+    return R0
 
 
 @dataclass(frozen=True)
@@ -122,8 +156,8 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
     A = _as_matrix(A)
     if rank_tol is None:
         rank_tol = default_rank_tol(A)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
+    if not (np.isfinite(rank_tol) and rank_tol >= 0):
+        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     U, S, Vt = np.linalg.svd(A, full_matrices=False)
     if S[0] <= 0.0:
         raise NumericalError("rank zero matrix")
@@ -138,8 +172,12 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
 def eig_general(M) -> EigResult:
     """Eigendecomposition of a square real matrix, complex output allowed.
 
-    Complex eigenvalues of real input occur in conjugate pairs.  The
-    eigenvector-matrix condition number kappa is reported so callers can
+    Complex eigenvalues of real input occur in conjugate pairs, and LAPACK
+    returns each pair at (j, j+1) with Im w[j] > 0 and exactly conjugate
+    vectors.  The pairs are read from that order, before the sort, since
+    repeated complex eigenvalues make adjacency after the sort ambiguous.
+    The eigenvector-matrix condition number kappa, taken from one real
+    values-only SVD (see :class:`EigResult`), is reported so callers can
     detect near-defective spectra.
     """
     M = _as_matrix(M)
@@ -149,11 +187,22 @@ def eig_general(M) -> EigResult:
         w, X = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    partner = np.arange(w.size)
+    up = np.flatnonzero(w.imag > 0)
+    if np.any(w[up + 1] != w[up].conj()):  # pragma: no cover - not LAPACK's layout
+        raise NumericalError("eigenvalues are not in conjugate pairs")
+    partner[up], partner[up + 1] = up + 1, up
     order = np.lexsort((w.imag, -w.real, -np.abs(w)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
     w = np.ascontiguousarray(w[order])
     X = np.ascontiguousarray(X[:, order])
-    kappa = float(np.linalg.cond(X, 2))
-    return EigResult(eigenvalues=w, eigenvectors=X, kappa=kappa)
+    conj = rank[partner[order]]
+    R = _real_vectors(w, X, conj)
+    if up.size:
+        R[:, w.imag != 0] *= np.sqrt(2.0)
+    kappa = float(np.linalg.cond(R, 2))
+    return EigResult(eigenvalues=w, eigenvectors=X, kappa=kappa, conj=conj)
 
 
 def eigvals(M) -> np.ndarray:

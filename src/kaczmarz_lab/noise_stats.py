@@ -20,6 +20,15 @@ coefficient map M = W^+ A_limit comes from the eigendecomposition itself:
 I - G|_V = C (I - Lambda) C^-1 gives M = (I - Lambda)^-1 W^+ B, with
 B = A^T L^-1 for the standard sweep and A^T S for the symmetric one, so
 neither the fixed-point matrix nor an LU of I - G|_V is formed.
+
+G|_V is real, so the modes come in exact conjugate pairs: lambda, the
+rows of W^+ and the columns of W of one pair are conjugates, and so are
+the pair's terms in W diag(phi) M.  The expectations therefore sum over
+one mode per pair with weight 2,
+
+    Re(W diag(phi) Z) = sum_real w_i phi_i z_i + 2 sum_{Im>0} Re(w_i phi_i z_i),
+
+and likewise for E2.
 """
 
 from __future__ import annotations
@@ -228,31 +237,39 @@ def expected_norms(
     1 / (1 - lambda) and multiplied by B, whose transpose takes triangular
     solves on the n columns of A (``SharpMaps.b_transpose``).  The Monte
     Carlo coefficients M e are formed once too.  Each k only scales the
-    coefficients by 1 - lambda^k and lifts them with W.  Raises ValueError
-    for a negative or non-finite sigma and for a negative or fractional k.
+    coefficients by 1 - lambda^k and lifts them with W.  Only the modes
+    with Im lambda >= 0 are formed and lifted, the complex ones with
+    weight 2 (see the module docstring); the draws and probes keep their
+    shapes and order.  Raises ValueError for a negative or non-finite
+    sigma and for a negative or fractional k.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2")
     ks = _check_ks(ks)
-    lam = sm.lam
     m = sm.lf.m
     n = sm.A.shape[1]
+    # one mode per conjugate pair: the pair's terms are conjugates, so the
+    # one with Im lambda > 0 stands for both with weight 2
+    keep = np.flatnonzero(sm.lam.imag >= 0)
+    lam = sm.lam[keep]
+    wgt = np.where(lam.imag > 0, 2.0, 1.0)
+    W_r, W_i = sm.W.real[:, keep], sm.W.imag[:, keep]
 
     # rows of M = (I - Lambda)^-1 W^+ B drive the xi covariance
-    DW_inv = sm.W_inv / (1.0 - lam)[:, None]
+    DW_inv = sm.W_inv[keep] / (1.0 - lam)[:, None]
     B = sm.b_transpose().T
     M_r, M_i = DW_inv.real @ B, DW_inv.imag @ B
     del DW_inv, B
     e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
     phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
-    e2 = phi2 @ e_xi2
+    e2 = phi2 @ (wgt * e_xi2)
 
     def k_sweep(phi, Z_r, Z_i):
-        """Re(W diag(phi) Z) for Z = Z_r + i Z_i, in real arithmetic."""
-        p_r, p_i = phi.real[:, None], phi.imag[:, None]
-        return sm.W.real @ (p_r * Z_r - p_i * Z_i) - sm.W.imag @ (p_r * Z_i + p_i * Z_r)
+        """Re(W diag(phi) Z) over all modes for Z = Z_r + i Z_i on the kept ones."""
+        p_r, p_i = (wgt * phi.real)[:, None], (wgt * phi.imag)[:, None]
+        return W_r @ (p_r * Z_r - p_i * Z_i) - W_i @ (p_r * Z_i + p_i * Z_r)
 
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((n_mc, m))

@@ -90,8 +90,8 @@ def build_L(A, omega: float) -> LFactor:
     range.  L is nonsingular exactly when A has no zero rows.
     """
     A = np.asarray(A, dtype=float)
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     AAT = dgemm(1.0, A, A, trans_b=1)
     d = np.diag(AAT).copy()
     if np.any(d == 0.0):
@@ -272,6 +272,15 @@ def sharp_maps(
 ) -> SharpMaps:
     """Eigendecompose the restricted operator and package the sharp maps.
 
+    W^+ = C^-1 V^T comes from one real LU.  The eigenvectors are
+    C = R0 P, where R0 (``EigResult.real_vectors``) holds the real vector
+    pair (Re x, Im x) of each conjugate pair (x, conj(x)) and P mixes each
+    pair's columns by [[1, 1], [i, -i]].  So Y = R0^-1 V^T is solved in
+    real arithmetic, and for a pair (j, j') with Im lambda_j > 0 the rows
+    of W^+ are (Y_j - i Y_j') / 2 and (Y_j + i Y_j') / 2; a real mode
+    keeps Y_j.  Conjugate rows come out exactly conjugate, and the
+    imaginary parts of real modes are exactly 0.
+
     Raises NumericalError("non-convergent mode") when some eigenvalue is
     within ``convergence_tol`` of 1, since then I - G is not invertible
     on the row space and the fixed point is undefined.
@@ -286,7 +295,13 @@ def sharp_maps(
     if np.min(np.abs(1.0 - lam)) < convergence_tol:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
     W = sv.V @ C
-    W_inv = np.linalg.solve(C, sv.V.T.astype(complex))
+    Y = np.linalg.solve(eig.real_vectors(), sv.V.T)
+    W_inv = Y.astype(complex)
+    up = np.flatnonzero(lam.imag > 0)
+    down = eig.conj[up]
+    half_re, half_im = 0.5 * Y[up], 0.5 * Y[down]
+    W_inv.real[up] = W_inv.real[down] = half_re
+    W_inv.imag[up], W_inv.imag[down] = -half_im, half_im
     return SharpMaps(
         A=A,
         lf=lf,

@@ -133,8 +133,8 @@ def gravity(n: int, d: float) -> TestProblem:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if d <= 0:
-        raise ValueError("depth d must be positive")
+    if not (np.isfinite(d) and d > 0):
+        raise ValueError(f"depth d must be finite and positive, got {d}")
     t = (np.arange(1, n + 1) - 0.5) / n
     S, T = np.meshgrid(t, t, indexing="ij")
     A = (1.0 / n) * d * (d**2 + (S - T) ** 2) ** (-1.5)
@@ -212,23 +212,34 @@ def shepp_logan_like(N: int) -> np.ndarray:
     return img
 
 
-def _trace_ray(x_lines, N, x0, y0, a, b):
-    """Intersection lengths of one ray with the N x N unit-pixel grid.
+def _trace_rays(x_lines, N, x0, y0, a, b):
+    """Intersection lengths of the parallel rays of one angle with the grid.
 
-    The ray is (x0 + t a, y0 + t b); grid lines sit at the integers
-    -N/2 .. N/2.  Returns (pixel_indices, lengths) with pixels numbered
-    column-major from the upper-left corner.
+    Ray q is (x0[q] + t a, y0[q] + t b); grid lines sit at ``x_lines``
+    (the integers -N/2 .. N/2).  Returns (ray, pixel, length) triples in
+    ray order, and in crossing order along each ray, with pixels numbered
+    column-major from the upper-left corner.  Each ray's crossing points
+    are sorted by t (stable, x-line crossings first on ties), cut to the
+    grid, and merged where they coincide (a ray through a grid corner);
+    each gap between consecutive points gives one segment, in the pixel
+    that holds its midpoint.  The points of all rays are held in one
+    (rays, K) array and compacted by stable sorts on masks.
     """
-    pts = []
+    x0, y0 = x0[:, None], y0[:, None]
+    ts, xs, ys = [], [], []
     if abs(a) > 1e-14:
         tx = (x_lines - x0) / a
-        pts.append(np.stack([tx, x_lines, b * tx + y0], axis=1))
+        ts.append(tx)
+        xs.append(np.broadcast_to(x_lines, tx.shape))
+        ys.append(b * tx + y0)
     if abs(b) > 1e-14:
         ty = (x_lines - y0) / b
-        pts.append(np.stack([ty, a * ty + x0, x_lines], axis=1))
-    P = np.concatenate(pts)
-    P = P[np.argsort(P[:, 0], kind="stable")]
-    xs, ys = P[:, 1], P[:, 2]
+        ts.append(ty)
+        xs.append(a * ty + x0)
+        ys.append(np.broadcast_to(x_lines, ty.shape))
+    order = np.argsort(np.concatenate(ts, axis=1), axis=1, kind="stable")
+    xs = np.take_along_axis(np.concatenate(xs, axis=1), order, axis=1)
+    ys = np.take_along_axis(np.concatenate(ys, axis=1), order, axis=1)
     half = N / 2.0
     inside = (
         (xs >= -half - 1e-10)
@@ -236,22 +247,28 @@ def _trace_ray(x_lines, N, x0, y0, a, b):
         & (ys >= -half - 1e-10)
         & (ys <= half + 1e-10)
     )
-    xs, ys = xs[inside], ys[inside]
-    if xs.size < 2:
-        return np.empty(0, dtype=int), np.empty(0)
+    xs, ys, count = _compact(xs, ys, inside)
     # merge duplicate crossing points (ray through a grid corner)
-    keep = np.ones(xs.size, dtype=bool)
-    keep[1:] = (np.abs(np.diff(xs)) > 1e-10) | (np.abs(np.diff(ys)) > 1e-10)
-    xs, ys = xs[keep], ys[keep]
-    seg = np.sqrt(np.diff(xs) ** 2 + np.diff(ys) ** 2)
-    xm = 0.5 * (xs[:-1] + xs[1:])
-    ym = 0.5 * (ys[:-1] + ys[1:])
-    good = seg > 1e-12
-    col = np.floor(xm[good]).astype(int) + N // 2
-    row = N // 2 - np.ceil(ym[good]).astype(int)
-    val = seg[good]
+    pos = np.arange(xs.shape[1])
+    keep = pos < count[:, None]
+    keep[:, 1:] &= (np.abs(np.diff(xs, axis=1)) > 1e-10) | (np.abs(np.diff(ys, axis=1)) > 1e-10)
+    xs, ys, count = _compact(xs, ys, keep)
+    seg = np.sqrt(np.diff(xs, axis=1) ** 2 + np.diff(ys, axis=1) ** 2)
+    good = (pos[:-1] < count[:, None] - 1) & (seg > 1e-12)
+    ray = np.nonzero(good)[0]
+    xm = 0.5 * (xs[:, :-1] + xs[:, 1:])[good]
+    ym = 0.5 * (ys[:, :-1] + ys[:, 1:])[good]
+    col = np.floor(xm).astype(int) + N // 2
+    row = N // 2 - np.ceil(ym).astype(int)
     ok = (col >= 0) & (col < N) & (row >= 0) & (row < N)
-    return col[ok] * N + row[ok], val[ok]
+    return ray[ok], col[ok] * N + row[ok], seg[good][ok]
+
+
+def _compact(xs, ys, mask):
+    """Move each row's masked points to its front, in order; with their counts."""
+    idx = np.argsort(~mask, axis=1, kind="stable")
+    return (np.take_along_axis(xs, idx, axis=1), np.take_along_axis(ys, idx, axis=1),
+            np.count_nonzero(mask, axis=1))
 
 
 def paralleltomo(
@@ -282,8 +299,8 @@ def paralleltomo(
         raise ValueError("need at least one angle and one ray")
     if width is None:
         width = float(rays_per_angle - 1) if rays_per_angle > 1 else 0.0
-    if width < 0:
-        raise ValueError("detector width must be nonnegative")
+    if not (np.isfinite(width) and width >= 0):
+        raise ValueError(f"detector width must be finite and nonnegative, got {width}")
 
     x_lines = np.arange(-N // 2, N // 2 + 1, dtype=float)
     angles = np.arange(n_angles) * (180.0 / n_angles)
@@ -292,22 +309,19 @@ def paralleltomo(
     else:
         tau = np.zeros(1)
 
-    rows, kept = [], []
+    blocks, kept = [], []
     for ia, theta in enumerate(angles):
         rad = np.deg2rad(theta)
         ct, st = np.cos(rad), np.sin(rad)
-        for ir, t0 in enumerate(tau):
-            idx, val = _trace_ray(x_lines, N, ct * t0, st * t0, -st, ct)
-            if idx.size == 0:
-                continue
-            r = np.zeros(N * N)
-            np.add.at(r, idx, val)
-            if r.any():
-                rows.append(r)
-                kept.append(ia * rays_per_angle + ir)
-    if not rows:
+        ray, pixel, length = _trace_rays(x_lines, N, ct * tau, st * tau, -st, ct)
+        block = np.zeros((rays_per_angle, N * N))
+        np.add.at(block, (ray, pixel), length)
+        hit = np.flatnonzero(block.any(axis=1))
+        blocks.append(block[hit])
+        kept.extend((ia * rays_per_angle + hit).tolist())
+    if not kept:
         raise ValueError("all rays miss the pixel grid")
-    A = np.array(rows)
+    A = np.concatenate(blocks)
     x_bar = shepp_logan_like(N)
     return TestProblem(
         A=A,

@@ -26,6 +26,7 @@ __all__ = [
     "spectrum",
     "structural_orthogonality",
     "rho_bounds",
+    "bauer_fike_kappa",
     "bauer_fike_bound",
     "backward_error_bound",
     "zero_eigenvalue_condition",
@@ -207,12 +208,26 @@ def zero_eigenvalue_condition(A) -> float:
     return float(np.linalg.norm(a1) * np.linalg.norm(am) / denom)
 
 
+def bauer_fike_kappa(A, lf1: LFactor | None = None) -> float:
+    """Condition number of the eigenvectors of L_1^-1 A A^T, at omega = 1.
+
+    The ``kappa_X`` of :func:`bauer_fike_bound`.  It does not depend on
+    the omega under study, so a caller with several omegas computes it
+    once.  ``lf1`` is the omega = 1 factor when the caller has it.
+    """
+    A = np.asarray(A, dtype=float)
+    if lf1 is None:
+        lf1 = build_L(A, 1.0)
+    return eig_general(solve_lower(lf1.L, A @ A.T)).kappa
+
+
 def rho_bounds(
     A,
     sv: SvdResult,
     lf: LFactor,
     ro: RestrictedOperator,
     report: SpectrumReport | None = None,
+    kappa_X: float | None = None,
 ) -> BoundsReport:
     """Evaluate the spectral radius against its closed-form upper bounds.
 
@@ -220,7 +235,8 @@ def rho_bounds(
     solves) to get the smallest eigenvalue of its symmetric part; intended
     for desk-scale m (<= 4096).  When the extremal eigenvalue is complex
     or multiple the bounds are still reported but flagged as outside the
-    proposition's assumptions.
+    proposition's assumptions.  ``kappa_X`` (see :func:`bauer_fike_kappa`)
+    is computed here unless given.
     """
     A = np.asarray(A, dtype=float)
     if report is None:
@@ -241,7 +257,8 @@ def rho_bounds(
     nu = float(np.linalg.eigvalsh(0.5 * (L_inv + L_inv.T))[0])
 
     lf1 = lf if lf.omega == 1.0 else build_L(A, 1.0)
-    kappa_X = eig_general(solve_lower(lf1.L, A @ A.T)).kappa
+    if kappa_X is None:
+        kappa_X = bauer_fike_kappa(A, lf1)
     return BoundsReport(
         rho_actual=rho,
         norm_G=norm_G,

@@ -162,6 +162,28 @@ def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
     assert shapes == [(32, 32)]
 
 
+def test_bounds_one_kappa_X(tmp_path, monkeypatch):
+    # kappa_X does not depend on omega: one eigendecomposition for it, plus
+    # one spectrum per omega; bounds.csv is the table of per-omega rho_bounds
+    shapes = []
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return linalg.eig_general(M)
+
+    monkeypatch.setattr(spectral, "eig_general", counting)
+    assert main(["bounds", *SMALL["bounds"], "--out", str(tmp_path)]) == 0
+    assert shapes == [(32, 32)] * 4
+    monkeypatch.undo()
+    cfg = ExperimentConfig.from_sources(overrides={"problem": "gravity", "n": 32, "d": 0.06})
+    p = experiments.make_problem(cfg)
+    sv = linalg.svd(p.A)
+    reps = [spectral.rho_bounds(p.A, sv, lf, operator.restrict_to_V(p.A, lf, sv))
+            for lf in (operator.build_L(p.A, w) for w in cfg.omegas_bounds)]
+    rows = (tmp_path / "bounds" / "bounds.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[7]) for r in rows] == [r.bf_bound for r in reps]
+
+
 class TestExitCodes:
     def test_config_error_bad_omega(self, tmp_path, capsys):
         rc = main(["eigplot", "--problem", "gravity", "--omega", "2.5",

@@ -36,6 +36,11 @@ class TestSvd:
         with pytest.raises(NumericalError, match="rank zero"):
             kl.svd(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -1e-3])
+    def test_bad_rank_tol_rejected(self, rank_tol):
+        with pytest.raises(ValueError, match="rank_tol"):
+            kl.svd(np.eye(3), rank_tol=rank_tol)
+
     def test_gravity_condition_number(self):
         # sigma_max / sigma_min of gravity(128, 0.02) is about 415.7
         sv = kl.svd(kl.gravity(128, 0.02).A, rank_tol=0.0)
@@ -99,6 +104,75 @@ class TestEigGeneral:
     def test_sort_order_deterministic(self):
         res = kl.eig_general(np.diag([1.0, -1.0, 2.0]))
         np.testing.assert_allclose(res.eigenvalues, [2.0, 1.0, -1.0])
+
+
+def _rotation_blocks():
+    """Two identical interleaved rotation blocks: each of e^{+-0.7i} exactly twice."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    return np.kron(np.array([[c, -s], [s, c]]), np.eye(2))
+
+
+def _restricted(p):
+    return kl.restrict_to_V(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A)).Gv
+
+
+@pytest.fixture(scope="module", params=["symmetric", "rotation_blocks", "gravity128", "tomo24"])
+def pair_case(request):
+    """A real matrix and its eigendecomposition, with real, repeated and many complex pairs."""
+    if request.param == "symmetric":
+        B = np.random.default_rng(2).standard_normal((9, 9))
+        M = B + B.T
+    elif request.param == "rotation_blocks":
+        M = _rotation_blocks()
+    elif request.param == "gravity128":
+        M = _restricted(kl.gravity(128, 0.02))  # kappa about 1.7e6
+    else:
+        M = _restricted(kl.paralleltomo(24, 32, 32))
+    return request.param, M, kl.eig_general(M)
+
+
+class TestConjugatePairs:
+    """kappa from the real vector pairs, and the ``conj`` index of each eigenvalue."""
+
+    def test_kappa_is_cond_of_complex_eigenvectors(self, pair_case):
+        _, _, eig = pair_case
+        want = np.linalg.cond(eig.eigenvectors, 2)
+        assert eig.kappa == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_conj_is_exact(self, pair_case):
+        _, _, eig = pair_case
+        lam, C, conj = eig.eigenvalues, eig.eigenvectors, eig.conj
+        assert np.array_equal(lam[conj], lam.conj())
+        assert np.array_equal(C[:, conj], C.conj())
+        assert np.array_equal(conj[conj], np.arange(lam.size))
+        assert np.array_equal(conj == np.arange(lam.size), lam.imag == 0)
+
+    def test_real_vectors_span_the_eigenvectors(self, pair_case):
+        # x = a + i b and conj(x) = a - i b for a pair whose columns in R0 are a, b
+        _, _, eig = pair_case
+        lam, C, conj = eig.eigenvalues, eig.eigenvectors, eig.conj
+        R0 = eig.real_vectors()
+        assert not np.iscomplexobj(R0)
+        up = np.flatnonzero(lam.imag > 0)
+        assert np.array_equal(R0[:, up] + 1j * R0[:, conj[up]], C[:, up])
+        real = np.flatnonzero(lam.imag == 0)
+        assert np.array_equal(R0[:, real], C[:, real].real)
+
+    def test_case_spectra(self, pair_case):
+        name, M, eig = pair_case
+        lam = eig.eigenvalues
+        if name == "symmetric":
+            # numpy returns real arrays for a real spectrum
+            assert not np.iscomplexobj(lam) and not np.iscomplexobj(eig.eigenvectors)
+            assert np.array_equal(eig.conj, np.arange(9))
+        elif name == "rotation_blocks":
+            np.testing.assert_allclose(lam, np.exp(0.7j * np.array([-1, -1, 1, 1])), atol=1e-12)
+            # adjacent sorted entries are equal, not conjugate: pairs come from LAPACK's order
+            assert set(eig.conj[:2]) == {2, 3}
+        elif name == "gravity128":
+            assert 1e6 < eig.kappa < 3e6
+        else:
+            assert np.count_nonzero(lam.imag) == 494
 
 
 class TestEigvals:

@@ -247,6 +247,59 @@ class TestExpectedNormsAgainstPerKRoute:
             assert prof.norms[j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _all_modes_reference(sm, sigma, ks, n_mc, seed, estimated):
+    """E1, E2, mc and stderr with every mode lifted in complex arithmetic.
+
+    The same closed forms and generator draws as expected_norms, without
+    folding each conjugate pair into one mode of weight 2.
+    """
+    m = sm.lf.m
+    M = (sm.W_inv / (1.0 - sm.lam)[:, None]) @ sm.b_transpose().T
+    e_xi2 = sigma**2 * np.sum(np.abs(M) ** 2, axis=1)
+    e2 = [np.sum(np.abs(1.0 - sm.lam**k) ** 2 * e_xi2) for k in ks]
+    rng = np.random.default_rng(seed)
+    Z = M @ (sigma * rng.standard_normal((n_mc, m))).T
+    e1, mc, stderr = [], [], []
+    for k in ks:
+        lift = sm.W * (1.0 - sm.lam**k)
+        if estimated:
+            probes = rng.standard_normal((256, m)).T
+            e1.append(sigma**2 * np.mean(np.sum(np.real(lift @ (M @ probes)) ** 2, axis=0)))
+        else:
+            e1.append(sigma**2 * np.linalg.norm(np.real(lift @ M), "fro") ** 2)
+        norms2 = np.sum(np.real(lift @ Z) ** 2, axis=0)
+        mc.append(np.mean(norms2))
+        stderr.append(np.std(norms2, ddof=1) / np.sqrt(n_mc))
+    return np.array(e1), np.array(e2), np.array(mc), np.array(stderr)
+
+
+@pytest.fixture(scope="module", params=["standard", "symmetric", "real-spectrum"])
+def gravity32_pairs(request):
+    p = kl.gravity(32, 0.06)
+    variant = "symmetric" if request.param == "symmetric" else "standard"
+    omega = 0.02 if request.param == "real-spectrum" else 1.0
+    return kl.sharp_maps(p.A, kl.build_L(p.A, omega), kl.svd(p.A), variant=variant)
+
+
+class TestExpectedNormsOneModePerPair:
+    # expected_norms lifts only the modes with Im lambda >= 0, the complex
+    # ones with weight 2; the reference lifts all of them
+    KS = [0, 1, 5, 20]
+
+    @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
+    def test_matches_all_modes(self, gravity32_pairs, monkeypatch, max_n):
+        sm = gravity32_pairs
+        monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
+        exp = kl.expected_norms(sm, sigma=3e-3, ks=self.KS, n_mc=300, seed=5)
+        want = _all_modes_reference(sm, 3e-3, self.KS, 300, 5, exp.e1_estimated)
+        for got, ref in zip((exp.e1, exp.e2, exp.mc, exp.mc_stderr), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_standard_spectrum_is_mostly_complex(self, gravity32_machinery):
+        _, sm = gravity32_machinery
+        assert np.count_nonzero(sm.lam.imag > 0) >= 8
+
+
 class TestRejectsBadInput:
     # a bad sigma, k or noise vector fails loudly instead of returning NaN,
     # inf or a meaningless number

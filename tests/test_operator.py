@@ -43,6 +43,12 @@ class TestBuildL:
         A = np.eye(3)
         assert kl.build_L(A, 2.5).omega == 2.5
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_omega_rejected(self, omega):
+        # a NaN omega used to give a NaN diagonal, and inf a zero one
+        with pytest.raises(ValueError, match="omega"):
+            kl.build_L(np.eye(3), omega)
+
 
 class TestApplyG:
     def test_nullspace_untouched(self):
@@ -362,3 +368,43 @@ class TestSharpMaps:
         sv = kl.svd(p.A)
         with pytest.raises(NumericalError, match="non-convergent"):
             kl.sharp_maps(p.A, kl.build_L(p.A, 1e-300), sv)
+
+
+@pytest.fixture(scope="module", params=["gravity128", "tomo24", "gravity24-symmetric", "real-spectrum"])
+def real_route_case(request):
+    """Sharp maps whose W^+ came from the real LU, and the eigendecomposition's ``conj``."""
+    variant, omega = "standard", 1.0
+    if request.param == "gravity128":
+        p = kl.gravity(128, 0.02)  # kappa_W about 1.7e6
+    elif request.param == "tomo24":
+        p = kl.paralleltomo(24, 32, 32)
+    elif request.param == "gravity24-symmetric":
+        p, variant, omega = kl.gravity(24, 0.08), "symmetric", 0.8
+    else:
+        p, omega = kl.gravity(32, 0.06), 0.02  # every eigenvalue is real
+    sm = kl.sharp_maps(p.A, kl.build_L(p.A, omega), kl.svd(p.A), variant=variant)
+    return request.param, sm, kl.eig_general(sm.ro.Gv).conj
+
+
+class TestRealRouteWInv:
+    """W^+ = C^-1 V^T from one real LU of the real eigenvector pairs."""
+
+    def test_matches_complex_solve(self, real_route_case):
+        _, sm, _ = real_route_case
+        want = np.linalg.solve(sm.C.astype(complex), sm.sv.V.T.astype(complex))
+        assert np.max(np.abs(sm.W_inv - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_conjugate_rows_exact(self, real_route_case):
+        name, sm, conj = real_route_case
+        assert np.array_equal(sm.lam[conj], sm.lam.conj())
+        assert np.array_equal(sm.W_inv[conj], sm.W_inv.conj())
+        assert not sm.W_inv[sm.lam.imag == 0].imag.any()
+        if name in ("gravity128", "tomo24"):
+            assert np.count_nonzero(sm.lam.imag) > 0
+        else:
+            # G^T G restricted to V is symmetric; small omega makes the spectrum real
+            assert not np.iscomplexobj(sm.lam)
+
+    def test_left_inverse(self, real_route_case):
+        _, sm, _ = real_route_case
+        np.testing.assert_allclose(sm.W_inv @ sm.W, np.eye(sm.r), rtol=0, atol=1e-9 * sm.kappa_W)

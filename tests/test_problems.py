@@ -1,5 +1,6 @@
 """Tests for the problem generators, orderings, and the noise model."""
 
+import hashlib
 import io
 import zipfile
 from pathlib import Path
@@ -43,6 +44,11 @@ class TestGravity:
         with pytest.raises(ValueError):
             kl.gravity(1, 0.1)
 
+    @pytest.mark.parametrize("d", [np.nan, np.inf])
+    def test_non_finite_depth_rejected(self, d):
+        with pytest.raises(ValueError, match="depth d"):
+            kl.gravity(32, d)
+
 
 class TestBaart:
     def test_severely_ill_conditioned(self, baart32):
@@ -69,7 +75,94 @@ class TestBaart:
             kl.baart(31)
 
 
+def _trace_ray(x_lines, N, x0, y0, a, b):
+    """Reference: intersection lengths of one ray with the N x N grid."""
+    pts = []
+    if abs(a) > 1e-14:
+        tx = (x_lines - x0) / a
+        pts.append(np.stack([tx, x_lines, b * tx + y0], axis=1))
+    if abs(b) > 1e-14:
+        ty = (x_lines - y0) / b
+        pts.append(np.stack([ty, a * ty + x0, x_lines], axis=1))
+    P = np.concatenate(pts)
+    P = P[np.argsort(P[:, 0], kind="stable")]
+    xs, ys = P[:, 1], P[:, 2]
+    half = N / 2.0
+    inside = (
+        (xs >= -half - 1e-10)
+        & (xs <= half + 1e-10)
+        & (ys >= -half - 1e-10)
+        & (ys <= half + 1e-10)
+    )
+    xs, ys = xs[inside], ys[inside]
+    if xs.size < 2:
+        return np.empty(0, dtype=int), np.empty(0)
+    keep = np.ones(xs.size, dtype=bool)
+    keep[1:] = (np.abs(np.diff(xs)) > 1e-10) | (np.abs(np.diff(ys)) > 1e-10)
+    xs, ys = xs[keep], ys[keep]
+    seg = np.sqrt(np.diff(xs) ** 2 + np.diff(ys) ** 2)
+    xm = 0.5 * (xs[:-1] + xs[1:])
+    ym = 0.5 * (ys[:-1] + ys[1:])
+    good = seg > 1e-12
+    col = np.floor(xm[good]).astype(int) + N // 2
+    row = N // 2 - np.ceil(ym[good]).astype(int)
+    val = seg[good]
+    ok = (col >= 0) & (col < N) & (row >= 0) & (row < N)
+    return col[ok] * N + row[ok], val[ok]
+
+
+def _paralleltomo_loop(N, n_angles, rays_per_angle, width=None):
+    """Reference: the tomography matrix traced one ray at a time; (A, kept_rays)."""
+    if width is None:
+        width = float(rays_per_angle - 1) if rays_per_angle > 1 else 0.0
+    x_lines = np.arange(-N // 2, N // 2 + 1, dtype=float)
+    angles = np.arange(n_angles) * (180.0 / n_angles)
+    tau = np.linspace(-width / 2.0, width / 2.0, rays_per_angle) if rays_per_angle > 1 else np.zeros(1)
+    rows, kept = [], []
+    for ia, theta in enumerate(angles):
+        rad = np.deg2rad(theta)
+        ct, st = np.cos(rad), np.sin(rad)
+        for ir, t0 in enumerate(tau):
+            idx, val = _trace_ray(x_lines, N, ct * t0, st * t0, -st, ct)
+            r = np.zeros(N * N)
+            np.add.at(r, idx, val)
+            if r.any():
+                rows.append(r)
+                kept.append(ia * rays_per_angle + ir)
+    return np.array(rows), kept
+
+
 class TestParalleltomo:
+    @pytest.mark.parametrize("args", [
+        (24, 32, 32, None),
+        (24, 32, 32, 24 * np.sqrt(2.0)),  # edge rays miss at near-axis angles
+        (16, 16, 16, None),
+        (8, 5, 1, None),                  # one ray per angle
+        (12, 7, 9, 3.0),
+        (7, 6, 11, None),                 # odd N
+        (9, 4, 13, 9 * np.sqrt(2.0)),     # odd N; 45-degree rays through grid corners
+        (10, 4, 10, None),                # 45-degree rays through grid corners
+        (6, 3, 4, 0.0),                   # every ray of an angle on one line
+    ])
+    def test_matches_per_ray_loop(self, args):
+        # the per-angle vectorized tracer reproduces the per-ray loop bit for bit
+        A_ref, kept_ref = _paralleltomo_loop(*args)
+        p = kl.paralleltomo(*args)
+        assert np.array_equal(p.A, A_ref)
+        assert p.params["kept_rays"] == kept_ref
+
+    def test_matrix_bytes(self):
+        # sha256 of the matrix as traced one ray at a time
+        A = kl.paralleltomo(24, 32, 32).A
+        assert hashlib.sha256(A.tobytes()).hexdigest() == (
+            "2af92724539d270f0d1c1075cbdc75bcddcb64ed7139cb9067c52a490b88cd73"
+        )
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf, -1.0])
+    def test_bad_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            kl.paralleltomo(4, 3, 3, width=width)
+
     def test_shape_and_rank(self, tomo, tomo_svd):
         # all rays hit the grid at unit ray spacing: square 1024 x 1024
         assert tomo.m == 1024 and tomo.n == 1024

@@ -121,6 +121,19 @@ class TestRhoBounds:
                     assert rep.bound_L <= rep.bound_nu + 1e-12
 
 
+    def test_given_kappa_X_changes_nothing(self, small_problems):
+        # kappa_X is taken at omega = 1 whatever omega is studied, so a
+        # caller may compute it once and pass it in
+        for p in small_problems[:2]:
+            kappa_X = kl.spectral.bauer_fike_kappa(p.A)
+            assert kappa_X == kl.eig_general(
+                sla.solve_triangular(kl.build_L(p.A, 1.0).L, p.A @ p.A.T, lower=True)).kappa
+            for omega in (0.5, 1.0, 1.5):
+                sv, lf, ro = _restricted(p, omega)
+                assert kl.rho_bounds(p.A, sv, lf, ro, kappa_X=kappa_X) == kl.rho_bounds(
+                    p.A, sv, lf, ro)
+
+
 class TestBauerFike:
     def test_structurally_orthogonal_rows_zero_bound(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
