@@ -441,10 +441,12 @@ def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
 def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Spectral-radius bounds table across the configured omega values."""
     sv = svd(p.A, cfg.rank_tol)
-    kappa_X = spectral.bauer_fike_kappa(p.A)  # independent of omega: once per command
+    # one A A^T: each omega's factor differs from L_1 only in the diagonal
+    lf1 = build_L(p.A, 1.0)
+    kappa_X = spectral.bauer_fike_kappa(p.A, lf1)  # independent of omega: once per command
     reports = []
     for omega in cfg.omegas_bounds:
-        lf = build_L(p.A, float(omega))
+        lf = lf1.with_omega(float(omega))
         reports.append(spectral.rho_bounds(p.A, sv, lf, restrict_to_V(p.A, lf, sv),
                                            kappa_X=kappa_X))
     columns = {"problem": [p.name] * len(reports), "omega": [r.omega for r in reports],

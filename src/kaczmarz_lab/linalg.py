@@ -169,6 +169,11 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
     )
 
 
+def _eig_order(w: np.ndarray) -> np.ndarray:
+    """The permutation that sorts eigenvalues as :class:`EigResult` documents."""
+    return np.lexsort((w.imag, -w.real, -np.abs(w)))
+
+
 def eig_general(M) -> EigResult:
     """Eigendecomposition of a square real matrix, complex output allowed.
 
@@ -192,7 +197,7 @@ def eig_general(M) -> EigResult:
     if np.any(w[up + 1] != w[up].conj()):  # pragma: no cover - not LAPACK's layout
         raise NumericalError("eigenvalues are not in conjugate pairs")
     partner[up], partner[up + 1] = up + 1, up
-    order = np.lexsort((w.imag, -w.real, -np.abs(w)))
+    order = _eig_order(w)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     w = np.ascontiguousarray(w[order])
@@ -206,15 +211,17 @@ def eig_general(M) -> EigResult:
 
 
 def eigvals(M) -> np.ndarray:
-    """Eigenvalues only (complex, in LAPACK's order) of a square real matrix.
+    """Eigenvalues only (complex) of a square real matrix, in eig_general's order.
 
-    Goes through scipy's LAPACK, so callers whose products run in scipy's
-    BLAS stay inside one OpenBLAS.
+    LAPACK's values-only path (Golub and Van Loan, *Matrix Computations*,
+    7.5), through scipy, so callers whose products run in scipy's BLAS
+    stay inside one OpenBLAS.
     """
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
-    return sla.eigvals(M, check_finite=False)
+    w = sla.eigvals(M, check_finite=False)
+    return w[_eig_order(w)]
 
 
 def _check_triangular_diag(T: np.ndarray) -> None:
@@ -247,10 +254,12 @@ def least_norm_solution(
     null(A).  The component of b outside range(A) is reported as
     ``residual`` and, when it exceeds ``consistency_tol * ||b||``, the
     result is flagged inconsistent rather than rejected (noisy data ends
-    up here on purpose).
+    up here on purpose).  A b with non-finite entries raises ValueError.
     """
     sv = A if isinstance(A, SvdResult) else svd(A, rank_tol)
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b has non-finite entries")
     coeff = sv.U.T @ b
     x = sv.V @ (coeff / sv.S)
     residual = float(np.linalg.norm(b - sv.U @ coeff))

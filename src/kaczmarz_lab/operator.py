@@ -26,9 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
 
 from .errors import NumericalError
-from .linalg import (
-    SvdResult, _check_triangular_diag, eig_general, solve_lower, solve_upper, svd,
-)
+from .linalg import SvdResult, _check_triangular_diag, eig_general, eigvals, svd
 from .problems import TestProblem
 
 __all__ = [
@@ -61,25 +59,26 @@ class LFactor:
     def m(self) -> int:
         return self.L.shape[0]
 
+    def with_omega(self, omega: float) -> "LFactor":
+        """The factor at another omega, bit-identical to build_L's: no second A A^T."""
+        return _factor(self.L, self.D_diag, omega)
+
+    def solve(self, B, transpose: bool = False) -> np.ndarray:
+        """L^-1 B (L^-T B with ``transpose``) for an m-by-k B: one dtrsm on the view L.T."""
+        return dtrsm(1.0, self.L.T, B, trans_a=int(not transpose))
+
 
 @dataclass(frozen=True)
 class RestrictedOperator:
-    """Dense restriction basis^T G basis of an iteration operator.
+    """Dense restriction V^T G V of an iteration operator.
 
-    ``basis`` is the orthonormal V factor of the problem's SVD, so for a
+    V is the orthonormal row-space factor of the problem's SVD, so for a
     full-column-rank A the restriction is similar to the operator itself.
-    ``kind`` distinguishes the one-sweep operator ("standard") from the
-    down-up double sweep ("symmetric").
+    G is the one-sweep operator, or the down-up double sweep G^T G.
     """
 
     Gv: np.ndarray
-    basis: np.ndarray
     omega: float
-    kind: str = "standard"
-
-    @property
-    def r(self) -> int:
-        return self.Gv.shape[0]
 
 
 def build_L(A, omega: float) -> LFactor:
@@ -90,14 +89,18 @@ def build_L(A, omega: float) -> LFactor:
     range.  L is nonsingular exactly when A has no zero rows.
     """
     A = np.asarray(A, dtype=float)
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got {omega}")
     AAT = dgemm(1.0, A, A, trans_b=1)
     d = np.diag(AAT).copy()
     if np.any(d == 0.0):
         raise ValueError("matrix has a zero row; L would be singular")
-    L = np.tril(AAT, -1) + np.diag(d / omega)
-    return LFactor(L=L, omega=float(omega), D_diag=d)
+    return _factor(AAT, d, omega)
+
+
+def _factor(G, d: np.ndarray, omega: float) -> LFactor:
+    """strict_lower(G) + diag(d) / omega for a G whose strict lower part is A A^T's."""
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
+    return LFactor(L=np.tril(G, -1) + np.diag(d / omega), omega=float(omega), D_diag=d)
 
 
 class SweepOperator:
@@ -182,9 +185,8 @@ def restrict_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
     Assembled blockwise as V^T (V - A^T L^-1 (A V)); one triangular solve
     with r right-hand sides.
     """
-    V = sv.V
-    Gv = dgemm(1.0, V, apply_G(lf, A, V), trans_a=1)
-    return RestrictedOperator(Gv=Gv, basis=V, omega=lf.omega, kind="standard")
+    Gv = dgemm(1.0, sv.V, apply_G(lf, A, sv.V), trans_a=1)
+    return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 
 def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
@@ -194,9 +196,8 @@ def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator
     rather than by squaring the restricted one-sweep matrix, so it can
     serve as an independent cross-check of norm/spectral identities.
     """
-    V = sv.V
-    Gv = dgemm(1.0, V, apply_Gs(lf, A, V), trans_a=1)
-    return RestrictedOperator(Gv=Gv, basis=V, omega=lf.omega, kind="symmetric")
+    Gv = dgemm(1.0, sv.V, apply_Gs(lf, A, sv.V), trans_a=1)
+    return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 
 @dataclass(frozen=True)
@@ -232,14 +233,18 @@ class SharpMaps:
     def r(self) -> int:
         return self.lam.size
 
+    def _weight(self, E, transpose: bool = False) -> np.ndarray:
+        """B's data-space factor on an m-by-k E: L^-1 E (L^-T E if ``transpose``), or S E."""
+        if self.variant == "standard":
+            return self.lf.solve(E, transpose)
+        Y = self.lf.solve(E)
+        Y *= ((2.0 / self.lf.omega - 1.0) * self.lf.D_diag)[:, None]
+        return self.lf.solve(Y, transpose=True)
+
     def apply_B(self, e) -> np.ndarray:
         """Apply B (= A^T L^-1 for the standard sweep) to data-space vectors."""
         e = np.asarray(e, dtype=float)
-        if self.variant == "standard":
-            return self.A.T @ solve_lower(self.lf.L, e)
-        y = solve_lower(self.lf.L, e)
-        y = (2.0 / self.lf.omega - 1.0) * (self.lf.D_diag * y.T).T
-        return self.A.T @ solve_upper(self.lf.L.T, y)
+        return self.A.T @ self._weight(e.reshape(e.shape[0], -1)).reshape(e.shape)
 
     def apply_A_sharp(self, e) -> np.ndarray:
         """Fixed-point map: least-norm limit of the sweeps on data e."""
@@ -251,16 +256,10 @@ class SharpMaps:
     def b_transpose(self) -> np.ndarray:
         """B^T as an m-by-n matrix: L^-T A, or S A for the symmetric sweep.
 
-        Triangular solves (``dtrsm``) on the n columns of A, not on the m
-        columns of the identity; ``lf.L.T`` is the Fortran-ordered upper
-        factor L^T, so L itself is not copied.
+        Triangular solves on the n columns of A, not on the m columns of
+        the identity.
         """
-        U = self.lf.L.T
-        Y = self.A
-        if self.variant == "symmetric":
-            Y = dtrsm(1.0, U, Y, trans_a=1)  # L^-1 A
-            Y *= ((2.0 / self.lf.omega - 1.0) * self.lf.D_diag)[:, None]
-        return dtrsm(1.0, U, Y)
+        return self._weight(self.A, transpose=True)
 
 
 def sharp_maps(
@@ -379,13 +378,14 @@ def convergence_conditions(A, omega: float, rank_tol: float | None = None) -> di
     lf = build_L(A, omega)
     V, U = sv.V, sv.U
     AAT = A @ A.T
+    I_r = np.eye(sv.rank)
 
-    rho_a = np.max(np.abs(eig_general(V.T @ (A.T @ solve_lower(lf.L, A @ V)) - np.eye(sv.rank)).eigenvalues))
-    MU = solve_lower(lf.L, AAT @ U)
-    rho_b = np.max(np.abs(eig_general(U.T @ MU - np.eye(sv.rank)).eigenvalues))
+    rho_a = np.max(np.abs(eigvals(V.T @ (A.T @ lf.solve(A @ V)) - I_r)))
+    MU = lf.solve(AAT @ U)
+    rho_b = np.max(np.abs(eigvals(U.T @ MU - I_r)))
     Q, _ = np.linalg.qr(lf.L @ U)
-    rho_c = np.max(np.abs(eig_general(Q.T @ (AAT @ solve_lower(lf.L, Q)) - np.eye(sv.rank)).eigenvalues))
-    pencil = eig_general(U.T @ MU).eigenvalues
+    rho_c = np.max(np.abs(eigvals(Q.T @ (AAT @ lf.solve(Q)) - I_r)))
+    pencil = eigvals(U.T @ MU)
     rho_d = np.max(np.abs(pencil - 1.0))
 
     return {

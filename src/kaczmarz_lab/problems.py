@@ -95,8 +95,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,7 @@ def _trace_rays(x_lines, N, x0, y0, a, b):
     """Intersection lengths of the parallel rays of one angle with the grid.
 
     Ray q is (x0[q] + t a, y0[q] + t b); grid lines sit at ``x_lines``
-    (the integers -N/2 .. N/2).  Returns (ray, pixel, length) triples in
+    (-N/2, -N/2 + 1, ..., N/2, the pixel edges).  Returns (ray, pixel, length) triples in
     ray order, and in crossing order along each ray, with pixels numbered
     column-major from the upper-left corner.  Each ray's crossing points
     are sorted by t (stable, x-line crossings first on ties), cut to the
@@ -258,8 +258,8 @@ def _trace_rays(x_lines, N, x0, y0, a, b):
     ray = np.nonzero(good)[0]
     xm = 0.5 * (xs[:, :-1] + xs[:, 1:])[good]
     ym = 0.5 * (ys[:, :-1] + ys[:, 1:])[good]
-    col = np.floor(xm).astype(int) + N // 2
-    row = N // 2 - np.ceil(ym).astype(int)
+    col = np.floor(xm + N / 2).astype(int)
+    row = np.floor(N / 2 - ym).astype(int)
     ok = (col >= 0) & (col < N) & (row >= 0) & (row < N)
     return ray[ok], col[ok] * N + row[ok], seg[good][ok]
 
@@ -302,7 +302,7 @@ def paralleltomo(
     if not (np.isfinite(width) and width >= 0):
         raise ValueError(f"detector width must be finite and nonnegative, got {width}")
 
-    x_lines = np.arange(-N // 2, N // 2 + 1, dtype=float)
+    x_lines = np.arange(N + 1) - N / 2
     angles = np.arange(n_angles) * (180.0 / n_angles)
     if rays_per_angle > 1:
         tau = np.linspace(-width / 2.0, width / 2.0, rays_per_angle)

@@ -163,9 +163,8 @@ def run(p, b, cfg: SweepConfig, reference=None):
     columns are swept together.  Each history records the residual norm
     ||b - A x_k|| per sweep, the error norm ||x_k - reference|| when a
     reference n-vector is given, and the iterates themselves when
-    cfg.store_iterates is set.  Raises ValueError for a b of the wrong
-    length or with non-finite entries, and for a reference of the wrong
-    length.
+    cfg.store_iterates is set.  Raises ValueError for a b or a reference
+    of the wrong length or with non-finite entries.
     """
     A = np.asarray(p.A, dtype=float)
     m, n = A.shape
@@ -198,6 +197,8 @@ def run(p, b, cfg: SweepConfig, reference=None):
         reference = np.asarray(reference, dtype=float)
         if reference.shape != (n,):
             raise ValueError(f"reference must be an {n}-vector, got shape {reference.shape}")
+        if not np.all(np.isfinite(reference)):
+            raise ValueError("reference has non-finite entries")
         reference = reference[:, None]
     X = np.zeros((n, R), order="F")
     for k in range(K + 1):

@@ -9,11 +9,11 @@ regime where the spectrum becomes real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdResult, eig_general, eigvals, solve_lower
+from .linalg import SvdResult, eig_general, eigvals
 from .operator import LFactor, RestrictedOperator, build_L, restrict_to_V
 
 __all__ = [
@@ -53,26 +53,18 @@ NEAR_DEFECTIVE_KAPPA = 1e12
 class SpectrumReport:
     """Eigenvalues of a restricted operator plus summary statistics.
 
-    ``eigenvalues`` are sorted by descending modulus and ``C`` holds the
-    eigenvectors of the restricted matrix; ``W`` is the lifted eigenvector
-    matrix basis @ C, formed on each read, and ``kappa_W`` the condition
-    number of C.  ``zero_count`` counts |lambda| <= zero_tol.
+    ``eigenvalues`` are sorted by descending modulus and ``kappa_W`` is
+    the condition number of the restricted operator's eigenvector matrix,
+    which is not kept.  ``zero_count`` counts |lambda| <= zero_tol.
     """
 
     eigenvalues: np.ndarray
-    basis: np.ndarray = field(repr=False)
-    C: np.ndarray = field(repr=False)
     kappa_W: float
     rho: float
     zero_count: int
     zero_tol: float
     omega: float
     near_defective: bool = False
-
-    @property
-    def W(self) -> np.ndarray:
-        """The lifted eigenvectors basis @ C (n-by-r, complex)."""
-        return self.basis @ self.C
 
 
 @dataclass(frozen=True)
@@ -125,13 +117,10 @@ def spectrum(ro: RestrictedOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Spec
     """Eigendecompose a restricted operator and summarize its spectrum."""
     eig = eig_general(ro.Gv)
     lam = eig.eigenvalues
-    rho = float(np.abs(lam[0])) if lam.size else 0.0
     return SpectrumReport(
         eigenvalues=lam,
-        basis=ro.basis,
-        C=eig.eigenvectors,
         kappa_W=eig.kappa,
-        rho=rho,
+        rho=float(np.abs(lam[0])),
         zero_count=int(np.sum(np.abs(lam) <= zero_tol)),
         zero_tol=float(zero_tol),
         omega=ro.omega,
@@ -168,8 +157,8 @@ def backward_error_bound(A, omega: float) -> float:
     with an eigenvalue 1, i.e. from the sweep operator having an exact
     zero eigenvalue; identically 0 at omega = 1.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not (np.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and positive, got {omega}")
     A = np.asarray(A, dtype=float)
     rn = np.einsum("ij,ij->i", A, A)
     return float(abs(1.0 - 1.0 / omega) * np.max(rn))
@@ -186,9 +175,8 @@ def bauer_fike_bound(A, lf: LFactor, kappa_X: float) -> float:
     A = np.asarray(A, dtype=float)
     if A.shape[0] < 2:
         return 0.0
-    e1 = np.zeros(lf.m)
-    e1[0] = 1.0
-    return float(kappa_X * abs(A[0] @ A[1]) * np.linalg.norm(solve_lower(lf.L, e1)))
+    y = lf.solve(np.eye(lf.m, 1))[:, 0]  # L^-1 e_1
+    return float(kappa_X * abs(A[0] @ A[1]) * np.linalg.norm(y))
 
 
 def zero_eigenvalue_condition(A) -> float:
@@ -218,7 +206,7 @@ def bauer_fike_kappa(A, lf1: LFactor | None = None) -> float:
     A = np.asarray(A, dtype=float)
     if lf1 is None:
         lf1 = build_L(A, 1.0)
-    return eig_general(solve_lower(lf1.L, A @ A.T)).kappa
+    return eig_general(lf1.solve(A @ A.T)).kappa
 
 
 def rho_bounds(
@@ -226,23 +214,21 @@ def rho_bounds(
     sv: SvdResult,
     lf: LFactor,
     ro: RestrictedOperator,
-    report: SpectrumReport | None = None,
     kappa_X: float | None = None,
 ) -> BoundsReport:
     """Evaluate the spectral radius against its closed-form upper bounds.
 
-    Cost note: the inverse of L is formed explicitly (m triangular
-    solves) to get the smallest eigenvalue of its symmetric part; intended
-    for desk-scale m (<= 4096).  When the extremal eigenvalue is complex
-    or multiple the bounds are still reported but flagged as outside the
-    proposition's assumptions.  ``kappa_X`` (see :func:`bauer_fike_kappa`)
-    is computed here unless given.
+    Reads only the eigenvalues of ``ro`` and takes L_1 from ``lf``.  Cost
+    note: L^-1 is formed explicitly (m triangular solves) for the smallest
+    eigenvalue of its symmetric part; intended for desk-scale m (<= 4096).
+    When the extremal eigenvalue is complex or multiple the bounds are
+    still reported but flagged as outside the proposition's assumptions.
+    ``kappa_X`` (see :func:`bauer_fike_kappa`), the only eigendecomposition
+    with eigenvectors, is computed here unless given.
     """
     A = np.asarray(A, dtype=float)
-    if report is None:
-        report = spectrum(ro)
-    lam = report.eigenvalues
-    rho = report.rho
+    lam = eigvals(ro.Gv)
+    rho = float(np.abs(lam[0]))
 
     top = lam[0]
     simple = lam.size < 2 or abs(lam[0] - lam[1]) > 1e-12 * max(1.0, abs(top))
@@ -253,10 +239,10 @@ def rho_bounds(
     norm_G = float(np.linalg.norm(ro.Gv, 2))
     sigma_min = float(sv.S[-1])
     norm_L = float(np.linalg.norm(lf.L, 2))
-    L_inv = solve_lower(lf.L, np.eye(lf.m))
+    L_inv = lf.solve(np.eye(lf.m, order="F"))
     nu = float(np.linalg.eigvalsh(0.5 * (L_inv + L_inv.T))[0])
 
-    lf1 = lf if lf.omega == 1.0 else build_L(A, 1.0)
+    lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
     if kappa_X is None:
         kappa_X = bauer_fike_kappa(A, lf1)
     return BoundsReport(

@@ -162,9 +162,47 @@ def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
     assert shapes == [(32, 32)]
 
 
+def test_L_inverse_only_through_dtrsm(tmp_path, monkeypatch):
+    # every L^-1 and L^-T of the library is LFactor.solve, one dtrsm on the
+    # view L.T; solve_lower/solve_upper stay as test references only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_lower/solve_upper called by the library")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kaczmarz_lab"):
+            for fn in ("solve_lower", "solve_upper"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, forbidden)
+    for command in ("bounds", "noisestats"):
+        assert main([command, *SMALL[command], "--out", str(tmp_path)]) == 0
+    p = experiments.make_problem(ExperimentConfig(problem="gravity", n=32, d=0.06))
+    assert operator.convergence_conditions(p.A, 1.0)["e"]
+    sm = operator.sharp_maps(p.A, operator.build_L(p.A, 1.0), linalg.svd(p.A),
+                             variant="symmetric")
+    assert sm.apply_B(p.b_bar).shape == (p.n,)
+
+
+def test_bounds_one_gram(tmp_path, monkeypatch):
+    # every omega's factor differs from L_1 only in the diagonal, so a
+    # default bounds command forms A A^T once
+    calls = []
+    real = operator.build_L
+
+    def counting(A, omega):
+        calls.append(omega)
+        return real(A, omega)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kaczmarz_lab") and getattr(module, "build_L", None) is real:
+            monkeypatch.setattr(module, "build_L", counting)
+    assert main(["bounds", *SMALL["bounds"], "--out", str(tmp_path)]) == 0
+    assert calls == [1.0]
+
+
 def test_bounds_one_kappa_X(tmp_path, monkeypatch):
-    # kappa_X does not depend on omega: one eigendecomposition for it, plus
-    # one spectrum per omega; bounds.csv is the table of per-omega rho_bounds
+    # kappa_X does not depend on omega: one eigendecomposition for it, and
+    # rho_bounds reads eigenvalues only; bounds.csv is the table of
+    # per-omega rho_bounds
     shapes = []
 
     def counting(M):
@@ -173,7 +211,7 @@ def test_bounds_one_kappa_X(tmp_path, monkeypatch):
 
     monkeypatch.setattr(spectral, "eig_general", counting)
     assert main(["bounds", *SMALL["bounds"], "--out", str(tmp_path)]) == 0
-    assert shapes == [(32, 32)] * 4
+    assert shapes == [(32, 32)]
     monkeypatch.undo()
     cfg = ExperimentConfig.from_sources(overrides={"problem": "gravity", "n": 32, "d": 0.06})
     p = experiments.make_problem(cfg)

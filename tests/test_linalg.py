@@ -182,6 +182,16 @@ class TestEigvals:
         want = np.sort_complex(kl.eig_general(M).eigenvalues)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
+    def test_same_order_as_eig_general(self):
+        # eigvals sorts as EigResult documents: descending modulus, then
+        # descending real part, then ascending imaginary part
+        p = kl.gravity(32, 0.06)
+        sv = kl.svd(p.A)
+        for M in (np.random.default_rng(14).standard_normal((7, 7)),
+                  *(kl.restrict_to_V(p.A, kl.build_L(p.A, w), sv).Gv for w in (0.5, 1.0, 1.4))):
+            np.testing.assert_allclose(kl.eigvals(M), kl.eig_general(M).eigenvalues,
+                                       rtol=0, atol=1e-12)
+
     def test_complex_output_for_real_spectrum(self):
         got = kl.eigvals(np.diag([3.0, -1.0]))
         assert np.iscomplexobj(got)
@@ -254,6 +264,14 @@ class TestLeastNorm:
         p = kl.gravity(32, 0.06)
         res = kl.least_norm_solution(p.A, p.b_bar)
         assert np.linalg.norm(res.x - p.x_bar) <= 1e-6 * np.linalg.norm(p.x_bar)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_b_rejected(self, bad):
+        p = kl.gravity(8, 0.1)
+        b = p.b_bar.copy()
+        b[2] = bad
+        with pytest.raises(ValueError, match="b has non-finite"):
+            kl.least_norm_solution(p.A, b)
 
     def test_inconsistent_flagged(self):
         A = np.array([[1.0, 0.0], [0.0, 0.0]])  # rank 1 after truncation

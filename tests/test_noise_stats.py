@@ -300,6 +300,29 @@ class TestExpectedNormsOneModePerPair:
         assert np.count_nonzero(sm.lam.imag > 0) >= 8
 
 
+class TestE1BySweeps:
+    # E1 with no eigenbasis: k sweeps of the identity block I_m from X = 0
+    # give the k-sweep map A_k itself, so E1 = sigma^2 ||A_k||_F^2 (Elfving,
+    # Hansen and Nikazad, Inverse Problems 2014).  kappa_W is about 1.7e6 here
+    KS = (1, 5, 20, 50)
+
+    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
+    def test_matches_spectral_e1(self, gravity128_02, variant):
+        p, sigma = gravity128_02, 1e-3
+        sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A), variant=variant)
+        exp = kl.expected_norms(sm, sigma, self.KS, n_mc=2)
+        op = kl.SweepOperator(p.A, 1.0)
+        sweep = op.down if variant == "standard" else op.symmetric
+        I_m = np.eye(p.m, order="F")
+        X = np.zeros((p.n, p.m), order="F")
+        e1 = []
+        for k in range(1, max(self.KS) + 1):
+            X = sweep(X, I_m)
+            if k in self.KS:
+                e1.append(sigma**2 * np.linalg.norm(X, "fro") ** 2)
+        np.testing.assert_allclose(e1, exp.e1, rtol=1e-10)
+
+
 class TestRejectsBadInput:
     # a bad sigma, k or noise vector fails loudly instead of returning NaN,
     # inf or a meaningless number

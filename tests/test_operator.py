@@ -49,6 +49,26 @@ class TestBuildL:
         with pytest.raises(ValueError, match="omega"):
             kl.build_L(np.eye(3), omega)
 
+    def test_with_omega_is_build_L(self, small_problems):
+        # only the diagonal depends on omega, so the factor at another
+        # omega comes from an existing one, bit for bit
+        for p in small_problems:
+            for w0, w in ((1.0, 0.5), (1.3, 1.0), (0.7, 1.7)):
+                got, want = kl.build_L(p.A, w0).with_omega(w), kl.build_L(p.A, w)
+                assert np.array_equal(got.L, want.L) and got.omega == want.omega
+                assert np.array_equal(got.D_diag, want.D_diag)
+        with pytest.raises(ValueError, match="omega"):
+            kl.build_L(np.eye(3), 1.0).with_omega(np.nan)
+
+    def test_solve_is_the_triangular_solves(self):
+        rng = np.random.default_rng(2)
+        A = rng.standard_normal((6, 4))
+        lf = kl.build_L(A, 0.7)
+        B = rng.standard_normal((6, 3))
+        for got, want in ((lf.solve(B), kl.solve_lower(lf.L, B)),
+                          (lf.solve(B, transpose=True), kl.solve_upper(lf.L.T, B))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
 
 class TestApplyG:
     def test_nullspace_untouched(self):
@@ -360,6 +380,19 @@ class TestSharpMaps:
             got = sm.b_transpose()
             assert got.shape == (p.m, p.n)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), p.name
+
+    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
+    def test_apply_B_is_b_transpose_transposed(self, small_problems, variant):
+        # apply_B and b_transpose share one data-space weight; e may be a
+        # vector or a block
+        E = np.random.default_rng(3).standard_normal((64, 3))
+        for p in small_problems:
+            sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.3), kl.svd(p.A, rank_tol=1e-6),
+                               variant=variant)
+            B, e = sm.b_transpose().T, E[:p.m]
+            tol = 1e-12 * np.abs(B).sum(axis=1).max() * np.abs(e).max()
+            assert np.max(np.abs(sm.apply_B(e) - B @ e)) <= tol, p.name
+            assert np.max(np.abs(sm.apply_B(e[:, 0]) - B @ e[:, 0])) <= tol, p.name
 
     def test_non_convergent_mode_raises(self):
         # omega -> 0 makes L blow up and G approach the identity, so an

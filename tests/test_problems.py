@@ -104,8 +104,8 @@ def _trace_ray(x_lines, N, x0, y0, a, b):
     xm = 0.5 * (xs[:-1] + xs[1:])
     ym = 0.5 * (ys[:-1] + ys[1:])
     good = seg > 1e-12
-    col = np.floor(xm[good]).astype(int) + N // 2
-    row = N // 2 - np.ceil(ym[good]).astype(int)
+    col = np.floor(xm[good] + N / 2).astype(int)
+    row = np.floor(N / 2 - ym[good]).astype(int)
     val = seg[good]
     ok = (col >= 0) & (col < N) & (row >= 0) & (row < N)
     return col[ok] * N + row[ok], val[ok]
@@ -115,7 +115,7 @@ def _paralleltomo_loop(N, n_angles, rays_per_angle, width=None):
     """Reference: the tomography matrix traced one ray at a time; (A, kept_rays)."""
     if width is None:
         width = float(rays_per_angle - 1) if rays_per_angle > 1 else 0.0
-    x_lines = np.arange(-N // 2, N // 2 + 1, dtype=float)
+    x_lines = np.arange(N + 1) - N / 2
     angles = np.arange(n_angles) * (180.0 / n_angles)
     tau = np.linspace(-width / 2.0, width / 2.0, rays_per_angle) if rays_per_angle > 1 else np.zeros(1)
     rows, kept = [], []
@@ -157,6 +157,18 @@ class TestParalleltomo:
         assert hashlib.sha256(A.tobytes()).hexdigest() == (
             "2af92724539d270f0d1c1075cbdc75bcddcb64ed7139cb9067c52a490b88cd73"
         )
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 9])
+    def test_rays_cross_the_whole_grid(self, N):
+        # with unit ray spacing at 0 and 90 degrees every ray runs through
+        # the centers of one pixel column or row: N pixels, length 1 each,
+        # for odd N as for even (the grid lines are the pixel edges)
+        A = kl.paralleltomo(N, 2, N).A
+        assert A.shape == (2 * N, N * N)
+        np.testing.assert_array_equal(A.sum(axis=1), float(N))
+        np.testing.assert_array_equal(np.count_nonzero(A, axis=1), N)
+        # the first vertical ray is the image's leftmost column
+        np.testing.assert_array_equal(np.flatnonzero(A[0]), np.arange(N))
 
     @pytest.mark.parametrize("width", [np.nan, np.inf, -1.0])
     def test_bad_width_rejected(self, width):
@@ -277,6 +289,11 @@ class TestNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             kl.NoiseModel(sigma=-1.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            kl.NoiseModel(sigma=sigma)
 
 
 class TestContainerFormat:

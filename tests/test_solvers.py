@@ -250,6 +250,14 @@ class TestRunInputChecks:
             kl.run(p, p.b_bar, kl.SweepConfig(max_sweeps=2), reference=np.ones(7))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        p = kl.gravity(8, 0.1)
+        ref = p.x_bar.copy()
+        ref[0] = bad
+        with pytest.raises(ValueError, match="reference has non-finite"):
+            kl.run(p, p.b_bar, kl.SweepConfig(max_sweeps=2), reference=ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("block", [False, True])
     def test_non_finite_rejected(self, bad, block):
         p = kl.gravity(8, 0.1)

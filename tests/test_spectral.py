@@ -36,7 +36,6 @@ class TestSpectrum:
         rep = kl.spectrum(ro, zero_tol=1e-8)
         assert rep.rho == abs(rep.eigenvalues[0])
         assert rep.zero_count == np.sum(np.abs(rep.eigenvalues) <= 1e-8)
-        assert rep.W.shape == (128, sv.rank)
         assert not rep.near_defective
 
 
@@ -134,6 +133,19 @@ class TestRhoBounds:
                     p.A, sv, lf, ro)
 
 
+    def test_given_kappa_X_no_eigenvectors(self, monkeypatch):
+        # with kappa_X given, rho_bounds reads eigenvalues only
+        def forbidden(M):
+            raise AssertionError("rho_bounds computed eigenvectors")
+
+        monkeypatch.setattr(kl.spectral, "eig_general", forbidden)
+        p = kl.gravity(32, 0.06)
+        for omega in (0.5, 1.0):
+            sv, lf, ro = _restricted(p, omega)
+            rep = kl.rho_bounds(p.A, sv, lf, ro, kappa_X=1.0)
+            assert rep.rho_actual == np.max(np.abs(kl.eigvals(ro.Gv)))
+
+
 class TestBauerFike:
     def test_structurally_orthogonal_rows_zero_bound(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
@@ -170,6 +182,11 @@ class TestBackwardError:
     def test_omega_one_is_exact(self):
         A = np.random.default_rng(4).standard_normal((4, 3))
         assert kl.backward_error_bound(A, 1.0) == 0.0
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, 0.0])
+    def test_bad_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            kl.backward_error_bound(np.ones((2, 2)), omega)
 
     def test_omega_two_half_max_row_norm(self):
         A = np.array([[3.0, 4.0], [1.0, 0.0]])
