@@ -14,8 +14,8 @@ orthonormal SVD basis V.
 G itself is never formed as an n-by-n dense matrix when applications
 suffice; the restricted matrix is the only dense operator-level object.
 :class:`SweepOperator` applies the sweep itself to n-by-R blocks of
-iterates, one column per right-hand side; ``apply_G``/``apply_Gt`` and
-both restrictions are its sweeps on zero data.
+iterates through ``LFactor.solve``, the library's only L^-1; ``apply_G``,
+``apply_Gt``, both restrictions and the randomized sweeps are its sweeps.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ class LFactor:
     omega: float
     D_diag: np.ndarray
 
+    def __post_init__(self):
+        _check_triangular_diag(self.L)
+
     @property
     def m(self) -> int:
         return self.L.shape[0]
@@ -62,6 +65,17 @@ class LFactor:
     def with_omega(self, omega: float) -> "LFactor":
         """The factor at another omega, bit-identical to build_L's: no second A A^T."""
         return _factor(self.L, self.D_diag, omega)
+
+    def gram(self) -> np.ndarray:
+        """The symmetric A A^T, rebuilt once from the strict lower part and D_diag."""
+        if "_gram" not in self.__dict__:
+            S = np.tril(self.L, -1)
+            self.__dict__["_gram"] = S + S.T + np.diag(self.D_diag)
+        return self.__dict__["_gram"]
+
+    def rows(self, order) -> "LFactor":
+        """The factor of the stacked system A[order]; rows may repeat."""
+        return _factor(self.gram()[np.ix_(order, order)], self.D_diag[order], self.omega)
 
     def solve(self, B, transpose: bool = False) -> np.ndarray:
         """L^-1 B (L^-T B with ``transpose``) for an m-by-k B: one dtrsm on the view L.T."""
@@ -107,8 +121,8 @@ class SweepOperator:
     """Sweeps over A x = b applied to n-by-R blocks of iterates at once.
 
     The down half-sweep (rows 1..m) is X + A^T L^-1 (B - A X) and the up
-    half-sweep (rows m..1) is X + A^T L^-T (B - A X), on the same L from
-    :func:`build_L`.  With no data (B = None, i.e. zero) they apply G and
+    half-sweep (rows m..1) is X + A^T L^-T (B - A X), with ``lf.solve`` on
+    A's factor ``lf``.  With no data (B = None, i.e. zero) they apply G and
     G^T.  Every product goes through scipy's BLAS wrappers on
     Fortran-ordered arrays: interleaving them with numpy's ``@``, which
     links its own OpenBLAS, stalls when both libraries run several
@@ -120,20 +134,9 @@ class SweepOperator:
     is this engine, keep both counts.
     """
 
-    def __init__(self, A, omega: float):
-        self._bind(A, build_L(A, omega))
-
-    @classmethod
-    def from_factor(cls, A, lf: LFactor) -> "SweepOperator":
-        """The operator on an existing factor of A, without a second build_L."""
-        op = cls.__new__(cls)
-        op._bind(A, lf)
-        return op
-
-    def _bind(self, A, lf: LFactor) -> None:
-        _check_triangular_diag(lf.L)
+    def __init__(self, A, lf: LFactor):
         self.A = np.asfortranarray(A, dtype=float)
-        self.L = np.asfortranarray(lf.L)
+        self.lf = lf
 
     def residual(self, X, B=None) -> np.ndarray:
         """B - A X (just -A X when B is None)."""
@@ -141,17 +144,17 @@ class SweepOperator:
             return dgemm(-1.0, self.A, X)
         return dgemm(-1.0, self.A, X, 1.0, B)
 
-    def _half_sweep(self, X, B, trans: int) -> np.ndarray:
-        Y = dtrsm(1.0, self.L, self.residual(X, B), lower=1, trans_a=trans, overwrite_b=1)
+    def _half_sweep(self, X, B, transpose: bool) -> np.ndarray:
+        Y = self.lf.solve(self.residual(X, B), transpose)
         return dgemm(1.0, self.A, Y, 1.0, X, trans_a=1)
 
     def down(self, X, B=None) -> np.ndarray:
         """One standard sweep: X + A^T L^-1 (B - A X); G X when B is None."""
-        return self._half_sweep(X, B, 0)
+        return self._half_sweep(X, B, False)
 
     def up(self, X, B=None) -> np.ndarray:
         """The reversed sweep: X + A^T L^-T (B - A X); G^T X when B is None."""
-        return self._half_sweep(X, B, 1)
+        return self._half_sweep(X, B, True)
 
     def symmetric(self, X, B=None) -> np.ndarray:
         """One symmetric sweep: the down half, then the up half."""
@@ -161,7 +164,7 @@ class SweepOperator:
 def _apply(lf: LFactor, A, x, sweep) -> np.ndarray:
     """A zero-data ``SweepOperator`` sweep on a vector or on the columns of x."""
     x = np.asarray(x, dtype=float)
-    return sweep(SweepOperator.from_factor(A, lf), x.reshape(x.shape[0], -1)).reshape(x.shape)
+    return sweep(SweepOperator(A, lf), x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
 def apply_G(lf: LFactor, A, x) -> np.ndarray:
@@ -377,7 +380,7 @@ def convergence_conditions(A, omega: float, rank_tol: float | None = None) -> di
     sv = svd(A, rank_tol)
     lf = build_L(A, omega)
     V, U = sv.V, sv.U
-    AAT = A @ A.T
+    AAT = lf.gram()
     I_r = np.eye(sv.rank)
 
     rho_a = np.max(np.abs(eigvals(V.T @ (A.T @ lf.solve(A @ V)) - I_r)))

@@ -11,22 +11,23 @@ which is redundant at omega = 1); ``randomized`` draws m row indices
 uniformly with replacement from a seeded generator.
 
 ``sweep_standard``, ``sweep_symmetric`` and ``sweep_randomized`` are the
-literal row loops, and the first two are the reference for the matrix
-form.  :func:`run` takes one right-hand side or an m-by-R block of them
-and advances all R iterates together: the standard and symmetric variants
-through the matrix form x + A^T L^-1 (b - A x) of
-:class:`~kaczmarz_lab.operator.SweepOperator`, the randomized variant
-through the row loop, with one row order shared by every column.
-Iterations are never auto-stopped; ``max_sweeps`` governs.
+literal row loops, the reference for the matrix form.  :func:`run` takes
+one right-hand side or an m-by-R block of them and advances all R iterates
+together through the matrix form x + A^T L^-1 (b - A x) of
+:class:`~kaczmarz_lab.operator.SweepOperator`; a randomized sweep with
+draws o_1..o_m, shared by every column, is its down sweep on the stacked
+system A[o] x = b[o] (Strohmer and Vershynin 2009).  Iterations are
+never auto-stopped; ``max_sweeps`` governs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .operator import SweepOperator
+from .operator import SweepOperator, build_L
 from .tables import write_table
 
 __all__ = [
@@ -171,24 +172,16 @@ def run(p, b, cfg: SweepConfig, reference=None):
     B = _rhs_block(b, m)
     R, K = B.shape[1], cfg.max_sweeps
 
+    lf = build_L(A, cfg.omega)
+    op = SweepOperator(A, lf)
     if cfg.variant == "randomized":
-        rn = row_norms_squared(A)
         rng = np.random.default_rng(cfg.seed)
 
         def sweep(X):
-            return sweep_randomized(A, B, X, cfg.omega, rng, rn)
-
-        def residual(X):
-            return B - A @ X
+            order = rng.integers(0, m, size=m)
+            return SweepOperator(A[order], lf.rows(order)).down(X, B[order])
     else:
-        op = SweepOperator(A, cfg.omega)
-        half = op.down if cfg.variant == "standard" else op.symmetric
-
-        def sweep(X):
-            return half(X, B)
-
-        def residual(X):
-            return op.residual(X, B)
+        sweep = partial(op.down if cfg.variant == "standard" else op.symmetric, B=B)
 
     residuals = np.empty((R, K + 1))
     errors = None if reference is None else np.empty((R, K + 1))
@@ -204,7 +197,7 @@ def run(p, b, cfg: SweepConfig, reference=None):
     for k in range(K + 1):
         if k:
             X = sweep(X)
-        residuals[:, k] = np.linalg.norm(residual(X), axis=0)
+        residuals[:, k] = np.linalg.norm(op.residual(X, B), axis=0)
         if errors is not None:
             errors[:, k] = np.linalg.norm(X - reference, axis=0)
         if iterates is not None:

@@ -206,7 +206,7 @@ def bauer_fike_kappa(A, lf1: LFactor | None = None) -> float:
     A = np.asarray(A, dtype=float)
     if lf1 is None:
         lf1 = build_L(A, 1.0)
-    return eig_general(lf1.solve(A @ A.T)).kappa
+    return eig_general(lf1.solve(lf1.gram())).kappa
 
 
 def rho_bounds(

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrsm
 
 from kaczmarz_lab import experiments, linalg, operator, spectral
 from kaczmarz_lab.cli import main
@@ -163,23 +164,39 @@ def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
 
 
 def test_L_inverse_only_through_dtrsm(tmp_path, monkeypatch):
-    # every L^-1 and L^-T of the library is LFactor.solve, one dtrsm on the
-    # view L.T; solve_lower/solve_upper stay as test references only
+    # every L^-1 and L^-T of the library is LFactor.solve, the one dtrsm
+    # call, on the view L.T; solve_lower/solve_upper stay as test
+    # references only
     def forbidden(*args, **kwargs):
         raise AssertionError("solve_lower/solve_upper called by the library")
 
+    callers = set()
+
+    def tracking(*args, **kwargs):
+        callers.add(sys._getframe(1).f_code)
+        return dtrsm(*args, **kwargs)
+
+    bound = set()
     for name, module in list(sys.modules.items()):
         if name.startswith("kaczmarz_lab"):
             for fn in ("solve_lower", "solve_upper"):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, forbidden)
-    for command in ("bounds", "noisestats"):
-        assert main([command, *SMALL[command], "--out", str(tmp_path)]) == 0
+            if getattr(module, "dtrsm", None) is dtrsm:
+                bound.add(name)
+                monkeypatch.setattr(module, "dtrsm", tracking)
+    assert bound == {"kaczmarz_lab.operator"}
+    errhist = SMALL["errhist"][:SMALL["errhist"].index("--methods")]
+    runs = [[command, *SMALL[command]] for command in ("bounds", "noisestats")]
+    runs.append(["errhist", *errhist, "--methods", "standard", "symmetric", "randomized"])
+    for argv in runs:
+        assert main([*argv, "--out", str(tmp_path)]) == 0
     p = experiments.make_problem(ExperimentConfig(problem="gravity", n=32, d=0.06))
     assert operator.convergence_conditions(p.A, 1.0)["e"]
     sm = operator.sharp_maps(p.A, operator.build_L(p.A, 1.0), linalg.svd(p.A),
                              variant="symmetric")
     assert sm.apply_B(p.b_bar).shape == (p.n,)
+    assert callers == {operator.LFactor.solve.__code__}
 
 
 def test_bounds_one_gram(tmp_path, monkeypatch):

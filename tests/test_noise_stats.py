@@ -311,7 +311,7 @@ class TestE1BySweeps:
         p, sigma = gravity128_02, 1e-3
         sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A), variant=variant)
         exp = kl.expected_norms(sm, sigma, self.KS, n_mc=2)
-        op = kl.SweepOperator(p.A, 1.0)
+        op = kl.SweepOperator(p.A, kl.build_L(p.A, 1.0))
         sweep = op.down if variant == "standard" else op.symmetric
         I_m = np.eye(p.m, order="F")
         X = np.zeros((p.n, p.m), order="F")

@@ -69,6 +69,26 @@ class TestBuildL:
                           (lf.solve(B, transpose=True), kl.solve_upper(lf.L.T, B))):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
+    def test_gram_is_A_AT(self, small_problems):
+        for p in small_problems:
+            G = kl.build_L(p.A, 0.7).gram()
+            assert np.array_equal(G, G.T)
+            want = p.A @ p.A.T
+            np.testing.assert_allclose(G, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
+    def test_rows_is_the_stacked_factor(self, small_problems, omega):
+        # repeated rows included; the identity order gives the factor back
+        rng = np.random.default_rng(3)
+        for p in small_problems:
+            lf = kl.build_L(p.A, omega)
+            same = lf.rows(np.arange(p.m))
+            assert np.array_equal(same.L, lf.L) and np.array_equal(same.D_diag, lf.D_diag)
+            order = rng.integers(0, p.m, size=p.m)
+            got, want = lf.rows(order), kl.build_L(p.A[order], omega)
+            assert got.omega == omega and np.array_equal(got.D_diag, want.D_diag)
+            np.testing.assert_allclose(got.L, want.L, rtol=0, atol=1e-14 * np.abs(want.L).max())
+
 
 class TestApplyG:
     def test_nullspace_untouched(self):
@@ -136,8 +156,8 @@ class TestSweepOperator:
         A = rng.standard_normal((9, 6))
         X = rng.standard_normal((6, 3))
         B = rng.standard_normal((9, 3))
-        op = kl.SweepOperator(A, omega)
         lf = kl.build_L(A, omega)
+        op = kl.SweepOperator(A, lf)
         down = X + A.T @ kl.solve_lower(lf.L, B - A @ X)
         up = X + A.T @ kl.solve_upper(lf.L.T, B - A @ X)
         np.testing.assert_allclose(op.down(X, B), down, rtol=0, atol=1e-12 * np.abs(down).max())
@@ -152,8 +172,8 @@ class TestSweepOperator:
         A = rng.standard_normal((8, 5))
         X, Z = rng.standard_normal((2, 5, 4))
         B = rng.standard_normal((8, 4))
-        op = kl.SweepOperator(A, 0.9)
         lf = kl.build_L(A, 0.9)
+        op = kl.SweepOperator(A, lf)
         for half, apply in ((op.down, kl.apply_G), (op.up, kl.apply_Gt)):
             want = apply(lf, A, X - Z)
             got = half(X, B) - half(Z, B)
@@ -165,7 +185,7 @@ class TestSweepOperator:
         X = np.asfortranarray(rng.standard_normal((4, 2)))
         B = np.asfortranarray(rng.standard_normal((6, 2)))
         X0, B0 = X.copy(), B.copy()
-        kl.SweepOperator(A, 1.2).symmetric(X, B)
+        kl.SweepOperator(A, kl.build_L(A, 1.2)).symmetric(X, B)
         assert np.array_equal(X, X0) and np.array_equal(B, B0)
 
 
@@ -195,23 +215,11 @@ class TestEngineBackedOperators:
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
     def test_zero_diagonal_factor_rejected(self):
-        # a hand-built factor bypasses build_L's zero-row check
-        A = np.array([[1.0, 0.0], [3.0, 1.0]])
-        lf = kl.LFactor(L=np.array([[1.0, 0.0], [3.0, 0.0]]), omega=1.0,
-                        D_diag=np.array([1.0, 0.0]))
-        for apply in (kl.apply_G, kl.apply_Gt, kl.apply_Gs):
-            with pytest.raises(NumericalError, match="singular triangular"):
-                apply(lf, A, np.ones(2))
+        # a hand-built factor bypasses build_L's zero-row check, so LFactor
+        # itself rejects it: no L^-1 route can return inf
         with pytest.raises(NumericalError, match="singular triangular"):
-            kl.SweepOperator.from_factor(A, lf)
-
-    def test_from_factor_matches_fresh_operator(self):
-        rng = np.random.default_rng(13)
-        A = rng.standard_normal((9, 6))
-        X, B = rng.standard_normal((6, 2)), rng.standard_normal((9, 2))
-        fresh = kl.SweepOperator(A, 1.3)
-        shared = kl.SweepOperator.from_factor(A, kl.build_L(A, 1.3))
-        np.testing.assert_array_equal(shared.symmetric(X, B), fresh.symmetric(X, B))
+            kl.LFactor(L=np.array([[1.0, 0.0], [3.0, 0.0]]), omega=1.0,
+                       D_diag=np.array([1.0, 0.0]))
 
 
 class TestRestriction:

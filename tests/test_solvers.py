@@ -213,14 +213,20 @@ class TestRunBlock:
                 _assert_rel_close(h.error_norms, v.error_norms)
                 _assert_rel_close(h.iterates, v.iterates)
 
-    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
+    @pytest.mark.parametrize("variant", ["standard", "symmetric", "randomized"])
     @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
     def test_vector_run_matches_row_loop(self, small_problems, variant, omega):
-        sweep = kl.sweep_standard if variant == "standard" else kl.sweep_symmetric
+        # randomized: the row loop draws from the same seeded stream
         cfg = kl.SweepConfig(omega=omega, variant=variant, max_sweeps=30,
                              store_iterates=True)
         for p in small_problems:
             h = kl.run(p, p.b_bar, cfg)
+            rng = np.random.default_rng(cfg.seed)
+            sweep = {
+                "standard": kl.sweep_standard,
+                "symmetric": kl.sweep_symmetric,
+                "randomized": lambda A, b, x, omega: kl.sweep_randomized(A, b, x, omega, rng),
+            }[variant]
             x = np.zeros(p.n)
             want = [x]
             for _ in range(30):
