@@ -67,15 +67,13 @@ class LFactor:
         return _factor(self.L, self.D_diag, omega)
 
     def gram(self) -> np.ndarray:
-        """The symmetric A A^T, rebuilt once from the strict lower part and D_diag."""
-        if "_gram" not in self.__dict__:
-            S = np.tril(self.L, -1)
-            self.__dict__["_gram"] = S + S.T + np.diag(self.D_diag)
-        return self.__dict__["_gram"]
+        """The symmetric A A^T, rebuilt from the strict lower part and D_diag."""
+        S = np.tril(self.L, -1)
+        return S + S.T + np.diag(self.D_diag)
 
-    def rows(self, order) -> "LFactor":
-        """The factor of the stacked system A[order]; rows may repeat."""
-        return _factor(self.gram()[np.ix_(order, order)], self.D_diag[order], self.omega)
+    def rows(self, order, G) -> "LFactor":
+        """The factor of the stacked system A[order] from G = ``gram()``; rows may repeat."""
+        return _factor(G[np.ix_(order, order)], self.D_diag[order], self.omega)
 
     def solve(self, B, transpose: bool = False) -> np.ndarray:
         """L^-1 B (L^-T B with ``transpose``) for an m-by-k B: one dtrsm on the view L.T."""

@@ -82,10 +82,11 @@ class TestBuildL:
         rng = np.random.default_rng(3)
         for p in small_problems:
             lf = kl.build_L(p.A, omega)
-            same = lf.rows(np.arange(p.m))
+            G = lf.gram()
+            same = lf.rows(np.arange(p.m), G)
             assert np.array_equal(same.L, lf.L) and np.array_equal(same.D_diag, lf.D_diag)
             order = rng.integers(0, p.m, size=p.m)
-            got, want = lf.rows(order), kl.build_L(p.A[order], omega)
+            got, want = lf.rows(order, G), kl.build_L(p.A[order], omega)
             assert got.omega == omega and np.array_equal(got.D_diag, want.D_diag)
             np.testing.assert_allclose(got.L, want.L, rtol=0, atol=1e-14 * np.abs(want.L).max())
 

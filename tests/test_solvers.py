@@ -236,6 +236,23 @@ class TestRunBlock:
             res = [np.linalg.norm(p.b_bar - p.A @ x) for x in want]
             _assert_rel_close(h.residual_norms, res)
 
+    @pytest.mark.parametrize("omega", [0.3, 1.7])
+    def test_randomized_blocks_of_draws_match_row_loop(self, omega):
+        # m = 150: three stacked sweeps of 64, 64 and 22 draws per sweep
+        p = kl.gravity(150, 0.06)
+        B = _noisy_block(p)
+        cfg = kl.SweepConfig(omega=omega, variant="randomized", max_sweeps=10,
+                             seed=3, store_iterates=True)
+        block = kl.run(p, B, cfg)
+        for j, h in enumerate(block):
+            rng = np.random.default_rng(cfg.seed)
+            x = np.zeros(p.n)
+            want = [x]
+            for _ in range(10):
+                x = kl.sweep_randomized(p.A, B[:, j], x, omega, rng)
+                want.append(x)
+            _assert_rel_close(h.iterates, np.array(want))
+
     def test_single_column_block_gives_one_tuple(self):
         p = kl.gravity(8, 0.1)
         out = kl.run(p, p.b_bar[:, None], kl.SweepConfig(max_sweeps=3))
