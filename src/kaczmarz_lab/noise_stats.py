@@ -28,7 +28,12 @@ one mode per pair with weight 2,
 
     Re(W diag(phi) Z) = sum_real w_i phi_i z_i + 2 sum_{Im>0} Re(w_i phi_i z_i),
 
-and likewise for E2.
+and likewise for E2.  Those sums run in real arithmetic on the real forms
+that ``SharpMaps`` keeps (Re w_i and Im w_i are columns of ``W_real``, the
+rows of W^+ halved rows of ``Y``), and the Monte Carlo samples are lifted
+in blocks of ``_MC_BLOCK``, so ``expected_norms`` forms no complex
+n-by-r array and its memory does not grow with the number of samples.
+``xi_profile`` reads the complex ``SharpMaps.W_inv``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operator import SharpMaps, apply_Ak_sharp  # noqa: F401  (re-exported per-k reference route)
+from .operator import SharpMaps, _check_ks
+from .operator import apply_Ak_sharp  # noqa: F401  (re-exported per-k reference route)
 from .problems import TestProblem
 from .solvers import IterationHistory, SweepConfig, run
 from .tables import write_table
@@ -59,6 +65,9 @@ __all__ = [
 #: Largest matrix dimension for which k-sweep maps are formed explicitly;
 #: beyond this the Frobenius norm is estimated stochastically.
 EXPLICIT_MAP_MAX_N = 512
+
+#: Monte Carlo samples that ``expected_norms`` draws and lifts at once.
+_MC_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -145,16 +154,6 @@ class XiProfile:
                          "lambda_modulus": np.hypot(self.lam.real, self.lam.imag)})
 
 
-def _check_ks(ks) -> np.ndarray:
-    """The iteration counts as integers; ValueError for a negative or fractional one."""
-    raw = np.asarray(list(ks))
-    with np.errstate(invalid="ignore"):
-        ks = raw.astype(int)
-    if np.any(ks != raw) or np.any(ks < 0):
-        raise ValueError("iteration counts k must be nonnegative integers")
-    return ks
-
-
 def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     """Per-mode decomposition of the noise error for iteration counts ks.
 
@@ -216,6 +215,40 @@ class ExpectationReport:
                          "stderr": self.mc_stderr})
 
 
+def _coefficient_rows(sm: SharpMaps, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the rows ``keep`` of (I - Lambda)^-1 W^+.
+
+    W^+'s row j is Y_j for a real mode and (Y_j - i Y_j') / 2 for a pair
+    (j, j') with Im lambda_j > 0 (``SharpMaps.W_inv``).  The division by
+    d = 1 - lambda_j repeats numpy's complex division (Smith's method)
+    step by step, so the parts are the bytes of the complex quotient:
+    with (s, t) = (Re d, Im d) when |Re d| >= |Im d|, else (Im d, Re d),
+    rat = t / s and scl = 1 / (s + t rat), the quotient of x = P + i Q is
+    ((P + Q rat) scl, (Q - P rat) scl) in the first case and, with P and
+    Q swapped, ((P + Q rat) scl, -(Q - P rat) scl) in the second.
+    """
+    lam = sm.lam[keep]
+    d = 1.0 - lam
+    pair = (lam.imag > 0)[:, None]
+    Y = sm.Y[keep]
+    P = np.where(pair, 0.5 * Y, Y)
+    Q = np.where(pair, -0.5 * sm.Y[sm.conj[keep]], 0.0)
+    del Y
+    big = np.abs(d.real) >= np.abs(d.imag)
+    s, t = np.where(big, d.real, d.imag), np.where(big, d.imag, d.real)
+    rat = t / s
+    scl = 1.0 / (s + t * rat)
+    P[~big], Q[~big] = Q[~big], P[~big]
+    rat = rat[:, None]
+    re = Q * rat
+    re += P
+    re *= scl[:, None]
+    P *= rat
+    np.subtract(Q, P, out=Q)
+    Q *= np.where(big, scl, -scl)[:, None]
+    return re, Q
+
+
 def expected_norms(
     sm: SharpMaps,
     sigma: float,
@@ -232,16 +265,22 @@ def expected_norms(
     that they are estimated from 256 standard Gaussian probes per k, drawn
     from the same generator after the n_mc Monte Carlo samples.
 
-    M does not depend on k and is formed once, as its real and imaginary
-    parts, from M = (I - Lambda)^-1 W^+ B: the rows of W^+ are scaled by
-    1 / (1 - lambda) and multiplied by B, whose transpose takes triangular
-    solves on the n columns of A (``SharpMaps.b_transpose``).  The Monte
-    Carlo coefficients M e are formed once too.  Each k only scales the
-    coefficients by 1 - lambda^k and lifts them with W.  Only the modes
-    with Im lambda >= 0 are formed and lifted, the complex ones with
-    weight 2 (see the module docstring); the draws and probes keep their
-    shapes and order.  Raises ValueError for a negative or non-finite
-    sigma and for a negative or fractional k.
+    Only the modes with Im lambda >= 0 are formed and lifted, the complex
+    ones with weight 2 (see the module docstring), and all of it in real
+    arithmetic: W's real and imaginary parts on those modes are columns
+    of ``SharpMaps.W_real``, and W^+'s are rows of ``SharpMaps.Y``, so no
+    complex n-by-r array is formed.  M does not depend on k and is formed
+    once, as its real and imaginary parts, from M = (I - Lambda)^-1 W^+ B:
+    the rows of W^+ are divided by 1 - lambda and multiplied by B, whose
+    transpose takes triangular solves on the n columns of A
+    (``SharpMaps.b_transpose``).  Each k only scales the coefficients by
+    1 - lambda^k and lifts them with W.
+
+    The samples and probes are drawn and lifted in blocks of at most
+    ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
+    generator yields them in the order of one n_mc-by-m draw followed by
+    one 256-by-m draw per k.  Raises ValueError for a negative or
+    non-finite sigma and for a negative or fractional k.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
@@ -254,17 +293,23 @@ def expected_norms(
     # one with Im lambda > 0 stands for both with weight 2
     keep = np.flatnonzero(sm.lam.imag >= 0)
     lam = sm.lam[keep]
-    wgt = np.where(lam.imag > 0, 2.0, 1.0)
-    W_r, W_i = sm.W.real[:, keep], sm.W.imag[:, keep]
+    pair = lam.imag > 0
+    wgt = np.where(pair, 2.0, 1.0)
 
     # rows of M = (I - Lambda)^-1 W^+ B drive the xi covariance
-    DW_inv = sm.W_inv[keep] / (1.0 - lam)[:, None]
+    M_r, M_i = _coefficient_rows(sm, keep)
     B = sm.b_transpose().T
-    M_r, M_i = DW_inv.real @ B, DW_inv.imag @ B
-    del DW_inv, B
+    M_r = M_r @ B
+    M_i = M_i @ B
+    del B
     e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
     phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     e2 = phi2 @ (wgt * e_xi2)
+    phis = [1.0 - lam ** int(k) for k in ks]
+
+    # W's real and imaginary parts on the kept modes
+    W_r = sm.W_real[:, keep]
+    W_i = np.where(pair, sm.W_real[:, sm.conj[keep]], 0.0)
 
     def k_sweep(phi, Z_r, Z_i):
         """Re(W diag(phi) Z) over all modes for Z = Z_r + i Z_i on the kept ones."""
@@ -272,26 +317,28 @@ def expected_norms(
         return W_r @ (p_r * Z_r - p_i * Z_i) - W_i @ (p_r * Z_i + p_i * Z_r)
 
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((n_mc, m))
-    draws *= sigma  # in place: the values of sigma * draws, without a second n_mc-by-m array
-    Z_r, Z_i = M_r @ draws.T, M_i @ draws.T
-    del draws
-    mc = np.empty(ks.size)
-    mc_stderr = np.empty(ks.size)
+
+    def sample_norms(count, scale, phis):
+        """Squared k-sweep norms of ``count`` draws of scale * N(0, I_m), one row per phi."""
+        out = np.empty((len(phis), count))
+        for lo in range(0, count, _MC_BLOCK):
+            draws = rng.standard_normal((min(_MC_BLOCK, count - lo), m))
+            draws *= scale  # in place: the values of scale * draws, without a second array
+            Z_r, Z_i = M_r @ draws.T, M_i @ draws.T
+            for j, phi in enumerate(phis):
+                out[j, lo:lo + draws.shape[0]] = np.sum(k_sweep(phi, Z_r, Z_i) ** 2, axis=0)
+        return out
+
+    norms2 = sample_norms(n_mc, sigma, phis)
+    mc = np.array([np.mean(row) for row in norms2])
+    mc_stderr = np.array([np.std(row, ddof=1) for row in norms2]) / np.sqrt(n_mc)
     e1 = np.empty(ks.size)
     e1_estimated = n > EXPLICIT_MAP_MAX_N
-    for j, k in enumerate(ks):
-        phi = 1.0 - lam ** int(k)
+    for j, phi in enumerate(phis):
         if e1_estimated:
-            probes = rng.standard_normal((256, m)).T
-            e1[j] = sigma**2 * np.mean(
-                np.sum(k_sweep(phi, M_r @ probes, M_i @ probes) ** 2, axis=0)
-            )
+            e1[j] = sigma**2 * np.mean(sample_norms(256, 1.0, [phi])[0])
         else:
             e1[j] = sigma**2 * np.linalg.norm(k_sweep(phi, M_r, M_i), "fro") ** 2
-        norms2 = np.sum(k_sweep(phi, Z_r, Z_i) ** 2, axis=0)
-        mc[j] = float(np.mean(norms2))
-        mc_stderr[j] = float(np.std(norms2, ddof=1) / np.sqrt(n_mc))
     return ExpectationReport(
         ks=ks,
         e1=e1,
@@ -331,8 +378,10 @@ def monotonicity_probe(lam, ks) -> MonotonicityReport:
     Individual curves for complex eigenvalues may bump up and down (the
     factor |1 - lambda^k| can exceed 1), yet their sum over a large
     spectrum typically grows monotonically; this probe quantifies both.
+    The counts are sorted and deduplicated; a negative or fractional k
+    raises ValueError.
     """
-    ks = np.asarray(sorted(set(int(k) for k in ks)), dtype=int)
+    ks = np.unique(_check_ks(ks))
     lam = np.asarray(lam)
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None])
     e2_unit = np.sum(factors**2, axis=1)

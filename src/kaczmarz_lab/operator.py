@@ -109,10 +109,18 @@ def build_L(A, omega: float) -> LFactor:
 
 
 def _factor(G, d: np.ndarray, omega: float) -> LFactor:
-    """strict_lower(G) + diag(d) / omega for a G whose strict lower part is A A^T's."""
+    """strict_lower(G) + diag(d) / omega for a G whose strict lower part is A A^T's.
+
+    The diagonal is written into ``tril(G, -1)`` in place, with no m-by-m
+    diagonal matrix and no m-by-m add.  The add would turn a -0.0 below
+    the diagonal into +0.0, but ``dgemm`` writes no -0.0 into A A^T, so the
+    bytes are those of ``tril(G, -1) + diag(d / omega)``.
+    """
     if not (np.isfinite(omega) and omega > 0):
         raise ValueError(f"omega must be finite and positive, got {omega}")
-    return LFactor(L=np.tril(G, -1) + np.diag(d / omega), omega=float(omega), D_diag=d)
+    L = np.tril(G, -1)
+    np.fill_diagonal(L, d / omega)
+    return LFactor(L=L, omega=float(omega), D_diag=d)
 
 
 class SweepOperator:
@@ -214,9 +222,15 @@ class SharpMaps:
 
         x_k = W (I - Lambda^k) W^+ x_infinity,   W^+ = C^-1 V^T.
 
-    ``lam`` holds the eigenvalues (descending modulus), ``W`` the lifted
-    eigenvectors, ``W_inv`` the left inverse of W on the row space, and
-    ``kappa_W`` the condition number of C.
+    ``lam`` holds the eigenvalues (descending modulus) and ``kappa_W`` the
+    condition number of C.  The eigenbasis is kept in real arithmetic:
+    ``R0`` is the real basis of the eigenvectors
+    (``EigResult.real_vectors``), ``W_real`` = V R0 its lift, ``Y`` =
+    R0^-1 V^T, and ``conj[i]`` the index of lambda_i's conjugate.  For a
+    pair (j, j') with Im lambda_j > 0, column j of ``W_real`` is Re w_j and
+    column j' is Im w_j; a real mode's column is w_j.  The complex
+    eigenvectors ``C``, the lifted ``W`` and the left inverse ``W_inv`` of
+    W on the row space are built from these on each access.
     """
 
     A: np.ndarray
@@ -224,11 +238,46 @@ class SharpMaps:
     sv: SvdResult
     variant: str
     lam: np.ndarray
-    C: np.ndarray
-    W: np.ndarray
-    W_inv: np.ndarray
+    R0: np.ndarray
+    W_real: np.ndarray
+    Y: np.ndarray
+    conj: np.ndarray
     kappa_W: float
     ro: RestrictedOperator = field(repr=False)
+
+    @property
+    def C(self) -> np.ndarray:
+        """The eigenvectors as ``eig_general`` returns them: real for a real spectrum."""
+        if not np.iscomplexobj(self.lam):
+            return self.R0
+        up = np.flatnonzero(self.lam.imag > 0)
+        C = self.R0.astype(complex)
+        C.imag[:, up] = self.R0[:, self.conj[up]]
+        C[:, self.conj[up]] = C[:, up].conj()
+        return C
+
+    @property
+    def W(self) -> np.ndarray:
+        """The lifted eigenvectors V C (n-by-r)."""
+        return self.sv.V @ self.C
+
+    @property
+    def W_inv(self) -> np.ndarray:
+        """W^+ = C^-1 V^T (r-by-n, complex), assembled from ``Y``.
+
+        For a pair (j, j') with Im lambda_j > 0 the rows are
+        (Y_j - i Y_j') / 2 and (Y_j + i Y_j') / 2; a real mode keeps Y_j.
+        Conjugate rows come out exactly conjugate, and the imaginary parts
+        of real modes are exactly 0.
+        """
+        Y = self.Y
+        W_inv = Y.astype(complex)
+        up = np.flatnonzero(self.lam.imag > 0)
+        down = self.conj[up]
+        half_re, half_im = 0.5 * Y[up], 0.5 * Y[down]
+        W_inv.real[up] = W_inv.real[down] = half_re
+        W_inv.imag[up], W_inv.imag[down] = -half_im, half_im
+        return W_inv
 
     @property
     def r(self) -> int:
@@ -272,14 +321,11 @@ def sharp_maps(
 ) -> SharpMaps:
     """Eigendecompose the restricted operator and package the sharp maps.
 
-    W^+ = C^-1 V^T comes from one real LU.  The eigenvectors are
-    C = R0 P, where R0 (``EigResult.real_vectors``) holds the real vector
-    pair (Re x, Im x) of each conjugate pair (x, conj(x)) and P mixes each
-    pair's columns by [[1, 1], [i, -i]].  So Y = R0^-1 V^T is solved in
-    real arithmetic, and for a pair (j, j') with Im lambda_j > 0 the rows
-    of W^+ are (Y_j - i Y_j') / 2 and (Y_j + i Y_j') / 2; a real mode
-    keeps Y_j.  Conjugate rows come out exactly conjugate, and the
-    imaginary parts of real modes are exactly 0.
+    Everything stored is real (see :class:`SharpMaps`): the real basis R0
+    of the eigenvectors, their lift V R0 in one real product, and
+    Y = R0^-1 V^T from one real LU.  The eigenvectors are C = R0 P, where
+    P mixes each conjugate pair's columns by [[1, 1], [i, -i]], so W^+ =
+    C^-1 V^T = P^-1 Y; ``SharpMaps.W_inv`` assembles it from Y's rows.
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
     within ``convergence_tol`` of 1, since then I - G is not invertible
@@ -291,29 +337,33 @@ def sharp_maps(
     restrict = restrict_to_V if variant == "standard" else restrict_symmetric_to_V
     ro = restrict(A, lf, sv)
     eig = eig_general(ro.Gv)
-    lam, C = eig.eigenvalues, eig.eigenvectors
+    lam = eig.eigenvalues
     if np.min(np.abs(1.0 - lam)) < convergence_tol:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
-    W = sv.V @ C
-    Y = np.linalg.solve(eig.real_vectors(), sv.V.T)
-    W_inv = Y.astype(complex)
-    up = np.flatnonzero(lam.imag > 0)
-    down = eig.conj[up]
-    half_re, half_im = 0.5 * Y[up], 0.5 * Y[down]
-    W_inv.real[up] = W_inv.real[down] = half_re
-    W_inv.imag[up], W_inv.imag[down] = -half_im, half_im
+    R0 = eig.real_vectors()
     return SharpMaps(
         A=A,
         lf=lf,
         sv=sv,
         variant=variant,
         lam=lam,
-        C=C,
-        W=W,
-        W_inv=W_inv,
+        R0=R0,
+        W_real=sv.V @ R0,
+        Y=np.linalg.solve(R0, sv.V.T),
+        conj=eig.conj,
         kappa_W=eig.kappa,
         ro=ro,
     )
+
+
+def _check_ks(ks) -> np.ndarray:
+    """The iteration counts as integers; ValueError for a negative or fractional one."""
+    raw = np.asarray(list(ks))
+    with np.errstate(invalid="ignore"):
+        ks = raw.astype(int)
+    if np.any(ks != raw) or np.any(ks < 0):
+        raise ValueError("iteration counts k must be nonnegative integers")
+    return ks
 
 
 def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
@@ -322,13 +372,13 @@ def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     Evaluated spectrally as W (I - Lambda^k) W^+ (limit of e); k = 0
     yields the zero vector and k -> infinity approaches the fixed point.
     The result is real; the imaginary round-off from the complex
-    eigenbasis is discarded.  Each call applies the full limit map, with
+    eigenbasis is discarded.  Raises ValueError for a negative or
+    fractional k.  Each call applies the full limit map, with
     a fresh LU of I - G|_V; ``expected_norms`` and ``xi_profile`` instead
     take the coefficients from W^+ A_limit = (I - Lambda)^-1 W^+ B, and the
     tests compare them with this route.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = int(_check_ks([k])[0])
     x_inf = sm.apply_A_sharp(e)
     phi = 1.0 - sm.lam**k
     coeff = sm.W_inv @ x_inf.astype(complex)

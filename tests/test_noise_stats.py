@@ -1,5 +1,7 @@
 """Tests for the error split, xi decomposition, and expected noise norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
@@ -300,6 +302,48 @@ class TestExpectedNormsOneModePerPair:
         assert np.count_nonzero(sm.lam.imag > 0) >= 8
 
 
+class TestMonteCarloBlocks:
+    # the samples are drawn and lifted _MC_BLOCK at a time; the generator
+    # yields them in the order of one n_mc-by-m draw, so a block size only
+    # moves the rounding of the per-sample products
+    @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
+    def test_blocks_match_one_block(self, gravity32_variant, monkeypatch, max_n):
+        p, sm = gravity32_variant
+        monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
+        runs = []
+        for block in (10_000, 7):
+            monkeypatch.setattr(noise_stats, "_MC_BLOCK", block)
+            runs.append(kl.expected_norms(sm, sigma=3e-3, ks=[0, 1, 5, 20], n_mc=40, seed=3))
+        one, many = runs
+        if max_n == 8:  # the 256 probes per k are drawn in blocks too
+            np.testing.assert_allclose(many.e1, one.e1, rtol=1e-13, atol=0.0)
+        else:
+            assert many.e1.tobytes() == one.e1.tobytes()
+        assert many.e2.tobytes() == one.e2.tobytes()
+        for got, want in ((many.mc, one.mc), (many.mc_stderr, one.mc_stderr)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_memory_does_not_grow_with_n_mc(self):
+        # the traced peak at four blocks of samples is the one-block peak
+        # plus the per-sample norms (8 bytes per sample and k)
+        p = kl.paralleltomo(12, 16, 16)
+        sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A))
+        ks = [1, 5, 20]
+
+        def traced_peak(n_mc):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                kl.expected_norms(sm, 1e-2, ks, n_mc=n_mc, seed=0)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        block = noise_stats._MC_BLOCK
+        one, four = traced_peak(block), traced_peak(4 * block)
+        assert four <= one + 8 * len(ks) * 3 * block + 64 * 1024
+
+
 class TestE1BySweeps:
     # E1 with no eigenbasis: k sweeps of the identity block I_m from X = 0
     # give the k-sweep map A_k itself, so E1 = sigma^2 ||A_k||_F^2 (Elfving,
@@ -353,6 +397,17 @@ class TestRejectsBadInput:
                  "matrix": e[:, None]}[bad]
         with pytest.raises(ValueError, match="e "):
             kl.xi_profile(sm, e, [1])
+
+    @pytest.mark.parametrize("ks", [[-1, 1, 2], [1, 2.7], [np.nan]],
+                             ids=["negative", "fractional", "nan"])
+    def test_monotonicity_probe_bad_k(self, ks):
+        # k = -1 used to give e2_unit NaN at lambda = 0, and 2.7 ran as 2
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            kl.monotonicity_probe([0.5, 0.0], ks)
+
+    def test_monotonicity_probe_sorts_and_dedups(self):
+        mono = kl.monotonicity_probe([0.5, 0.0], [3, 1.0, 3, 2])
+        assert mono.ks.tolist() == [1, 2, 3]
 
     def test_k_zero_stays_valid(self, gravity32_machinery):
         p, sm = gravity32_machinery

@@ -1,8 +1,11 @@
 """Tests for the sweep factor, iteration operator, and fixed-point maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.blas import dgemm
 
 import kaczmarz_lab as kl
 from kaczmarz_lab.errors import NumericalError
@@ -89,6 +92,33 @@ class TestBuildL:
             got, want = lf.rows(order, G), kl.build_L(p.A[order], omega)
             assert got.omega == omega and np.array_equal(got.D_diag, want.D_diag)
             np.testing.assert_allclose(got.L, want.L, rtol=0, atol=1e-14 * np.abs(want.L).max())
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 1.5])
+    def test_factor_bytes_are_the_sum(self, small_problems, omega):
+        # _factor writes the diagonal into tril(G, -1) in place; the bytes
+        # are those of tril(G, -1) + diag(d / omega), which would differ if a
+        # -0.0 sat below the diagonal (the add makes it +0.0), so compare bytes
+        rng = np.random.default_rng(4)
+        for p in [*small_problems, kl.paralleltomo(12, 16, 16)]:
+            AAT = dgemm(1.0, p.A, p.A, trans_b=1)  # build_L's product
+            d = np.diag(AAT).copy()
+            lf = kl.build_L(p.A, omega)
+            assert lf.L.tobytes() == (np.tril(AAT, -1) + np.diag(d / omega)).tobytes(), p.name
+            other = kl.build_L(p.A, 2.0 - omega / 2).with_omega(omega)
+            assert other.L.tobytes() == lf.L.tobytes(), p.name
+            G = lf.gram()
+            order = rng.integers(0, p.m, size=p.m)
+            Go, do = G[np.ix_(order, order)], d[order]
+            want = np.tril(Go, -1) + np.diag(do / omega)
+            assert lf.rows(order, G).L.tobytes() == want.tobytes(), p.name
+
+    def test_gram_has_no_negative_zero(self):
+        # the case the in-place diagonal relies on: zero products of mixed
+        # sign in A A^T still sum to +0.0
+        A = np.zeros((6, 3))
+        A[::2, 0], A[1::2, 1] = -1.0, 2.0
+        L = kl.build_L(A, 1.0).L
+        assert not np.signbit(L[L == 0.0]).any()
 
 
 class TestApplyG:
@@ -403,6 +433,12 @@ class TestSharpMaps:
             assert np.max(np.abs(sm.apply_B(e) - B @ e)) <= tol, p.name
             assert np.max(np.abs(sm.apply_B(e[:, 0]) - B @ e[:, 0])) <= tol, p.name
 
+    @pytest.mark.parametrize("k", [-1, 2.5, np.nan])
+    def test_bad_k_rejected(self, sm, k):
+        # a fractional k used to be raised to a fractional power of lambda
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            kl.apply_Ak_sharp(sm, np.ones(24), k)
+
     def test_non_convergent_mode_raises(self):
         # omega -> 0 makes L blow up and G approach the identity, so an
         # eigenvalue lands on 1 and the fixed point is undefined
@@ -450,3 +486,44 @@ class TestRealRouteWInv:
     def test_left_inverse(self, real_route_case):
         _, sm, _ = real_route_case
         np.testing.assert_allclose(sm.W_inv @ sm.W, np.eye(sm.r), rtol=0, atol=1e-9 * sm.kappa_W)
+
+
+class TestRealFields:
+    """SharpMaps keeps the eigenbasis real and builds the complex forms on access."""
+
+    def test_every_array_field_is_real(self, real_route_case):
+        # the eigenvalues are the one complex field
+        _, sm, _ = real_route_case
+        for f in dataclasses.fields(sm):
+            value = getattr(sm, f.name)
+            if isinstance(value, np.ndarray) and f.name != "lam":
+                assert not np.iscomplexobj(value), f.name
+        assert sm.W_real.shape == (sm.A.shape[1], sm.r)
+        assert sm.Y.shape == (sm.r, sm.A.shape[1])
+
+    def test_complex_forms_are_the_eager_ones(self, real_route_case):
+        # C = eig.eigenvectors, W = V @ C and W^+ assembled from the real LU,
+        # as sharp_maps built them before it kept only the real forms
+        _, sm, _ = real_route_case
+        eig = kl.eig_general(sm.ro.Gv)
+        C = eig.eigenvectors
+        Y = np.linalg.solve(eig.real_vectors(), sm.sv.V.T)
+        W_inv = Y.astype(complex)
+        up = np.flatnonzero(eig.eigenvalues.imag > 0)
+        down = eig.conj[up]
+        W_inv.real[up] = W_inv.real[down] = 0.5 * Y[up]
+        W_inv.imag[up], W_inv.imag[down] = -0.5 * Y[down], 0.5 * Y[down]
+        for got, want in ((sm.C, C), (sm.W, sm.sv.V @ C), (sm.W_inv, W_inv)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(sm.conj, eig.conj)
+
+    def test_real_lift_is_the_lift_of_the_real_basis(self, real_route_case):
+        # column j of W_real is Re w_j, column conj[j] is Im w_j for a pair
+        _, sm, conj = real_route_case
+        W = sm.W
+        up = np.flatnonzero(sm.lam.imag > 0)
+        real = np.flatnonzero(sm.lam.imag == 0)
+        tol = 1e-13 * np.abs(W).max()
+        np.testing.assert_allclose(sm.W_real[:, up], W.real[:, up], rtol=0, atol=tol)
+        np.testing.assert_allclose(sm.W_real[:, conj[up]], W.imag[:, up], rtol=0, atol=tol)
+        np.testing.assert_allclose(sm.W_real[:, real], W.real[:, real], rtol=0, atol=tol)
