@@ -1,12 +1,13 @@
 """Dense linear-algebra substrate.
 
 SVD with an explicit rank decision, general real eigendecomposition with
-complex output, forward/backward triangular solves, and the least-norm
-solve used as the reference solution of consistent systems.
+complex eigenvalues and a real eigenbasis, forward/backward triangular
+solves, and the least-norm solve used as the reference solution of
+consistent systems.
 
-All inputs are 64-bit real; only eigendecompositions produce complex
-output.  Every numerical routine is a pure function of its arguments and
-is safe to call from parallel workers.  The exception is
+All inputs are 64-bit real; only eigenvalues are complex.  Every
+numerical routine is a pure function of its arguments and is safe to call
+from parallel workers.  The exception is
 :func:`blas_threads`: the OpenBLAS thread count it lowers is global to the
 process, so it also governs any other thread's BLAS calls inside its block.
 """
@@ -80,51 +81,35 @@ class SvdResult:
 
 @dataclass(frozen=True)
 class EigResult:
-    """General (possibly complex) eigendecomposition of a real matrix.
+    """General eigendecomposition of a real matrix, with a real eigenbasis.
 
     ``eigenvalues`` are sorted by descending modulus, ties broken by
     descending real part then ascending imaginary part, so reports are
-    deterministic.  ``eigenvectors`` columns pair with the eigenvalues.
-    Both arrays are real when every eigenvalue is real.
-
+    deterministic.  They are real when every eigenvalue is real.
     ``conj[i]`` is the index of the conjugate of eigenvalue i (i itself
-    for a real one); ``eigenvalues[conj]`` equals their conjugates and
-    ``eigenvectors[:, conj]`` the conjugate vectors, exactly, and ``conj``
-    is an involution.
+    for a real one); ``eigenvalues[conj]`` equals their conjugates
+    exactly, and ``conj`` is an involution.
 
-    ``kappa`` is the 2-norm condition number of the eigenvector matrix C.
-    It is taken on the real matrix R whose columns are x for a real mode
-    and sqrt(2) Re x, sqrt(2) Im x for a conjugate pair (x, conj(x)):
-    each pair's columns are [x, conj(x)] = [sqrt(2) Re x, sqrt(2) Im x] Q
-    with the unitary Q = [[1, 1], [i, -i]] / sqrt(2), so C = R Q with a
-    block-unitary Q and cond(C) = cond(R) exactly (Golub and Van Loan,
-    *Matrix Computations*, 7.4).
+    ``R0`` is the real basis of the eigenvectors, the real vector pairs of
+    LAPACK's ``dgeev`` in the sorted order: column i is x_i for a real
+    mode and Re x_i for the member of a pair with Im lambda_i > 0, and
+    column conj[i] is Im x_i.  So x_i = R0[:, i] + i R0[:, conj[i]] and
+    x_conj[i] is its conjugate; the complex eigenvector matrix C is never
+    formed.
+
+    ``kappa`` is the 2-norm condition number of C.  It is taken on the
+    real matrix R whose columns are x for a real mode and sqrt(2) Re x,
+    sqrt(2) Im x for a conjugate pair (x, conj(x)): each pair's columns are
+    [x, conj(x)] = [sqrt(2) Re x, sqrt(2) Im x] Q with the unitary
+    Q = [[1, 1], [i, -i]] / sqrt(2), so C = R Q with a block-unitary Q and
+    cond(C) = cond(R) exactly (Golub and Van Loan, *Matrix Computations*,
+    7.4).
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    R0: np.ndarray
     kappa: float
     conj: np.ndarray
-
-    def real_vectors(self) -> np.ndarray:
-        """The real basis of the eigenvectors: C = R0 times a block matrix.
-
-        Column i is Re x_i for a real mode and for the member of a pair
-        with Im lambda > 0, and Im x_j for the member whose partner j has
-        Im lambda_j > 0: the real vector pair that LAPACK's ``dgeev``
-        returns, in the sorted order.  A real spectrum gives C itself.
-        """
-        return _real_vectors(self.eigenvalues, self.eigenvectors, self.conj)
-
-
-def _real_vectors(lam: np.ndarray, C: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """:meth:`EigResult.real_vectors` of eigenpairs (lam, C) with partners ``conj``."""
-    if not np.iscomplexobj(C):
-        return C
-    R0 = C.real.copy()
-    up = np.flatnonzero(lam.imag > 0)
-    R0[:, conj[up]] = C[:, up].imag
-    return R0
 
 
 @dataclass(frozen=True)
@@ -175,15 +160,17 @@ def _eig_order(w: np.ndarray) -> np.ndarray:
 
 
 def eig_general(M) -> EigResult:
-    """Eigendecomposition of a square real matrix, complex output allowed.
+    """Eigendecomposition of a square real matrix, complex eigenvalues allowed.
 
     Complex eigenvalues of real input occur in conjugate pairs, and LAPACK
     returns each pair at (j, j+1) with Im w[j] > 0 and exactly conjugate
     vectors.  The pairs are read from that order, before the sort, since
-    repeated complex eigenvalues make adjacency after the sort ambiguous.
-    The eigenvector-matrix condition number kappa, taken from one real
-    values-only SVD (see :class:`EigResult`), is reported so callers can
-    detect near-defective spectra.
+    repeated complex eigenvalues make adjacency after the sort ambiguous,
+    and the real basis R0 is built there too: X.real, with Im x_j in the
+    partner's column j+1.  Only R0 is sorted; the complex vectors are
+    dropped.  The eigenvector-matrix condition number kappa, taken from one
+    real values-only SVD (see :class:`EigResult`), is reported so callers
+    can detect near-defective spectra.
     """
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
@@ -197,17 +184,17 @@ def eig_general(M) -> EigResult:
     if np.any(w[up + 1] != w[up].conj()):  # pragma: no cover - not LAPACK's layout
         raise NumericalError("eigenvalues are not in conjugate pairs")
     partner[up], partner[up + 1] = up + 1, up
+    R0 = X.real.copy()
+    R0[:, up + 1] = X[:, up].imag
+    del X
     order = _eig_order(w)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     w = np.ascontiguousarray(w[order])
-    X = np.ascontiguousarray(X[:, order])
+    R0 = np.take(R0, order, axis=1)  # C-ordered: the layout decides how V @ R0 rounds
     conj = rank[partner[order]]
-    R = _real_vectors(w, X, conj)
-    if up.size:
-        R[:, w.imag != 0] *= np.sqrt(2.0)
-    kappa = float(np.linalg.cond(R, 2))
-    return EigResult(eigenvalues=w, eigenvectors=X, kappa=kappa, conj=conj)
+    kappa = float(np.linalg.cond(R0 * np.where(w.imag != 0, np.sqrt(2.0), 1.0), 2))
+    return EigResult(eigenvalues=w, R0=R0, kappa=kappa, conj=conj)
 
 
 def eigvals(M) -> np.ndarray:

@@ -28,12 +28,12 @@ one mode per pair with weight 2,
 
     Re(W diag(phi) Z) = sum_real w_i phi_i z_i + 2 sum_{Im>0} Re(w_i phi_i z_i),
 
-and likewise for E2.  Those sums run in real arithmetic on the real forms
-that ``SharpMaps`` keeps (Re w_i and Im w_i are columns of ``W_real``, the
-rows of W^+ halved rows of ``Y``), and the Monte Carlo samples are lifted
-in blocks of ``_MC_BLOCK``, so ``expected_norms`` forms no complex
-n-by-r array and its memory does not grow with the number of samples.
-``xi_profile`` reads the complex ``SharpMaps.W_inv``.
+and likewise for E2.  ``expected_norms`` and ``xi_profile`` take the
+coefficients of those modes from ``SharpMaps.coefficients`` and
+``expected_norms`` lifts them with ``SharpMaps.k_sweep``, both in real
+arithmetic on the real eigenbasis that ``SharpMaps`` keeps, so no complex
+n-by-r array is formed.  The Monte Carlo samples are lifted in blocks of
+``_MC_BLOCK``, so the memory they take does not grow with their number.
 """
 
 from __future__ import annotations
@@ -167,14 +167,15 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
         raise NumericalError(
             f"eigenbasis is near-defective (kappa = {sm.kappa_W:.3e})"
         )
-    e = np.asarray(e, dtype=float)
-    if e.shape != (sm.lf.m,):
-        raise ValueError(f"e must have shape ({sm.lf.m},), got {e.shape}")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("e has non-finite entries")
+    if np.ndim(e) != 1:
+        raise ValueError(f"e must have shape ({sm.lf.m},), got {np.shape(e)}")
     ks = _check_ks(ks)
-    lam = sm.lam
-    xi = (sm.W_inv @ sm.apply_B(e)) / (1.0 - lam)
+    lam, keep = sm.lam, sm.keep
+    Z_r, Z_i = sm.coefficients(sm.apply_B(e)[:, None])  # apply_B checks e's length and values
+    z = Z_r[:, 0] + 1j * Z_i[:, 0]
+    xi = np.empty(sm.r, dtype=complex)
+    xi[sm.conj[keep]] = z.conj()  # the other mode of each pair; real modes are set next
+    xi[keep] = z
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     terms = factors * (np.abs(xi) ** 2)[None, :]
     return XiProfile(
@@ -215,40 +216,6 @@ class ExpectationReport:
                          "stderr": self.mc_stderr})
 
 
-def _coefficient_rows(sm: SharpMaps, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the rows ``keep`` of (I - Lambda)^-1 W^+.
-
-    W^+'s row j is Y_j for a real mode and (Y_j - i Y_j') / 2 for a pair
-    (j, j') with Im lambda_j > 0 (``SharpMaps.W_inv``).  The division by
-    d = 1 - lambda_j repeats numpy's complex division (Smith's method)
-    step by step, so the parts are the bytes of the complex quotient:
-    with (s, t) = (Re d, Im d) when |Re d| >= |Im d|, else (Im d, Re d),
-    rat = t / s and scl = 1 / (s + t rat), the quotient of x = P + i Q is
-    ((P + Q rat) scl, (Q - P rat) scl) in the first case and, with P and
-    Q swapped, ((P + Q rat) scl, -(Q - P rat) scl) in the second.
-    """
-    lam = sm.lam[keep]
-    d = 1.0 - lam
-    pair = (lam.imag > 0)[:, None]
-    Y = sm.Y[keep]
-    P = np.where(pair, 0.5 * Y, Y)
-    Q = np.where(pair, -0.5 * sm.Y[sm.conj[keep]], 0.0)
-    del Y
-    big = np.abs(d.real) >= np.abs(d.imag)
-    s, t = np.where(big, d.real, d.imag), np.where(big, d.imag, d.real)
-    rat = t / s
-    scl = 1.0 / (s + t * rat)
-    P[~big], Q[~big] = Q[~big], P[~big]
-    rat = rat[:, None]
-    re = Q * rat
-    re += P
-    re *= scl[:, None]
-    P *= rat
-    np.subtract(Q, P, out=Q)
-    Q *= np.where(big, scl, -scl)[:, None]
-    return re, Q
-
-
 def expected_norms(
     sm: SharpMaps,
     sigma: float,
@@ -266,15 +233,12 @@ def expected_norms(
     from the same generator after the n_mc Monte Carlo samples.
 
     Only the modes with Im lambda >= 0 are formed and lifted, the complex
-    ones with weight 2 (see the module docstring), and all of it in real
-    arithmetic: W's real and imaginary parts on those modes are columns
-    of ``SharpMaps.W_real``, and W^+'s are rows of ``SharpMaps.Y``, so no
-    complex n-by-r array is formed.  M does not depend on k and is formed
-    once, as its real and imaginary parts, from M = (I - Lambda)^-1 W^+ B:
-    the rows of W^+ are divided by 1 - lambda and multiplied by B, whose
-    transpose takes triangular solves on the n columns of A
+    ones with weight 2 (see the module docstring), all in real arithmetic.
+    M does not depend on k and is formed once, as its real and imaginary
+    parts, from M = (I - Lambda)^-1 W^+ B: ``SharpMaps.coefficients`` of
+    B, whose transpose takes triangular solves on the n columns of A
     (``SharpMaps.b_transpose``).  Each k only scales the coefficients by
-    1 - lambda^k and lifts them with W.
+    1 - lambda^k and lifts them with W (``SharpMaps.k_sweep``).
 
     The samples and probes are drawn and lifted in blocks of at most
     ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
@@ -291,54 +255,38 @@ def expected_norms(
     n = sm.A.shape[1]
     # one mode per conjugate pair: the pair's terms are conjugates, so the
     # one with Im lambda > 0 stands for both with weight 2
-    keep = np.flatnonzero(sm.lam.imag >= 0)
-    lam = sm.lam[keep]
-    pair = lam.imag > 0
-    wgt = np.where(pair, 2.0, 1.0)
+    lam = sm.lam[sm.keep]
+    wgt = np.where(lam.imag > 0, 2.0, 1.0)
 
     # rows of M = (I - Lambda)^-1 W^+ B drive the xi covariance
-    M_r, M_i = _coefficient_rows(sm, keep)
-    B = sm.b_transpose().T
-    M_r = M_r @ B
-    M_i = M_i @ B
-    del B
+    M_r, M_i = sm.coefficients(sm.b_transpose().T)
     e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
     phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     e2 = phi2 @ (wgt * e_xi2)
-    phis = [1.0 - lam ** int(k) for k in ks]
-
-    # W's real and imaginary parts on the kept modes
-    W_r = sm.W_real[:, keep]
-    W_i = np.where(pair, sm.W_real[:, sm.conj[keep]], 0.0)
-
-    def k_sweep(phi, Z_r, Z_i):
-        """Re(W diag(phi) Z) over all modes for Z = Z_r + i Z_i on the kept ones."""
-        p_r, p_i = (wgt * phi.real)[:, None], (wgt * phi.imag)[:, None]
-        return W_r @ (p_r * Z_r - p_i * Z_i) - W_i @ (p_r * Z_i + p_i * Z_r)
 
     rng = np.random.default_rng(seed)
 
-    def sample_norms(count, scale, phis):
-        """Squared k-sweep norms of ``count`` draws of scale * N(0, I_m), one row per phi."""
-        out = np.empty((len(phis), count))
+    def sample_norms(count, scale, ks):
+        """Squared k-sweep norms of ``count`` draws of scale * N(0, I_m), one row per k."""
+        out = np.empty((len(ks), count))
         for lo in range(0, count, _MC_BLOCK):
             draws = rng.standard_normal((min(_MC_BLOCK, count - lo), m))
             draws *= scale  # in place: the values of scale * draws, without a second array
             Z_r, Z_i = M_r @ draws.T, M_i @ draws.T
-            for j, phi in enumerate(phis):
-                out[j, lo:lo + draws.shape[0]] = np.sum(k_sweep(phi, Z_r, Z_i) ** 2, axis=0)
+            for j, k in enumerate(ks):
+                out[j, lo:lo + draws.shape[0]] = np.sum(sm.k_sweep(k, Z_r, Z_i) ** 2, axis=0)
         return out
 
-    norms2 = sample_norms(n_mc, sigma, phis)
+    norms2 = sample_norms(n_mc, sigma, ks)
     mc = np.array([np.mean(row) for row in norms2])
     mc_stderr = np.array([np.std(row, ddof=1) for row in norms2]) / np.sqrt(n_mc)
     e1 = np.empty(ks.size)
     e1_estimated = n > EXPLICIT_MAP_MAX_N
-    for j, phi in enumerate(phis):
+    for j, k in enumerate(ks):
         if e1_estimated:
-            e1[j] = sigma**2 * np.mean(sample_norms(256, 1.0, [phi])[0])
+            e1[j] = sigma**2 * np.mean(sample_norms(256, 1.0, [k])[0])
         else:
-            e1[j] = sigma**2 * np.linalg.norm(k_sweep(phi, M_r, M_i), "fro") ** 2
+            e1[j] = sigma**2 * np.linalg.norm(sm.k_sweep(k, M_r, M_i), "fro") ** 2
     return ExpectationReport(
         ks=ks,
         e1=e1,

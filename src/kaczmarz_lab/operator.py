@@ -16,6 +16,13 @@ suffice; the restricted matrix is the only dense operator-level object.
 :class:`SweepOperator` applies the sweep itself to n-by-R blocks of
 iterates through ``LFactor.solve``, the library's only L^-1; ``apply_G``,
 ``apply_Gt``, both restrictions and the randomized sweeps are its sweeps.
+
+:class:`SharpMaps` holds the eigendecomposition of G|_V in real
+arithmetic, as ``eig_general`` returns it: the eigenvalues are the only
+complex array.  The coefficient map (I - Lambda)^-1 W^+ has one route,
+``SharpMaps.coefficients``, and the lift W (I - Lambda^k) one,
+``SharpMaps.k_sweep``; ``apply_Ak_sharp`` and the noise statistics call
+both, on one mode of each conjugate pair.
 """
 
 from __future__ import annotations
@@ -217,20 +224,21 @@ class SharpMaps:
     M = A^T L^-1 A and B = A^T L^-1 for the standard sweep (for the
     symmetric variant, M = A^T S A and B = A^T S with the SPD weight
     S = (2/omega - 1) L^-T D L^-1).  After k sweeps from x0 = 0 the
-    iterate is (I - G^k) applied to the fixed point, evaluated here in
-    the eigenbasis W = V C of the restricted operator:
+    iterate is (I - G^k) applied to the fixed point.  In the eigenbasis
+    W = V C of the restricted operator, with W^+ = C^-1 V^T, the relation
+    I - G|_V = C (I - Lambda) C^-1 turns this into
 
-        x_k = W (I - Lambda^k) W^+ x_infinity,   W^+ = C^-1 V^T.
+        x_k = W (I - Lambda^k) (I - Lambda)^-1 W^+ B b.
 
     ``lam`` holds the eigenvalues (descending modulus) and ``kappa_W`` the
-    condition number of C.  The eigenbasis is kept in real arithmetic:
-    ``R0`` is the real basis of the eigenvectors
-    (``EigResult.real_vectors``), ``W_real`` = V R0 its lift, ``Y`` =
-    R0^-1 V^T, and ``conj[i]`` the index of lambda_i's conjugate.  For a
-    pair (j, j') with Im lambda_j > 0, column j of ``W_real`` is Re w_j and
-    column j' is Im w_j; a real mode's column is w_j.  The complex
-    eigenvectors ``C``, the lifted ``W`` and the left inverse ``W_inv`` of
-    W on the row space are built from these on each access.
+    condition number of C.  The eigenbasis is real: ``R0`` is
+    ``EigResult.R0``, ``W_real`` = V R0 its lift, ``Y`` = R0^-1 V^T, and
+    ``conj[i]`` the index of lambda_i's conjugate.  For a pair (j, j') with
+    Im lambda_j > 0, columns j and j' of ``W_real`` are Re w_j and Im w_j,
+    and rows j and j' of W^+ are (Y_j -+ i Y_j') / 2; a real mode has
+    column w_j and row Y_j.  A pair's two modes are conjugates, so
+    :meth:`coefficients` (W^+) and :meth:`k_sweep` (W) work on one mode
+    of each pair, the modes ``keep``, and no complex basis is formed.
     """
 
     A: np.ndarray
@@ -246,42 +254,55 @@ class SharpMaps:
     ro: RestrictedOperator = field(repr=False)
 
     @property
-    def C(self) -> np.ndarray:
-        """The eigenvectors as ``eig_general`` returns them: real for a real spectrum."""
-        if not np.iscomplexobj(self.lam):
-            return self.R0
-        up = np.flatnonzero(self.lam.imag > 0)
-        C = self.R0.astype(complex)
-        C.imag[:, up] = self.R0[:, self.conj[up]]
-        C[:, self.conj[up]] = C[:, up].conj()
-        return C
-
-    @property
-    def W(self) -> np.ndarray:
-        """The lifted eigenvectors V C (n-by-r)."""
-        return self.sv.V @ self.C
-
-    @property
-    def W_inv(self) -> np.ndarray:
-        """W^+ = C^-1 V^T (r-by-n, complex), assembled from ``Y``.
-
-        For a pair (j, j') with Im lambda_j > 0 the rows are
-        (Y_j - i Y_j') / 2 and (Y_j + i Y_j') / 2; a real mode keeps Y_j.
-        Conjugate rows come out exactly conjugate, and the imaginary parts
-        of real modes are exactly 0.
-        """
-        Y = self.Y
-        W_inv = Y.astype(complex)
-        up = np.flatnonzero(self.lam.imag > 0)
-        down = self.conj[up]
-        half_re, half_im = 0.5 * Y[up], 0.5 * Y[down]
-        W_inv.real[up] = W_inv.real[down] = half_re
-        W_inv.imag[up], W_inv.imag[down] = -half_im, half_im
-        return W_inv
-
-    @property
     def r(self) -> int:
         return self.lam.size
+
+    @property
+    def keep(self) -> np.ndarray:
+        """The modes with Im lambda >= 0: every real mode and one of each pair."""
+        return np.flatnonzero(self.lam.imag >= 0)
+
+    def coefficients(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of (I - Lambda)^-1 W^+ X on the modes ``keep``.
+
+        X is n-by-k.  Row j of W^+ is (Y_j - i Y_j') / 2 for a pair (j, j')
+        and Y_j for a real mode; it is divided by d = 1 - lambda_j as
+        x conj(d) / |d|^2, in real arithmetic, before the two real products
+        with X.
+        """
+        keep = self.keep
+        lam = self.lam[keep]
+        pair = lam.imag > 0
+        d = 1.0 - lam
+        h = np.where(pair, 0.5, 1.0) / (d.real**2 + d.imag**2)
+        a, b = (h * d.real)[:, None], (h * d.imag)[:, None]
+        P, Q = self.Y[keep], self.Y[self.conj[keep]]  # Q_j = Y_j at a real mode
+        re = P * a
+        re -= Q * b  # b = 0 at a real mode
+        P *= -b
+        Q *= -a
+        P += Q
+        del Q
+        P[~pair] = 0.0  # a real mode has no imaginary part: exactly +0
+        return re @ X, P @ X
+
+    def k_sweep(self, k: int, Z_r, Z_i) -> np.ndarray:
+        """Re(W (I - Lambda^k) Z) for Z = Z_r + i Z_i given on the modes ``keep``.
+
+        Z is r_keep-by-R.  With c = (1 - lambda_j^k) z_j, a pair's two terms
+        w_j c + conj(w_j c) sum to 2 Re(w_j c), so the real coordinates on
+        ``R0`` are 2 Re c at column j and -2 Im c at column j' (Re c at a
+        real mode's), and one real product with ``W_real`` lifts them.
+        """
+        keep = self.keep
+        lam = self.lam[keep]
+        pair = lam.imag > 0
+        phi = np.where(pair, 2.0, 1.0) * (1.0 - lam ** int(k))
+        p_r, p_i = phi.real[:, None], phi.imag[:, None]
+        T = np.empty((self.r, Z_r.shape[1]))
+        T[keep] = p_r * Z_r - p_i * Z_i
+        T[self.conj[keep[pair]]] = -(p_r * Z_i + p_i * Z_r)[pair]
+        return self.W_real @ T
 
     def _weight(self, E, transpose: bool = False) -> np.ndarray:
         """B's data-space factor on an m-by-k E: L^-1 E (L^-T E if ``transpose``), or S E."""
@@ -292,12 +313,24 @@ class SharpMaps:
         return self.lf.solve(Y, transpose=True)
 
     def apply_B(self, e) -> np.ndarray:
-        """Apply B (= A^T L^-1 for the standard sweep) to data-space vectors."""
+        """Apply B (= A^T L^-1 for the standard sweep) to data-space vectors.
+
+        Every map of data goes through here, so this is where a bad e is
+        rejected: ValueError unless its first axis is m long and every
+        entry is finite.
+        """
         e = np.asarray(e, dtype=float)
+        if e.ndim == 0 or e.shape[0] != self.lf.m:
+            raise ValueError(f"e must have {self.lf.m} rows, got shape {e.shape}")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("e has non-finite entries")
         return self.A.T @ self._weight(e.reshape(e.shape[0], -1)).reshape(e.shape)
 
     def apply_A_sharp(self, e) -> np.ndarray:
-        """Fixed-point map: least-norm limit of the sweeps on data e."""
+        """Fixed-point map: least-norm limit of the sweeps on data e.
+
+        Solved with an LU of I - G|_V, independently of the eigenbasis.
+        """
         y = self.apply_B(e)
         V = self.sv.V
         coeff = np.linalg.solve(np.eye(self.r) - self.ro.Gv, V.T @ y)
@@ -321,11 +354,12 @@ def sharp_maps(
 ) -> SharpMaps:
     """Eigendecompose the restricted operator and package the sharp maps.
 
-    Everything stored is real (see :class:`SharpMaps`): the real basis R0
-    of the eigenvectors, their lift V R0 in one real product, and
-    Y = R0^-1 V^T from one real LU.  The eigenvectors are C = R0 P, where
-    P mixes each conjugate pair's columns by [[1, 1], [i, -i]], so W^+ =
-    C^-1 V^T = P^-1 Y; ``SharpMaps.W_inv`` assembles it from Y's rows.
+    Everything stored but the eigenvalues is real (see :class:`SharpMaps`):
+    the real basis R0 of the eigenvectors, their lift V R0 in one real
+    product, and Y = R0^-1 V^T from one real LU.  The eigenvectors are
+    C = R0 P, where P mixes each conjugate pair's columns by
+    [[1, 1], [i, -i]], so W^+ = C^-1 V^T = P^-1 Y, whose rows
+    ``SharpMaps.coefficients`` reads from Y's.
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
     within ``convergence_tol`` of 1, since then I - G is not invertible
@@ -340,7 +374,7 @@ def sharp_maps(
     lam = eig.eigenvalues
     if np.min(np.abs(1.0 - lam)) < convergence_tol:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
-    R0 = eig.real_vectors()
+    R0 = eig.R0
     return SharpMaps(
         A=A,
         lf=lf,
@@ -369,21 +403,19 @@ def _check_ks(ks) -> np.ndarray:
 def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     """Map data e to the k-sweep iterate (I - G^k) applied to the limit.
 
-    Evaluated spectrally as W (I - Lambda^k) W^+ (limit of e); k = 0
-    yields the zero vector and k -> infinity approaches the fixed point.
-    The result is real; the imaginary round-off from the complex
-    eigenbasis is discarded.  Raises ValueError for a negative or
-    fractional k.  Each call applies the full limit map, with
-    a fresh LU of I - G|_V; ``expected_norms`` and ``xi_profile`` instead
-    take the coefficients from W^+ A_limit = (I - Lambda)^-1 W^+ B, and the
-    tests compare them with this route.
+    Evaluated in the eigenbasis as W (I - Lambda^k) (I - Lambda)^-1 W^+ B e,
+    through the real routines of ``expected_norms`` and ``xi_profile``
+    (:meth:`SharpMaps.coefficients`, :meth:`SharpMaps.k_sweep`), on a
+    vector or on the columns of a block e.  k = 0 yields the zero vector
+    and k -> infinity approaches the fixed point, which
+    :meth:`SharpMaps.apply_A_sharp` takes from an LU of I - G|_V instead.
+    Raises ValueError for a negative or fractional k and for an e that
+    :meth:`SharpMaps.apply_B` rejects.
     """
     k = int(_check_ks([k])[0])
-    x_inf = sm.apply_A_sharp(e)
-    phi = 1.0 - sm.lam**k
-    coeff = sm.W_inv @ x_inf.astype(complex)
-    scaled = phi * coeff if coeff.ndim == 1 else phi[:, None] * coeff
-    return np.real(sm.W @ scaled)
+    y = sm.apply_B(e)
+    Z_r, Z_i = sm.coefficients(y.reshape(y.shape[0], -1))
+    return sm.k_sweep(k, Z_r, Z_i).reshape(y.shape)
 
 
 def fixed_point(

@@ -225,12 +225,16 @@ def cgls(A, b, k_max: int) -> IterationHistory:
     """Conjugate gradients on the normal equations A^T A x = A^T b, x0 = 0.
 
     Iterates are always stored.  On breakdown (vanishing direction norm)
-    the history is truncated and flagged "breakdown".
+    the history is truncated and flagged "breakdown".  Raises ValueError
+    for a b that is not one m-vector of finite entries.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    B = _rhs_block(b, A.shape[0])
+    if B.shape[1] != 1:
+        raise ValueError(f"cgls takes one right-hand side, got {B.shape[1]}")
+    b = B[:, 0]
     n = A.shape[1]
 
     x = np.zeros(n)

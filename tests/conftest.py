@@ -5,10 +5,21 @@ eigendecomposition), so they are built once per session and shared by the
 module tests and the acceptance suite.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kaczmarz_lab as kl
+
+
+@pytest.fixture
+def subprocess_env():
+    """os.environ with the package's source root first on PYTHONPATH, for child Pythons."""
+    src = str(Path(kl.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

@@ -360,12 +360,12 @@ class TestConfigSources:
         assert rc == 0
         assert (tmp_path / "envroot" / "structure" / "structure.csv").exists()
 
-    def test_console_entry_point(self, tmp_path):
+    def test_console_entry_point(self, tmp_path, subprocess_env):
         proc = subprocess.run(
             [sys.executable, "-m", "kaczmarz_lab.cli", "structure",
              "--problem", "gravity", "--n", "16", "--d", "0.1",
              "--out", str(tmp_path)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
 

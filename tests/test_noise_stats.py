@@ -8,6 +8,13 @@ from scipy.stats import spearmanr
 
 import kaczmarz_lab as kl
 from kaczmarz_lab import noise_stats
+from test_linalg import complex_eigenvectors
+
+
+def _complex_basis(sm):
+    """W = V C and W^+ = C^-1 V^T in complex arithmetic, C built from R0 and conj."""
+    C = complex_eigenvectors(sm.lam, sm.R0, sm.conj)
+    return sm.sv.V @ C, np.linalg.solve(C, sm.sv.V.T.astype(complex))
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +86,12 @@ class TestXiProfile:
         ks = [1, 3, 10]
         prof = kl.xi_profile(sm, e, ks)
         y0 = sm.apply_A_sharp(e)
+        _, W_plus = _complex_basis(sm)
         for j, k in enumerate(ks):
             gk = y0.copy()
             for _ in range(k):
                 gk = kl.apply_G(sm.lf, p.A, gk)
-            xi_k = sm.W_inv @ (y0 - gk).astype(complex)
+            xi_k = W_plus @ (y0 - gk)
             direct = float(np.sum(np.abs(xi_k) ** 2))
             assert abs(direct - prof.norms[j]) <= 1e-10 * max(direct, 1e-30)
 
@@ -223,9 +231,10 @@ def gravity32_variant(request):
 
 
 class TestExpectedNormsAgainstPerKRoute:
-    # expected_norms forms M = (I - Lambda)^-1 W^+ B once and only rescales
-    # per k; the reference sends every sample through apply_Ak_sharp (the
-    # fixed-point map with an LU of I - G|_V) for every k
+    # expected_norms forms M = (I - Lambda)^-1 W^+ B once, draws and lifts
+    # in blocks and only rescales per k; the reference sends every sample
+    # through apply_Ak_sharp (B, then the same real coefficients and lift)
+    # for every k
     KS = [0, 1, 5, 20]
 
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
@@ -243,7 +252,7 @@ class TestExpectedNormsAgainstPerKRoute:
         p, sm = gravity32_variant
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(3e-3, seed=12))
         prof = kl.xi_profile(sm, e, self.KS)
-        xi = sm.W_inv @ sm.apply_A_sharp(e)
+        xi = _complex_basis(sm)[1] @ sm.apply_A_sharp(e)
         for j, k in enumerate(self.KS):
             want = np.sum(np.abs(1.0 - sm.lam**k) ** 2 * np.abs(xi) ** 2)
             assert prof.norms[j] == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -253,17 +262,19 @@ def _all_modes_reference(sm, sigma, ks, n_mc, seed, estimated):
     """E1, E2, mc and stderr with every mode lifted in complex arithmetic.
 
     The same closed forms and generator draws as expected_norms, without
-    folding each conjugate pair into one mode of weight 2.
+    folding each conjugate pair into one mode of weight 2, and with W^+ from
+    a complex solve with C rather than from the real LU.
     """
     m = sm.lf.m
-    M = (sm.W_inv / (1.0 - sm.lam)[:, None]) @ sm.b_transpose().T
+    W, W_plus = _complex_basis(sm)
+    M = (W_plus / (1.0 - sm.lam)[:, None]) @ sm.b_transpose().T
     e_xi2 = sigma**2 * np.sum(np.abs(M) ** 2, axis=1)
     e2 = [np.sum(np.abs(1.0 - sm.lam**k) ** 2 * e_xi2) for k in ks]
     rng = np.random.default_rng(seed)
     Z = M @ (sigma * rng.standard_normal((n_mc, m))).T
     e1, mc, stderr = [], [], []
     for k in ks:
-        lift = sm.W * (1.0 - sm.lam**k)
+        lift = W * (1.0 - sm.lam**k)
         if estimated:
             probes = rng.standard_normal((256, m)).T
             e1.append(sigma**2 * np.mean(np.sum(np.real(lift @ (M @ probes)) ** 2, axis=0)))

@@ -9,6 +9,7 @@ from scipy.linalg.blas import dgemm
 
 import kaczmarz_lab as kl
 from kaczmarz_lab.errors import NumericalError
+from test_linalg import complex_eigenvectors, lapack_eigenvectors
 
 
 def _full_G(A, omega):
@@ -357,6 +358,11 @@ class TestFixedPoint:
         x2 = kl.fixed_point(p, p.b_bar, omega=1.3)
         assert np.linalg.norm(x1 - x2) <= 1e-8 * np.linalg.norm(x1)
 
+    @pytest.mark.parametrize("b", [np.r_[np.nan, np.ones(11)], np.ones(11)], ids=["nan", "short"])
+    def test_bad_data_rejected(self, b):
+        with pytest.raises(ValueError, match="non-finite|12 rows"):
+            kl.fixed_point(kl.gravity(12, 0.1), b)
+
 
 @pytest.fixture(scope="module")
 def sm():
@@ -439,6 +445,20 @@ class TestSharpMaps:
         with pytest.raises(ValueError, match="nonnegative integers"):
             kl.apply_Ak_sharp(sm, np.ones(24), k)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "nan-block", "short", "long", "short-block",
+                                     "scalar"])
+    def test_bad_data_rejected(self, sm, bad):
+        # a NaN used to come back as a NaN iterate, and a short e as a BLAS
+        # shape error; every map of data checks e in apply_B
+        e = np.full(24, 1e-3)
+        e[5] = np.nan if bad.startswith("nan") else np.inf
+        e = {"nan-block": np.column_stack([e, e]), "short": e[:-1], "long": np.ones(25),
+             "short-block": np.ones((23, 2)), "scalar": 1.0}.get(bad, e)
+        match = "non-finite" if bad in ("nan", "inf", "nan-block") else "24 rows"
+        for apply in (sm.apply_B, sm.apply_A_sharp, lambda e: kl.apply_Ak_sharp(sm, e, 3)):
+            with pytest.raises(ValueError, match=match):
+                apply(e)
+
     def test_non_convergent_mode_raises(self):
         # omega -> 0 makes L blow up and G approach the identity, so an
         # eigenvalue lands on 1 and the fixed point is undefined
@@ -464,19 +484,33 @@ def real_route_case(request):
     return request.param, sm, kl.eig_general(sm.ro.Gv).conj
 
 
+def _complex_reference(sm):
+    """C from R0 and conj, and W^+ = C^-1 V^T by a complex solve: the complex route."""
+    C = complex_eigenvectors(sm.lam, sm.R0, sm.conj)
+    return C, np.linalg.solve(C, sm.sv.V.T.astype(complex))
+
+
 class TestRealRouteWInv:
-    """W^+ = C^-1 V^T from one real LU of the real eigenvector pairs."""
+    """The real W^+ route, SharpMaps.coefficients, against a complex solve with C."""
 
     def test_matches_complex_solve(self, real_route_case):
+        # coefficients of the identity are the kept rows of (I - Lambda)^-1 W^+
         _, sm, _ = real_route_case
-        want = np.linalg.solve(sm.C.astype(complex), sm.sv.V.T.astype(complex))
-        assert np.max(np.abs(sm.W_inv - want)) <= 1e-10 * np.max(np.abs(want))
+        _, W_plus = _complex_reference(sm)
+        want = (W_plus / (1.0 - sm.lam)[:, None])[sm.keep]
+        Z_r, Z_i = sm.coefficients(np.eye(sm.A.shape[1]))
+        assert np.max(np.abs(Z_r + 1j * Z_i - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_conjugate_rows_exact(self, real_route_case):
+        # one mode of each pair is kept, and a real mode's imaginary part is +0
         name, sm, conj = real_route_case
         assert np.array_equal(sm.lam[conj], sm.lam.conj())
-        assert np.array_equal(sm.W_inv[conj], sm.W_inv.conj())
-        assert not sm.W_inv[sm.lam.imag == 0].imag.any()
+        keep = sm.keep
+        assert np.array_equal(np.union1d(keep, conj[keep]), np.arange(sm.r))
+        assert keep.size == sm.r - np.count_nonzero(sm.lam.imag > 0)
+        _, Z_i = sm.coefficients(np.random.default_rng(4).standard_normal((sm.A.shape[1], 3)))
+        real = sm.lam[keep].imag == 0
+        assert not Z_i[real].any() and not np.signbit(Z_i[real]).any()
         if name in ("gravity128", "tomo24"):
             assert np.count_nonzero(sm.lam.imag) > 0
         else:
@@ -484,12 +518,16 @@ class TestRealRouteWInv:
             assert not np.iscomplexobj(sm.lam)
 
     def test_left_inverse(self, real_route_case):
+        # W (I - Lambda) (I - Lambda)^-1 W^+ x = x on the row space: the real
+        # lift at k = 1 undoes the real coefficients
         _, sm, _ = real_route_case
-        np.testing.assert_allclose(sm.W_inv @ sm.W, np.eye(sm.r), rtol=0, atol=1e-9 * sm.kappa_W)
+        x = sm.sv.V @ np.random.default_rng(5).standard_normal((sm.r, 3))
+        got = sm.k_sweep(1, *sm.coefficients(x))
+        np.testing.assert_allclose(got, x, rtol=0, atol=1e-9 * sm.kappa_W * np.abs(x).max())
 
 
 class TestRealFields:
-    """SharpMaps keeps the eigenbasis real and builds the complex forms on access."""
+    """SharpMaps keeps the eigenbasis real; the tests build the complex forms."""
 
     def test_every_array_field_is_real(self, real_route_case):
         # the eigenvalues are the one complex field
@@ -502,25 +540,22 @@ class TestRealFields:
         assert sm.Y.shape == (sm.r, sm.A.shape[1])
 
     def test_complex_forms_are_the_eager_ones(self, real_route_case):
-        # C = eig.eigenvectors, W = V @ C and W^+ assembled from the real LU,
-        # as sharp_maps built them before it kept only the real forms
+        # the complex eigenvectors that R0 and conj stand for are LAPACK's,
+        # and the real fields are eig_general's basis, its lift and its LU
         _, sm, _ = real_route_case
         eig = kl.eig_general(sm.ro.Gv)
-        C = eig.eigenvectors
-        Y = np.linalg.solve(eig.real_vectors(), sm.sv.V.T)
-        W_inv = Y.astype(complex)
-        up = np.flatnonzero(eig.eigenvalues.imag > 0)
-        down = eig.conj[up]
-        W_inv.real[up] = W_inv.real[down] = 0.5 * Y[up]
-        W_inv.imag[up], W_inv.imag[down] = -0.5 * Y[down], 0.5 * Y[down]
-        for got, want in ((sm.C, C), (sm.W, sm.sv.V @ C), (sm.W_inv, W_inv)):
+        C, _ = _complex_reference(sm)
+        assert C.tobytes() == lapack_eigenvectors(sm.ro.Gv).astype(complex).tobytes()
+        for got, want in ((sm.R0, eig.R0), (sm.W_real, sm.sv.V @ eig.R0),
+                          (sm.Y, np.linalg.solve(eig.R0, sm.sv.V.T))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(sm.conj, eig.conj)
 
     def test_real_lift_is_the_lift_of_the_real_basis(self, real_route_case):
         # column j of W_real is Re w_j, column conj[j] is Im w_j for a pair
         _, sm, conj = real_route_case
-        W = sm.W
+        C, _ = _complex_reference(sm)
+        W = sm.sv.V @ C
         up = np.flatnonzero(sm.lam.imag > 0)
         real = np.flatnonzero(sm.lam.imag == 0)
         tol = 1e-13 * np.abs(W).max()

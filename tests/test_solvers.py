@@ -322,6 +322,18 @@ class TestCgls:
         assert "breakdown" in h.flags
         assert h.sweep_count == 0
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short", "long", "block"])
+    def test_bad_b_rejected(self, bad):
+        # a NaN used to give an all-NaN history with no flag, and a short b
+        # numpy's matmul shape error
+        p = kl.gravity(16, 0.1)
+        b = p.b_bar.copy()
+        b[3] = np.nan if bad == "nan" else np.inf
+        b = {"short": p.b_bar[:-1], "long": np.append(p.b_bar, 0.0),
+             "block": np.column_stack([p.b_bar, p.b_bar])}.get(bad, b)
+        with pytest.raises(ValueError, match="non-finite|16-vector|one right-hand side"):
+            kl.cgls(p.A, b, 3)
+
     def test_semiconvergence_like_kaczmarz(self, gravity128_06):
         # with noisy data both solvers pass through an interior error
         # minimum before the propagated noise takes over
