@@ -47,27 +47,13 @@ OUTPUT_ROOT_ENV = "KACZMARZ_LAB_OUT"
 _PROBLEMS = ("gravity", "baart", "paralleltomo")
 _METHODS = ("standard", "symmetric", "randomized", "cgls")
 
-#: Problems with max(m, n) up to this size run every command with both
-#: OpenBLAS builds (numpy's and scipy's) on one thread; larger ones follow
-#: ``SCIPY_ONE_THREAD_COMMANDS``.  On a 2-vCPU host one omega-scan step
-#: (build_L, restriction, eigvals) on gravity(n) took 3.1/11.4/24.1/70.5 ms
-#: on one thread and 4.3/12.9/25.5/67.0 ms on two at n = 128/256/384/512;
-#: another run had two threads ahead from n = 384 (29.8 against 31.8 ms).
-#: The rule reads the size alone, never the host, so a given problem sees
-#: the same thread count wherever two are available.
+#: Problems with max(m, n) up to this size run every command on one BLAS
+#: thread; larger ones keep the library's count.  On a 2-vCPU host one
+#: omega-scan step (build_L, restriction, eigvals) on gravity(n) took
+#: 3.1/11.4/24.1/70.5 ms on one thread and 4.3/12.9/25.5/67.0 ms on two at
+#: n = 128/256/384/512 (another run: two threads ahead from n = 384).  The
+#: rule reads the size alone, never the host.
 ONE_THREAD_MAX_DIM = 256
-
-#: Commands whose dense work is numpy's LAPACK (eig_general, svd).  Above
-#: ONE_THREAD_MAX_DIM they run with scipy's OpenBLAS on one thread and
-#: numpy's at its count: with both pools on two threads, the idle pool's
-#: workers spin at every switch between the libraries.  In-process on a
-#: 2-vCPU host (median of 5), eigplot took 0.53 -> 0.43 s at r = 576
-#: (paralleltomo 24/32/32) and 1.30-1.35 -> 1.23-1.25 s at r = 1008
-#: (32/32/32); bounds with one omega 1.59 -> 1.35 s and 2.84 -> 2.58-2.65 s.
-#: The commands whose work is scipy's sweep engine keep both pools: with
-#: scipy's build on one thread at r = 1008, omegasweep (4 omegas) went
-#: 2.00 -> 2.29 s and errhist 0.26 -> 0.31 s.
-SCIPY_ONE_THREAD_COMMANDS = frozenset({"eigplot", "noisestats", "bounds"})
 
 
 @dataclass
@@ -499,21 +485,14 @@ def run_command(name: str, cfg: ExperimentConfig, outdir=None) -> dict:
     The output directory defaults to <root>/<name>.  ``config.json`` is
     written there before the command runs, so it is left even when the
     command raises, and ``summary.json`` from the returned summary after
-    it.  A problem with
-    ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one BLAS thread; above that,
-    the commands in ``SCIPY_ONE_THREAD_COMMANDS`` run with scipy's OpenBLAS
-    on one thread, and the others keep the counts.
+    it.  A problem with ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one
+    BLAS thread; a larger one keeps the counts.
     """
     if name not in COMMANDS:
         raise ConfigError(f"unknown command {name!r}")
     out = Path(outdir) if outdir is not None else cfg.resolved_out(name)
     p = make_problem(cfg)
-    if max(p.A.shape) <= ONE_THREAD_MAX_DIM:
-        threads = blas_threads(1)
-    elif name in SCIPY_ONE_THREAD_COMMANDS:
-        threads = blas_threads(1, scipy_only=True)
-    else:
-        threads = nullcontext()
+    threads = blas_threads(1) if max(p.A.shape) <= ONE_THREAD_MAX_DIM else nullcontext()
     _prepare(out, cfg)
     with threads:
         summary = COMMANDS[name](cfg, p, out)

@@ -5,11 +5,13 @@ complex eigenvalues and a real eigenbasis, forward/backward triangular
 solves, and the least-norm solve used as the reference solution of
 consistent systems.
 
-All inputs are 64-bit real; only eigenvalues are complex.  Every
+All inputs are 64-bit real (complex or non-numeric data raises
+ValueError); only eigenvalues are complex.  The decompositions are
+scipy's LAPACK, so they share one OpenBLAS with the sweep engine.  Every
 numerical routine is a pure function of its arguments and is safe to call
-from parallel workers.  The exception is
-:func:`blas_threads`: the OpenBLAS thread count it lowers is global to the
-process, so it also governs any other thread's BLAS calls inside its block.
+from parallel workers.  The exception is :func:`blas_threads`: the thread
+count it lowers is global to the process, so it also governs any other
+thread's BLAS calls inside its block.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from __future__ import annotations
 import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import NumericalError
 
@@ -50,8 +50,16 @@ _THREAD_SYMBOLS = tuple(
 )
 
 
+def _as_real(x, what: str = "matrix") -> np.ndarray:
+    """x as a float array; ValueError for complex or non-numeric data, never a cast."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be real, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def _as_matrix(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
+    A = _as_real(A)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
@@ -90,12 +98,11 @@ class EigResult:
     for a real one); ``eigenvalues[conj]`` equals their conjugates
     exactly, and ``conj`` is an involution.
 
-    ``R0`` is the real basis of the eigenvectors, the real vector pairs of
-    LAPACK's ``dgeev`` in the sorted order: column i is x_i for a real
-    mode and Re x_i for the member of a pair with Im lambda_i > 0, and
-    column conj[i] is Im x_i.  So x_i = R0[:, i] + i R0[:, conj[i]] and
-    x_conj[i] is its conjugate; the complex eigenvector matrix C is never
-    formed.
+    ``R0`` is the real basis of the eigenvectors, LAPACK's ``dgeev`` right
+    vectors in the sorted order: column i is x_i for a real mode and Re x_i
+    for the member of a pair with Im lambda_i > 0, and column conj[i] is
+    Im x_i.  So x_i = R0[:, i] + i R0[:, conj[i]] and x_conj[i] is its
+    conjugate; the complex eigenvector matrix C is never formed.
 
     ``kappa`` is the 2-norm condition number of C.  It is taken on the
     real matrix R whose columns are x for a real mode and sqrt(2) Re x,
@@ -143,7 +150,7 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
         rank_tol = default_rank_tol(A)
     if not (np.isfinite(rank_tol) and rank_tol >= 0):
         raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
-    U, S, Vt = np.linalg.svd(A, full_matrices=False)
+    U, S, Vt = sla.svd(A, full_matrices=False, check_finite=False)
     if S[0] <= 0.0:
         raise NumericalError("rank zero matrix")
     r = int(np.count_nonzero(S > rank_tol * S[0]))
@@ -162,47 +169,48 @@ def _eig_order(w: np.ndarray) -> np.ndarray:
 def eig_general(M) -> EigResult:
     """Eigendecomposition of a square real matrix, complex eigenvalues allowed.
 
-    Complex eigenvalues of real input occur in conjugate pairs, and LAPACK
-    returns each pair at (j, j+1) with Im w[j] > 0 and exactly conjugate
-    vectors.  The pairs are read from that order, before the sort, since
-    repeated complex eigenvalues make adjacency after the sort ambiguous,
-    and the real basis R0 is built there too: X.real, with Im x_j in the
-    partner's column j+1.  Only R0 is sorted; the complex vectors are
-    dropped.  The eigenvector-matrix condition number kappa, taken from one
-    real values-only SVD (see :class:`EigResult`), is reported so callers
-    can detect near-defective spectra.
+    One ``dgeev`` call, on the queried optimal workspace (the wrapper's
+    default of 4n is far slower).  It returns each conjugate pair at
+    (j, j+1) with Im w[j] > 0, and Re x_j, Im x_j in columns j, j+1 of its
+    real right vectors, which are R0 before the sort.  The pairs are read
+    there, since repeated complex eigenvalues make adjacency after the sort
+    ambiguous.  kappa, from one real values-only SVD (see
+    :class:`EigResult`), lets callers detect near-defective spectra.
+    Raises NumericalError when ``dgeev`` fails.
     """
     M = _as_matrix(M)
-    if M.shape[0] != M.shape[1]:
+    n = M.shape[0]
+    if n != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
-    try:
-        w, X = np.linalg.eig(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    partner = np.arange(w.size)
-    up = np.flatnonzero(w.imag > 0)
+    work, _ = lapack.dgeev_lwork(n, compute_vl=0)
+    wr, wi, _, vr, info = lapack.dgeev(M, compute_vl=0, lwork=int(work))
+    if info != 0:
+        raise NumericalError(f"eigendecomposition failed: dgeev info = {info}")
+    w = wr
+    if wi.any():  # real eigenvalues stay a real array
+        w = wr.astype(complex)
+        w.imag = wi
+    partner = np.arange(n)
+    up = np.flatnonzero(wi > 0)
     if np.any(w[up + 1] != w[up].conj()):  # pragma: no cover - not LAPACK's layout
         raise NumericalError("eigenvalues are not in conjugate pairs")
     partner[up], partner[up + 1] = up + 1, up
-    R0 = X.real.copy()
-    R0[:, up + 1] = X[:, up].imag
-    del X
     order = _eig_order(w)
     rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
+    rank[order] = np.arange(n)
     w = np.ascontiguousarray(w[order])
-    R0 = np.take(R0, order, axis=1)  # C-ordered: the layout decides how V @ R0 rounds
+    R0 = vr[:, order]  # Fortran-ordered, like vr: dgemm and dgesv read it uncopied
+    del vr
     conj = rank[partner[order]]
-    kappa = float(np.linalg.cond(R0 * np.where(w.imag != 0, np.sqrt(2.0), 1.0), 2))
-    return EigResult(eigenvalues=w, R0=R0, kappa=kappa, conj=conj)
+    s = sla.svdvals(R0 * np.where(w.imag != 0, np.sqrt(2.0), 1.0), overwrite_a=True)
+    return EigResult(eigenvalues=w, R0=R0, kappa=float(s[0] / s[-1]), conj=conj)
 
 
 def eigvals(M) -> np.ndarray:
     """Eigenvalues only (complex) of a square real matrix, in eig_general's order.
 
     LAPACK's values-only path (Golub and Van Loan, *Matrix Computations*,
-    7.5), through scipy, so callers whose products run in scipy's BLAS
-    stay inside one OpenBLAS.
+    7.5).
     """
     M = _as_matrix(M)
     if M.shape[0] != M.shape[1]:
@@ -255,31 +263,11 @@ def least_norm_solution(
     return LeastNormResult(x=x, residual=residual, inconsistent=inconsistent)
 
 
-class _ThreadControl(NamedTuple):
-    """Thread-count functions of one mapped OpenBLAS and whose build it is."""
-
-    get: Callable[[], int]
-    set: Callable[[int], None]
-    owner: str | None  # "numpy", "scipy", or None for a library outside both packages
-
-
-def _owner(path: str) -> str | None:
-    """The package ("numpy" or "scipy") whose wheel ships the library at ``path``."""
-    for pkg in (np, scipy):
-        here = Path(pkg.__file__).parent
-        for d in (here, here.parent / f"{pkg.__name__}.libs"):
-            if Path(path).is_relative_to(d):
-                return pkg.__name__
-    return None
-
-
-def _openblas_thread_controls() -> list[_ThreadControl]:
-    """The thread-count controls of every OpenBLAS mapped into the process.
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process.
 
     Read from ``/proc/self/maps``; an empty list where that file or the
-    symbols are missing (another platform or BLAS).  Each control names the
-    package that ships its library, so numpy's build (``numpy.libs``) and
-    scipy's (``scipy.libs``) can be told apart.
+    symbols are missing (another platform or BLAS).
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -297,19 +285,16 @@ def _openblas_thread_controls() -> list[_ThreadControl]:
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append(_ThreadControl(get, set_, _owner(path)))
+                controls.append((get, set_))
                 break
     return controls
 
 
 @contextmanager
-def blas_threads(k: int, scipy_only: bool = False):
-    """Run the block with the mapped OpenBLAS builds on at most ``k`` threads.
+def blas_threads(k: int):
+    """Run the block with every mapped OpenBLAS on at most ``k`` threads.
 
-    Every build is lowered, or with ``scipy_only`` only scipy's, and that
-    only when numpy's build is a separate library: where one OpenBLAS
-    serves both packages, or the builds cannot be told apart, nothing is
-    lowered.  A build already at ``k`` threads or fewer (say, through
+    A build already at ``k`` threads or fewer (say, through
     ``OPENBLAS_NUM_THREADS``) is left alone, so no count is ever raised;
     each lowered count is restored on exit, also when the block raises.
     The builds are looked up on entry, and without any the block runs
@@ -318,17 +303,13 @@ def blas_threads(k: int, scipy_only: bool = False):
     """
     if k < 1:
         raise ValueError("thread count must be at least 1")
-    controls = _openblas_thread_controls()
-    if scipy_only:
-        told_apart = {"numpy", "scipy"} <= {c.owner for c in controls}
-        controls = [c for c in controls if told_apart and c.owner == "scipy"]
     lowered = []
     try:
-        for c in controls:
-            n = c.get()
+        for get, set_ in _openblas_thread_controls():
+            n = get()
             if n > k:
-                c.set(k)
-                lowered.append((c.set, n))
+                set_(k)
+                lowered.append((set_, n))
         yield
     finally:
         for set_, n in reversed(lowered):

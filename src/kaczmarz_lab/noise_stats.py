@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import NumericalError
 from .operator import SharpMaps, _check_ks
@@ -272,7 +273,7 @@ def expected_norms(
         for lo in range(0, count, _MC_BLOCK):
             draws = rng.standard_normal((min(_MC_BLOCK, count - lo), m))
             draws *= scale  # in place: the values of scale * draws, without a second array
-            Z_r, Z_i = M_r @ draws.T, M_i @ draws.T
+            Z_r, Z_i = dgemm(1.0, M_r, draws.T), dgemm(1.0, M_i, draws.T)
             for j, k in enumerate(ks):
                 out[j, lo:lo + draws.shape[0]] = np.sum(sm.k_sweep(k, Z_r, Z_i) ** 2, axis=0)
         return out

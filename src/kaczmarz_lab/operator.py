@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalError
 from .linalg import SvdResult, _check_triangular_diag, eig_general, eigvals, svd
@@ -137,14 +138,11 @@ class SweepOperator:
     half-sweep (rows m..1) is X + A^T L^-T (B - A X), with ``lf.solve`` on
     A's factor ``lf``.  With no data (B = None, i.e. zero) they apply G and
     G^T.  Every product goes through scipy's BLAS wrappers on
-    Fortran-ordered arrays: interleaving them with numpy's ``@``, which
-    links its own OpenBLAS, stalls when both libraries run several
-    threads, because the idle pool's threads spin while the other works.
-    The CLI runs desk-small problems on one thread of each
-    (``experiments.ONE_THREAD_MAX_DIM``).  Above that, the commands whose
-    dense work is numpy's LAPACK run scipy's build on one thread
-    (``experiments.SCIPY_ONE_THREAD_COMMANDS``), and the others, whose work
-    is this engine, keep both counts.
+    Fortran-ordered arrays, which they read without a copy.  numpy's
+    ``@`` would run in numpy's own OpenBLAS, and with both libraries on
+    several threads the idle pool's threads spin while the other works.
+    The CLI runs desk-small problems on one BLAS thread
+    (``experiments.ONE_THREAD_MAX_DIM``).
     """
 
     def __init__(self, A, lf: LFactor):
@@ -268,7 +266,8 @@ class SharpMaps:
         X is n-by-k.  Row j of W^+ is (Y_j - i Y_j') / 2 for a pair (j, j')
         and Y_j for a real mode; it is divided by d = 1 - lambda_j as
         x conj(d) / |d|^2, in real arithmetic, before the two real products
-        with X.
+        with X.  The products read X through its transpose, so a C-ordered
+        X, such as ``b_transpose().T``, is not copied.
         """
         keep = self.keep
         lam = self.lam[keep]
@@ -284,7 +283,10 @@ class SharpMaps:
         P += Q
         del Q
         P[~pair] = 0.0  # a real mode has no imaginary part: exactly +0
-        return re @ X, P @ X
+        Xt = np.asarray(X).T
+        Z_r = dgemm(1.0, re.T, Xt, trans_a=1, trans_b=1)
+        del re  # not held while the second product is formed
+        return Z_r, dgemm(1.0, P.T, Xt, trans_a=1, trans_b=1)
 
     def k_sweep(self, k: int, Z_r, Z_i) -> np.ndarray:
         """Re(W (I - Lambda^k) Z) for Z = Z_r + i Z_i given on the modes ``keep``.
@@ -299,10 +301,10 @@ class SharpMaps:
         pair = lam.imag > 0
         phi = np.where(pair, 2.0, 1.0) * (1.0 - lam ** int(k))
         p_r, p_i = phi.real[:, None], phi.imag[:, None]
-        T = np.empty((self.r, Z_r.shape[1]))
+        T = np.empty((self.r, Z_r.shape[1]), order="F")
         T[keep] = p_r * Z_r - p_i * Z_i
         T[self.conj[keep[pair]]] = -(p_r * Z_i + p_i * Z_r)[pair]
-        return self.W_real @ T
+        return dgemm(1.0, self.W_real, T)
 
     def _weight(self, E, transpose: bool = False) -> np.ndarray:
         """B's data-space factor on an m-by-k E: L^-1 E (L^-T E if ``transpose``), or S E."""
@@ -324,7 +326,8 @@ class SharpMaps:
             raise ValueError(f"e must have {self.lf.m} rows, got shape {e.shape}")
         if not np.all(np.isfinite(e)):
             raise ValueError("e has non-finite entries")
-        return self.A.T @ self._weight(e.reshape(e.shape[0], -1)).reshape(e.shape)
+        y = dgemm(1.0, self.A.T, self._weight(e.reshape(e.shape[0], -1)))
+        return y.reshape(y.shape[:1] + e.shape[1:])
 
     def apply_A_sharp(self, e) -> np.ndarray:
         """Fixed-point map: least-norm limit of the sweeps on data e.
@@ -355,15 +358,16 @@ def sharp_maps(
     """Eigendecompose the restricted operator and package the sharp maps.
 
     Everything stored but the eigenvalues is real (see :class:`SharpMaps`):
-    the real basis R0 of the eigenvectors, their lift V R0 in one real
-    product, and Y = R0^-1 V^T from one real LU.  The eigenvectors are
+    the real basis R0 of the eigenvectors, their lift V R0 in one ``dgemm``,
+    and Y = R0^-1 V^T from one real LU (``dgesv``).  The eigenvectors are
     C = R0 P, where P mixes each conjugate pair's columns by
     [[1, 1], [i, -i]], so W^+ = C^-1 V^T = P^-1 Y, whose rows
     ``SharpMaps.coefficients`` reads from Y's.
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
     within ``convergence_tol`` of 1, since then I - G is not invertible
-    on the row space and the fixed point is undefined.
+    on the row space and the fixed point is undefined, and NumericalError
+    when ``dgesv`` finds R0 singular.
     """
     if variant not in ("standard", "symmetric"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -375,6 +379,9 @@ def sharp_maps(
     if np.min(np.abs(1.0 - lam)) < convergence_tol:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
     R0 = eig.R0
+    _, _, Y, info = dgesv(R0, sv.V.T)
+    if info != 0:
+        raise NumericalError(f"eigenbasis LU failed: dgesv info = {info}")
     return SharpMaps(
         A=A,
         lf=lf,
@@ -382,8 +389,8 @@ def sharp_maps(
         variant=variant,
         lam=lam,
         R0=R0,
-        W_real=sv.V @ R0,
-        Y=np.linalg.solve(R0, sv.V.T),
+        W_real=dgemm(1.0, sv.V.T, R0, trans_a=1),
+        Y=Y,
         conj=eig.conj,
         kappa_W=eig.kappa,
         ro=ro,

@@ -28,6 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _as_real
+
 __all__ = [
     "TestProblem",
     "NoiseModel",
@@ -68,7 +70,9 @@ class TestProblem:
         return self.A.shape[1]
 
     def validate(self) -> None:
-        """Raise ValueError unless shapes, finiteness and the invariants hold."""
+        """Raise ValueError unless dtypes, shapes, finiteness and the invariants hold."""
+        for label in ("A", "x_bar", "b_bar"):
+            _as_real(getattr(self, label), f"problem {self.name!r}: {label}")
         if self.A.ndim != 2:
             raise ValueError(f"problem {self.name!r}: A must be 2-d, got shape {self.A.shape}")
         for label, vec, size in (("x_bar", self.x_bar, self.n), ("b_bar", self.b_bar, self.m)):
@@ -396,16 +400,22 @@ def save_problem(p: TestProblem, path) -> None:
 def load_problem(path) -> TestProblem:
     """Read a problem written by :func:`save_problem`.
 
-    Raises ValueError when the container is inconsistent: a header that
-    disagrees with the matrix, or a problem that fails
+    Raises ValueError when the container is inconsistent: a missing
+    member, a header that is not a table with the keys ``save_problem``
+    writes or that disagrees with the matrix, or a problem that fails
     :meth:`TestProblem.validate`.
     """
     with zipfile.ZipFile(path, "r") as zf:
-        header = json.loads(zf.read("header.json"))
-        arrays = {
-            name: np.load(io.BytesIO(zf.read(name + ".npy")))
-            for name in ("A", "x_bar", "b_bar")
-        }
+        try:
+            header = json.loads(zf.read("header.json"))
+            arrays = {
+                name: np.load(io.BytesIO(zf.read(name + ".npy")))
+                for name in ("A", "x_bar", "b_bar")
+            }
+        except KeyError as exc:  # zipfile's error for a missing member
+            raise ValueError(f"incomplete container: {exc.args[0]}") from exc
+    if not (isinstance(header, dict) and {"name", "params", "m", "n"} <= header.keys()):
+        raise ValueError("container header must be a table of name, params, m and n")
     p = TestProblem(
         A=arrays["A"],
         x_bar=arrays["x_bar"],

@@ -22,11 +22,13 @@ Iterations are never auto-stopped; ``max_sweeps`` governs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .linalg import _as_matrix, _as_real
 from .operator import SweepOperator, build_L
 from .tables import write_table
 
@@ -63,8 +65,9 @@ class SweepConfig:
             raise ValueError("omega must lie in (0, 2)")
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be nonnegative")
+        k = self.max_sweeps
+        if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and k >= 0):
+            raise ValueError(f"max_sweeps must be a nonnegative integer, got {k!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +152,8 @@ def sweep_randomized(A, b, x, omega: float, rng: np.random.Generator, rn=None) -
 
 
 def _rhs_block(b, m: int) -> np.ndarray:
-    """b as a Fortran-ordered m-by-R block; loud on a bad shape or value."""
-    B = np.asarray(b, dtype=float)
+    """b as a Fortran-ordered m-by-R block; loud on a bad dtype, shape or value."""
+    B = _as_real(b, "b")
     if B.ndim not in (1, 2) or B.shape[0] != m or B.size == 0:
         raise ValueError(
             f"b must be an {m}-vector or an {m}-by-R block, R >= 1, got shape {B.shape}"
@@ -168,10 +171,11 @@ def run(p, b, cfg: SweepConfig, reference=None):
     columns are swept together.  Each history records the residual norm
     ||b - A x_k|| per sweep, the error norm ||x_k - reference|| when a
     reference n-vector is given, and the iterates themselves when
-    cfg.store_iterates is set.  Raises ValueError for a b or a reference
+    cfg.store_iterates is set.  Raises ValueError for an A or b that is
+    complex or non-numeric, for a non-finite A, and for a b or a reference
     of the wrong length or with non-finite entries.
     """
-    A = np.asarray(p.A, dtype=float)
+    A = _as_matrix(p.A)
     m, n = A.shape
     B = _rhs_block(b, m)
     R, K = B.shape[1], cfg.max_sweeps
@@ -193,7 +197,7 @@ def run(p, b, cfg: SweepConfig, reference=None):
     errors = None if reference is None else np.empty((R, K + 1))
     iterates = np.empty((R, K + 1, n)) if cfg.store_iterates else None
     if reference is not None:
-        reference = np.asarray(reference, dtype=float)
+        reference = _as_real(reference, "reference")
         if reference.shape != (n,):
             raise ValueError(f"reference must be an {n}-vector, got shape {reference.shape}")
         if not np.all(np.isfinite(reference)):
@@ -226,11 +230,12 @@ def cgls(A, b, k_max: int) -> IterationHistory:
 
     Iterates are always stored.  On breakdown (vanishing direction norm)
     the history is truncated and flagged "breakdown".  Raises ValueError
-    for a b that is not one m-vector of finite entries.
+    for a complex or non-numeric A and for a b that is not one m-vector of
+    finite real entries.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    A = np.asarray(A, dtype=float)
+    A = _as_matrix(A)
     B = _rhs_block(b, A.shape[0])
     if B.shape[1] != 1:
         raise ValueError(f"cgls takes one right-hand side, got {B.shape[1]}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .linalg import SvdResult, eig_general, eigvals
 from .operator import LFactor, RestrictedOperator, build_L, restrict_to_V
@@ -113,8 +114,17 @@ class BoundsReport:
     omega: float
 
 
+def _check_tol(name: str, value) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def spectrum(ro: RestrictedOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
-    """Eigendecompose a restricted operator and summarize its spectrum."""
+    """Eigendecompose a restricted operator and summarize its spectrum.
+
+    Raises ValueError for a NaN, infinite or negative ``zero_tol``.
+    """
+    _check_tol("zero_tol", zero_tol)
     eig = eig_general(ro.Gv)
     lam = eig.eigenvalues
     return SpectrumReport(
@@ -236,11 +246,11 @@ def rho_bounds(
         abs(top.imag) <= 1e-12 * max(1.0, abs(top)) and top.real > 0.0 and simple
     )
 
-    norm_G = float(np.linalg.norm(ro.Gv, 2))
+    norm_G = float(sla.svdvals(ro.Gv, check_finite=False)[0])
     sigma_min = float(sv.S[-1])
-    norm_L = float(np.linalg.norm(lf.L, 2))
+    norm_L = float(sla.svdvals(lf.L, check_finite=False)[0])
     L_inv = lf.solve(np.eye(lf.m, order="F"))
-    nu = float(np.linalg.eigvalsh(0.5 * (L_inv + L_inv.T))[0])
+    nu = float(sla.eigvalsh(0.5 * (L_inv + L_inv.T), driver="evd", overwrite_a=True)[0])
 
     lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
     if kappa_X is None:
@@ -309,12 +319,14 @@ def small_omega_scan(
 
     Every product and the eigensolve go through scipy's BLAS and LAPACK
     (``build_L``, the ``SweepOperator`` engine behind ``restrict_to_V``,
-    ``linalg.eigvals``); mixing in numpy's OpenBLAS makes the idle
-    threads of one library spin while the other works.  At r = 128 even
-    one library's second thread costs time, so the CLI runs such scans on
-    one BLAS thread (``experiments.ONE_THREAD_MAX_DIM``).  A is made
-    Fortran-ordered once, so no step copies it per omega.
+    ``linalg.eigvals``), so the scan runs in one OpenBLAS.  At r = 128 a
+    second BLAS thread costs time, so the CLI runs such scans on one
+    (``experiments.ONE_THREAD_MAX_DIM``).  A is made Fortran-ordered once,
+    so no step copies it per omega.  Raises ValueError for a NaN,
+    infinite or negative ``zero_tol`` or ``im_tol``.
     """
+    _check_tol("zero_tol", zero_tol)
+    _check_tol("im_tol", im_tol)
     A = np.asfortranarray(A, dtype=float)
     rows = []
     for omega in sorted(float(w) for w in omegas):

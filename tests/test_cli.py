@@ -79,14 +79,14 @@ TOMO24 = ["--problem", "paralleltomo", "--N", "24", "--n-angles", "32", "--rays"
 ])
 def test_csv_independent_of_blas_threads(command, args, tmp_path, monkeypatch):
     # the thread rule of run_command must not change a byte: the same CSVs
-    # under the rule (one thread on the SMALL configs, scipy's build on one
-    # thread for the tomography commands) and on the library's default of
-    # two or more
-    if max(c.get() for c in linalg._openblas_thread_controls()) < 2:
+    # under the rule (one thread on the SMALL configs, the counts untouched
+    # for the tomography commands) and on the library's default of two or
+    # more.  At r = 576 LAPACK's eigenvectors move with the thread count, so
+    # the tomography cases check that the rule leaves their counts alone
+    if max(get() for get, _ in linalg._openblas_thread_controls()) < 2:
         pytest.skip("needs an OpenBLAS with at least two threads")
     assert main([command, *args, "--out", str(tmp_path / "rule")]) == 0
     monkeypatch.setattr(experiments, "ONE_THREAD_MAX_DIM", 0)
-    monkeypatch.setattr(experiments, "SCIPY_ONE_THREAD_COMMANDS", frozenset())
     assert main([command, *args, "--out", str(tmp_path / "multi")]) == 0
     assert _csv_bytes(tmp_path / "multi" / command) == _csv_bytes(tmp_path / "rule" / command)
 
@@ -129,23 +129,31 @@ class TestOutputStep:
         assert json.loads((tmp_path / "summary.json").read_text()) == summary
 
 
-def test_scipy_pin_set_is_the_eig_general_commands(tmp_path, monkeypatch):
-    # the pin is for commands whose dense work is numpy's eig_general; a
-    # command that stops calling it (or starts) must move in or out of the set
-    callers = set()
-    command = None
-    real = linalg.eig_general
+_DENSE_NUMPY = ("svd", "eig", "eigvals", "solve", "cond", "eigvalsh", "eigh", "qr", "lstsq",
+                "inv", "pinv", "det", "slogdet", "matrix_rank")
 
-    def spy(M):
-        callers.add(command)
-        return real(M)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("kaczmarz_lab") and getattr(module, "eig_general", None) is real:
-            monkeypatch.setattr(module, "eig_general", spy)
-    for command in sorted(COMMANDS):
-        assert main([command, *SMALL[command], "--out", str(tmp_path)]) == 0
-    assert callers == experiments.SCIPY_ONE_THREAD_COMMANDS
+def test_eigendecomposition_commands_use_no_numpy_lapack(tmp_path, monkeypatch):
+    # every dense kernel of eigplot, noisestats and bounds is scipy's, so the
+    # two OpenBLAS builds never alternate inside a command
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in _DENSE_NUMPY:
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+    norm = np.linalg.norm
+
+    def vector_norm(x, ord=None, *args, **kwargs):
+        if np.ndim(x) == 2 and ord in (2, -2, "nuc"):
+            raise AssertionError("numpy.linalg.norm of a matrix by its singular values")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", vector_norm)
+    for command, extra in (("eigplot", []), ("bounds", []),
+                           ("noisestats", ["--sigma", "5e-3", "--ks", "1", "20", "--n-mc", "20"])):
+        assert main([command, *TOMO24, *extra, "--out", str(tmp_path)]) == 0
 
 
 def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):

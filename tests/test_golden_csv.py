@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 import scipy
 
-from kaczmarz_lab import linalg
 from kaczmarz_lab.cli import main
 from test_cli import SMALL, _csv_bytes
 
@@ -28,7 +27,12 @@ DIGESTS = Path(__file__).resolve().parent / "data" / "small_csv_sha256.json"
 
 
 def _environment() -> dict:
-    """numpy and scipy versions and each mapped OpenBLAS's runtime config by owner."""
+    """numpy and scipy versions and each mapped OpenBLAS's runtime config.
+
+    Each build is labelled by the directory that holds it, which for a
+    wheel's bundled OpenBLAS is the wheel's library directory
+    (``numpy.libs``, ``scipy.libs``).
+    """
     openblas = {}
     try:
         with open("/proc/self/maps") as fh:
@@ -42,7 +46,7 @@ def _environment() -> dict:
                 get = getattr(lib, f"{prefix}get_config{suffix}", None)
                 if get is not None:
                     get.argtypes, get.restype = [], ctypes.c_char_p
-                    openblas[linalg._owner(path) or path] = get().decode().strip()
+                    openblas[Path(path).parent.name] = get().decode().strip()
     return {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": openblas}
 
 

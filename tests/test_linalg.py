@@ -5,11 +5,13 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+import scipy.linalg as sla
+from scipy.linalg import lapack
 
 import kaczmarz_lab as kl
 from kaczmarz_lab import experiments, linalg
@@ -78,8 +80,8 @@ def complex_eigenvectors(lam, R0, conj) -> np.ndarray:
 
 
 def lapack_eigenvectors(M) -> np.ndarray:
-    """numpy's complex eigenvectors of M, sorted as eig_general sorts its eigenvalues."""
-    w, X = np.linalg.eig(M)
+    """scipy's complex eigenvectors of M, sorted as eig_general sorts its eigenvalues."""
+    w, X = sla.eig(M)
     return X[:, linalg._eig_order(w)]
 
 
@@ -160,7 +162,7 @@ def pair_case(request):
 class TestConjugatePairs:
     """The real basis R0, kappa from it, and the ``conj`` index of each eigenvalue.
 
-    The complex references are numpy's own eigenvectors, sorted as
+    The complex references are scipy's own eigenvectors, sorted as
     eig_general sorts, and the matrix C that R0 and conj stand for.
     """
 
@@ -187,6 +189,19 @@ class TestConjugatePairs:
         assert not np.iscomplexobj(eig.R0)
         assert C.tobytes() == X.astype(complex).tobytes()
 
+    def test_R0_is_dgeev_vr_sorted(self, pair_case):
+        # R0 is LAPACK's real right-vector array itself, bit for bit, with
+        # its columns in the order of the sorted eigenvalues
+        _, M, eig = pair_case
+        work, _ = lapack.dgeev_lwork(M.shape[0], compute_vl=0)
+        wr, wi, _, vr, info = lapack.dgeev(M, compute_vl=0, lwork=int(work))
+        assert info == 0
+        w = wr + 1j * wi
+        order = linalg._eig_order(w)
+        assert np.array_equal(eig.eigenvalues, w[order])
+        want = np.ascontiguousarray(vr[:, order])
+        assert np.ascontiguousarray(eig.R0).tobytes() == want.tobytes()
+
     def test_only_the_eigenvalues_are_complex(self, pair_case):
         _, _, eig = pair_case
         for f in dataclasses.fields(eig):
@@ -198,7 +213,7 @@ class TestConjugatePairs:
         name, M, eig = pair_case
         lam = eig.eigenvalues
         if name == "symmetric":
-            # numpy returns real arrays for a real spectrum
+            # a real spectrum is returned as a real array
             assert not np.iscomplexobj(lam)
             assert np.array_equal(eig.conj, np.arange(9))
         elif name == "rotation_blocks":
@@ -208,12 +223,13 @@ class TestConjugatePairs:
         elif name == "gravity128":
             assert 1e6 < eig.kappa < 3e6
         else:
-            assert np.count_nonzero(lam.imag) == 494
+            assert np.count_nonzero(lam.imag) == 490
 
 
 def test_eig_general_memory(tomo24_restricted):
-    # the complex vectors are dropped before the sort: at r = 576 the
-    # traced peak was 15.2 MiB when a sorted complex copy was kept
+    # R0 is dgeev's own real array, and no complex vectors are formed: at
+    # r = 576 the traced peak is 5.6 MiB; it was 15.2 MiB when a sorted
+    # complex copy was kept
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -222,7 +238,32 @@ def test_eig_general_memory(tomo24_restricted):
     finally:
         tracemalloc.stop()
     assert eig.R0.shape == (576, 576)
-    assert peak <= 12 * 2**20
+    assert peak <= 8 * 2**20
+
+
+def test_dgeev_failure_raises(monkeypatch):
+    def failing(a, compute_vl=1, compute_vr=1, lwork=None, overwrite_a=0):
+        n = a.shape[0]
+        return np.zeros(n), np.zeros(n), np.zeros((1, 1)), np.zeros((n, n)), n
+    monkeypatch.setattr(linalg.lapack, "dgeev", failing)
+    with pytest.raises(NumericalError, match="dgeev info = 3"):
+        kl.eig_general(np.eye(3))
+
+
+class TestRealInputOnly:
+    # complex or non-numeric data is rejected, never cast to its real part
+    # with a ComplexWarning
+    @pytest.mark.parametrize("fn", [kl.svd, kl.eig_general, kl.eigvals, kl.least_norm_solution],
+                             ids=["svd", "eig_general", "eigvals", "least_norm_solution"])
+    @pytest.mark.parametrize("bad", ["complex", "object", "string"])
+    def test_rejected(self, fn, bad):
+        A = kl.gravity(16, 0.1).A
+        A = {"complex": A + 1e-3j, "object": A.astype(object), "string": A.astype(str)}[bad]
+        args = (A, np.ones(16)) if fn is kl.least_norm_solution else (A,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="matrix must be real"):
+                fn(*args)
 
 
 class TestEigvals:
@@ -341,19 +382,17 @@ class TestLeastNorm:
 
 
 def _thread_counts():
-    return [c.get() for c in linalg._openblas_thread_controls()]
+    return [get() for get, _ in linalg._openblas_thread_controls()]
 
 
 class _FakeBuild:
     """A stand-in OpenBLAS whose thread count is a plain attribute."""
 
-    def __init__(self, threads, owner=None):
+    def __init__(self, threads):
         self.threads = threads
-        self.owner = owner
 
     def control(self):
-        return linalg._ThreadControl(
-            lambda: self.threads, lambda k: setattr(self, "threads", k), self.owner)
+        return lambda: self.threads, lambda k: setattr(self, "threads", k)
 
 
 class TestBlasThreads:
@@ -385,10 +424,10 @@ class TestBlasThreads:
 
     def test_no_build_found_is_a_noop(self, monkeypatch):
         real = linalg._openblas_thread_controls()
-        before = [c.get() for c in real]
+        before = [get() for get, _ in real]
         monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: [])
         with linalg.blas_threads(1):
-            assert [c.get() for c in real] == before
+            assert [get() for get, _ in real] == before
             np.testing.assert_allclose(kl.svd(np.eye(3)).S, np.ones(3))
 
     def test_rejects_zero_threads(self):
@@ -396,55 +435,21 @@ class TestBlasThreads:
             with linalg.blas_threads(0):
                 pass  # pragma: no cover
 
-    def test_scipy_only_lowers_only_scipys_build(self, monkeypatch):
-        builds = [_FakeBuild(2, "numpy"), _FakeBuild(3, "scipy"), _FakeBuild(4)]
-        monkeypatch.setattr(linalg, "_openblas_thread_controls",
-                            lambda: [b.control() for b in builds])
-        with linalg.blas_threads(1, scipy_only=True):
-            assert [b.threads for b in builds] == [2, 1, 4]
-        assert [b.threads for b in builds] == [2, 3, 4]
-
-    @pytest.mark.parametrize("owners", [[None], ["numpy"], ["scipy"], [None, None],
-                                        ["scipy", None]],
-                             ids=["shared", "numpy-only", "scipy-only", "unknown-pair",
-                                  "no-numpy-build"])
-    def test_one_shared_build_lowers_nothing(self, monkeypatch, owners):
-        # one OpenBLAS serving both packages, or builds that cannot be told
-        # apart: lowering "scipy's" would lower numpy's too, so nothing is
-        builds = [_FakeBuild(2, owner) for owner in owners]
-        monkeypatch.setattr(linalg, "_openblas_thread_controls",
-                            lambda: [b.control() for b in builds])
-        with linalg.blas_threads(1, scipy_only=True):
-            assert [b.threads for b in builds] == [2] * len(owners)
-        with linalg.blas_threads(1):
-            assert [b.threads for b in builds] == [1] * len(owners)
-
-    def test_owner_from_library_path(self):
-        site = Path(np.__file__).parent.parent
-        assert linalg._owner(str(site / "numpy.libs" / "libscipy_openblas64_-x.so")) == "numpy"
-        assert linalg._owner(str(site / "scipy.libs" / "libscipy_openblas-x.so")) == "scipy"
-        assert linalg._owner(str(Path(scipy.__file__).parent / ".dylibs" / "lib.so")) == "scipy"
-        assert linalg._owner("/usr/lib/x86_64-linux-gnu/libopenblas.so.0") is None
-
     def test_real_wheel_builds_told_apart(self):
+        # numpy's and scipy's wheels each bundle an OpenBLAS: both are found,
+        # so the one-thread rule lowers both
         site = Path(np.__file__).parent.parent
         if not all(any((site / d).glob("*openblas*")) for d in ("numpy.libs", "scipy.libs")):
             pytest.skip("numpy and scipy do not each bundle an OpenBLAS here")
-        owners = sorted(c.owner for c in linalg._openblas_thread_controls())
-        assert owners == ["numpy", "scipy"]
+        assert len(linalg._openblas_thread_controls()) == 2
 
     @pytest.mark.parametrize("cfg", [
         experiments.ExperimentConfig(problem="gravity", n=32, d=0.06),
         experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32),
     ], ids=["gravity32", "paralleltomo24"])
     def test_run_command_size_rule(self, cfg, tmp_path, monkeypatch):
-        # one thread inside every desk-small command; above the threshold
-        # scipy's build on one thread inside the eigendecomposition commands
-        # and both counts untouched inside the others; the caller's counts
-        # back afterwards
-        controls = linalg._openblas_thread_controls()
-        owners = [c.owner for c in controls]
-        told_apart = {"numpy", "scipy"} <= set(owners)
+        # one thread inside every desk-small command and the counts untouched
+        # inside every larger one; the caller's counts back afterwards
         before = _thread_counts()
         seen = {}
 
@@ -460,27 +465,18 @@ class TestBlasThreads:
             assert _thread_counts() == before
         assert set(seen) == set(experiments.COMMANDS)
         for name, (size, inside) in seen.items():
-            if size <= experiments.ONE_THREAD_MAX_DIM:
-                want = [min(n, 1) for n in before]
-            elif name in experiments.SCIPY_ONE_THREAD_COMMANDS:
-                want = [min(n, 1) if told_apart and owner == "scipy" else n
-                        for n, owner in zip(before, owners)]
-            else:
-                want = before
-            assert inside == want, name
+            small = size <= experiments.ONE_THREAD_MAX_DIM
+            assert inside == ([min(n, 1) for n in before] if small else before), name
 
     def test_never_raises_a_count(self, tmp_path, subprocess_env):
-        # with OPENBLAS_NUM_THREADS=1 every count stays at 1: under larger
-        # requests, and through large commands with and without the scipy
-        # pin and a small one
+        # with OPENBLAS_NUM_THREADS=1 every count stays at 1: under a larger
+        # request, and through two large commands and a small one
         script = """
 import json, sys
 from kaczmarz_lab import experiments, linalg
-counts = lambda: [c.get() for c in linalg._openblas_thread_controls()]
+counts = lambda: [get() for get, _ in linalg._openblas_thread_controls()]
 seen = [counts()]
 with linalg.blas_threads(2):
-    seen.append(counts())
-with linalg.blas_threads(2, scipy_only=True):
     seen.append(counts())
 tomo = experiments.ExperimentConfig(problem="paralleltomo", N=24, n_angles=32, rays=32)
 for name, cfg in (("eigplot", tomo), ("structure", tomo),
@@ -493,5 +489,5 @@ print(json.dumps(seen))
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               capture_output=True, text=True, env=env, check=True)
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert len(seen) == 6
+        assert len(seen) == 5
         assert all(counts == [1] * len(seen[0]) for counts in seen)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgesv
 
 import kaczmarz_lab as kl
+from kaczmarz_lab import operator
 from kaczmarz_lab.errors import NumericalError
 from test_linalg import complex_eigenvectors, lapack_eigenvectors
 
@@ -467,6 +469,15 @@ class TestSharpMaps:
         with pytest.raises(NumericalError, match="non-convergent"):
             kl.sharp_maps(p.A, kl.build_L(p.A, 1e-300), sv)
 
+    def test_singular_eigenbasis_raises(self, monkeypatch):
+        # dgesv reports a singular R0 through info > 0
+        def singular(a, b, overwrite_a=0, overwrite_b=0):
+            return a, np.zeros(a.shape[0], dtype=np.int32), b, 2
+        monkeypatch.setattr(operator, "dgesv", singular)
+        p = kl.gravity(16, 0.1)
+        with pytest.raises(NumericalError, match="dgesv info = 2"):
+            kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A))
+
 
 @pytest.fixture(scope="module", params=["gravity128", "tomo24", "gravity24-symmetric", "real-spectrum"])
 def real_route_case(request):
@@ -541,14 +552,19 @@ class TestRealFields:
 
     def test_complex_forms_are_the_eager_ones(self, real_route_case):
         # the complex eigenvectors that R0 and conj stand for are LAPACK's,
-        # and the real fields are eig_general's basis, its lift and its LU
+        # and the real fields are eig_general's basis, its lift (one dgemm)
+        # and its LU (dgesv; at two threads OpenBLAS's getrf rounds otherwise).
+        # The lift reads V through its transpose, which can round otherwise
+        # than a product with V's copy
         _, sm, _ = real_route_case
         eig = kl.eig_general(sm.ro.Gv)
         C, _ = _complex_reference(sm)
         assert C.tobytes() == lapack_eigenvectors(sm.ro.Gv).astype(complex).tobytes()
-        for got, want in ((sm.R0, eig.R0), (sm.W_real, sm.sv.V @ eig.R0),
-                          (sm.Y, np.linalg.solve(eig.R0, sm.sv.V.T))):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        lift = dgemm(1.0, sm.sv.V.T, eig.R0, trans_a=1)
+        for got, want in ((sm.R0, eig.R0), (sm.W_real, lift),
+                          (sm.Y, dgesv(eig.R0, sm.sv.V.T)[2])):
+            assert got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
         assert np.array_equal(sm.conj, eig.conj)
 
     def test_real_lift_is_the_lift_of_the_real_basis(self, real_route_case):

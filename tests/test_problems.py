@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import json
 import zipfile
 from pathlib import Path
 
@@ -315,17 +316,28 @@ class TestContainerFormat:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _doctored(tmp_path, **arrays):
-    """A container of gravity(12, 0.1) with the named .npy payloads replaced."""
+def _doctored(tmp_path, **members):
+    """A container of gravity(12, 0.1) with the named members replaced.
+
+    Each keyword names a .npy payload, or ``header``, and maps it to a
+    function of its decoded value; a function that returns None drops it.
+    """
     good, bad = tmp_path / "good.kcz", tmp_path / "bad.kcz"
     kl.save_problem(kl.gravity(12, 0.1), good)
     with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
         for info in src.infolist():
             data = src.read(info)
-            name = info.filename.removesuffix(".npy")
-            if name in arrays:
+            name = info.filename.removesuffix(".npy").removesuffix(".json")
+            if name in members:
+                decode = json.loads if name == "header" else lambda d: np.load(io.BytesIO(d))
+                value = members[name](decode(data))
+                if value is None:
+                    continue
                 buf = io.BytesIO()
-                np.save(buf, arrays[name](np.load(io.BytesIO(data))))
+                if name == "header":
+                    buf.write(json.dumps(value).encode())
+                else:
+                    np.save(buf, value)
                 data = buf.getvalue()
             dst.writestr(info, data)
     return bad
@@ -356,6 +368,30 @@ class TestContainerRejectsInconsistent:
 
         with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
             kl.load_problem(_doctored(tmp_path, **{name: doctor}))
+
+    @pytest.mark.parametrize("name", ["A", "x_bar", "b_bar"])
+    @pytest.mark.parametrize("doctor", [lambda v: v + 1e-3j, lambda v: v.astype(str)],
+                             ids=["complex", "string"])
+    def test_non_real(self, tmp_path, name, doctor):
+        with pytest.raises(ValueError, match=f"{name} must be real"):
+            kl.load_problem(_doctored(tmp_path, **{name: doctor}))
+
+    @pytest.mark.parametrize("doctor, match", [
+        pytest.param(lambda h: [h], "header must be a table", id="header-list"),
+        pytest.param(lambda h: "gravity", "header must be a table", id="header-string"),
+        *(pytest.param(lambda h, k=k: {key: v for key, v in h.items() if key != k},
+                       "header must be a table", id=f"no-{k}")
+          for k in ("name", "params", "m", "n")),
+        pytest.param(lambda h: None, "header.json", id="no-header"),
+    ])
+    def test_bad_header(self, tmp_path, doctor, match):
+        with pytest.raises(ValueError, match=match):
+            kl.load_problem(_doctored(tmp_path, header=doctor))
+
+    @pytest.mark.parametrize("name", ["A", "x_bar", "b_bar"])
+    def test_missing_payload(self, tmp_path, name):
+        with pytest.raises(ValueError, match=f"{name}.npy"):
+            kl.load_problem(_doctored(tmp_path, **{name: lambda v: None}))
 
     def test_inconsistent(self, tmp_path):
         def doctor(b):

@@ -1,5 +1,7 @@
 """Tests for the row-action sweep kernels and the CGLS reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -292,6 +294,25 @@ class TestRunInputChecks:
             with pytest.raises(ValueError, match="non-finite"):
                 kl.run(p, b, kl.SweepConfig(variant=variant, max_sweeps=2))
 
+    @pytest.mark.parametrize("where", ["A", "b", "reference"])
+    def test_complex_data_rejected(self, where):
+        # never cast to the real part with a ComplexWarning
+        p = kl.gravity(8, 0.1)
+        A, b, ref = p.A, p.b_bar, p.x_bar
+        if where == "A":
+            p = kl.TestProblem(A=A + 1e-3j, x_bar=ref, b_bar=b, name="complex")
+        elif where == "b":
+            b = b + 1e-3j
+        else:
+            ref = ref + 1e-3j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                kl.run(p, b, kl.SweepConfig(max_sweeps=2), reference=ref)
+            if where != "reference":
+                with pytest.raises(ValueError, match="must be real"):
+                    kl.cgls(p.A, b, 2)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("omega", [0.0, 2.0, -0.5, 2.5])
@@ -302,6 +323,12 @@ class TestConfigValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             kl.SweepConfig(variant="greedy")
+
+    @pytest.mark.parametrize("max_sweeps", [2.5, np.nan, 3.0, -1, True, "3"])
+    def test_max_sweeps_is_a_nonnegative_integer(self, max_sweeps):
+        # a fractional or NaN count used to pass here and fail in np.empty
+        with pytest.raises(ValueError, match="max_sweeps must be a nonnegative integer"):
+            kl.SweepConfig(max_sweeps=max_sweeps)
 
 
 class TestCgls:

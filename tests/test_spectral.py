@@ -38,6 +38,13 @@ class TestSpectrum:
         assert rep.zero_count == np.sum(np.abs(rep.eigenvalues) <= 1e-8)
         assert not rep.near_defective
 
+    @pytest.mark.parametrize("zero_tol", [np.nan, -1.0, np.inf])
+    def test_bad_zero_tol_rejected(self, zero_tol):
+        # a NaN or negative tolerance used to report zero_count 0
+        _, _, ro = _restricted(kl.gravity(16, 0.1), 1.0)
+        with pytest.raises(ValueError, match="zero_tol must be finite and nonnegative"):
+            kl.spectrum(ro, zero_tol=zero_tol)
+
 
 class TestStructuralOrthogonality:
     def test_diagonal_matrix_full_block(self):
@@ -239,6 +246,15 @@ class TestSmallOmega:
             # 1 - rho below the eigenvalue resolution)
             assert 0.0 < row.rho <= 1.0 + 1e-10
             assert row.zero_count >= 0 and row.n_nonpos_real >= 0
+
+
+    @pytest.mark.parametrize("name", ["zero_tol", "im_tol"])
+    @pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
+    def test_bad_tolerance_rejected(self, name, value):
+        # a NaN im_tol used to make omega0 the last grid point
+        p = kl.gravity(16, 0.1)
+        with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+            kl.small_omega_scan(p.A, kl.svd(p.A), [0.1, 0.2], **{name: value})
 
 
 class TestSmallOmegaAgainstDenseRoute:
