@@ -17,6 +17,7 @@ thread's BLAS calls inside its block.
 from __future__ import annotations
 
 import ctypes
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -56,6 +57,12 @@ def _as_real(x, what: str = "matrix") -> np.ndarray:
     if x.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
     return x.astype(float, copy=False)
+
+
+def _check_int(name: str, value) -> None:
+    """ValueError for a size or count that is not an integer: 2.5, 6.0 or a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _as_matrix(A) -> np.ndarray:

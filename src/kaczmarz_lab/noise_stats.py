@@ -43,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
+from . import spectral
 from .errors import NumericalError
+from .linalg import _check_int
 from .operator import SharpMaps, _check_ks
 from .operator import apply_Ak_sharp  # noqa: F401  (re-exported per-k reference route)
 from .problems import TestProblem
@@ -134,17 +136,14 @@ def error_split(
 class XiProfile:
     """Eigenbasis coefficients of a propagated noise vector.
 
-    ``xi`` are the coefficients of the noise limit in the eigenbasis;
-    ``factors[j, i]`` = |1 - lambda_i^ks[j]|^2, ``terms`` the products
-    factor * |xi_i|^2, and ``norms[j]`` their sum, i.e. the squared
+    ``xi`` are the coefficients of the noise limit in the eigenbasis and
+    ``norms[j]`` = sum_i |1 - lambda_i^ks[j]|^2 |xi_i|^2, the squared
     coefficient norm after ks[j] sweeps.
     """
 
     xi: np.ndarray
     lam: np.ndarray
     ks: np.ndarray
-    factors: np.ndarray
-    terms: np.ndarray
     norms: np.ndarray
 
     def write_csv(self, fh) -> None:
@@ -160,11 +159,12 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
 
     The coefficients are xi = M e = (I - Lambda)^-1 W^+ (B e).  Requires an
     invertible eigenbasis: raises NumericalError when the eigenvector
-    condition number exceeds 1e12.  Raises ValueError for an ``e`` of the
-    wrong length or with non-finite entries, and for a negative or
-    fractional k.
+    condition number exceeds ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound
+    at which ``spectral.spectrum`` flags a spectrum near-defective.  Raises
+    ValueError for an ``e`` of the wrong length or with non-finite entries,
+    and for a negative or fractional k.
     """
-    if sm.kappa_W > 1e12:
+    if sm.kappa_W > spectral.NEAR_DEFECTIVE_KAPPA:
         raise NumericalError(
             f"eigenbasis is near-defective (kappa = {sm.kappa_W:.3e})"
         )
@@ -178,15 +178,8 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     xi[sm.conj[keep]] = z.conj()  # the other mode of each pair; real modes are set next
     xi[keep] = z
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
-    terms = factors * (np.abs(xi) ** 2)[None, :]
-    return XiProfile(
-        xi=xi,
-        lam=lam,
-        ks=ks,
-        factors=factors,
-        terms=terms,
-        norms=terms.sum(axis=1),
-    )
+    norms = (factors * (np.abs(xi) ** 2)[None, :]).sum(axis=1)
+    return XiProfile(xi=xi, lam=lam, ks=ks, norms=norms)
 
 
 @dataclass(frozen=True)
@@ -199,7 +192,8 @@ class ExpectationReport:
     ``mc``/``mc_stderr`` the Monte Carlo estimate used for validation.
     ``e1_estimated`` marks a stochastic trace estimate, used for
     n > EXPLICIT_MAP_MAX_N: 256 Gaussian probes per k, drawn separately
-    from (and after) the Monte Carlo samples.
+    from (and after) the Monte Carlo samples.  sigma and n_mc are the
+    caller's (a CLI run records them in ``config.json``).
     """
 
     ks: np.ndarray
@@ -207,8 +201,6 @@ class ExpectationReport:
     e2: np.ndarray
     mc: np.ndarray
     mc_stderr: np.ndarray
-    sigma: float
-    n_mc: int
     e1_estimated: bool = False
 
     def write_csv(self, fh) -> None:
@@ -245,10 +237,12 @@ def expected_norms(
     ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
     generator yields them in the order of one n_mc-by-m draw followed by
     one 256-by-m draw per k.  Raises ValueError for a negative or
-    non-finite sigma and for a negative or fractional k.
+    non-finite sigma, an n_mc that is not an integer >= 2, and a negative
+    or fractional k.
     """
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError("sigma must be finite and nonnegative")
+    _check_int("n_mc", n_mc)
     if n_mc < 2:
         raise ValueError("n_mc must be at least 2")
     ks = _check_ks(ks)
@@ -294,8 +288,6 @@ def expected_norms(
         e2=e2,
         mc=mc,
         mc_stderr=mc_stderr,
-        sigma=float(sigma),
-        n_mc=int(n_mc),
         e1_estimated=e1_estimated,
     )
 
@@ -310,7 +302,6 @@ class MonotonicityReport:
     """
 
     ks: np.ndarray
-    factor_curves: np.ndarray
     e2_unit: np.ndarray
     bumps: np.ndarray
     e2_monotone: bool
@@ -338,13 +329,7 @@ def monotonicity_probe(lam, ks) -> MonotonicityReport:
     tol = 1e-12 * max(1.0, float(np.max(factors)))
     bumps = np.sum(diffs < -tol, axis=0)
     e2_monotone = bool(np.all(np.diff(e2_unit) >= -1e-12 * max(1.0, e2_unit.max())))
-    return MonotonicityReport(
-        ks=ks,
-        factor_curves=factors,
-        e2_unit=e2_unit,
-        bumps=bumps,
-        e2_monotone=e2_monotone,
-    )
+    return MonotonicityReport(ks=ks, e2_unit=e2_unit, bumps=bumps, e2_monotone=e2_monotone)
 
 
 def semiconvergence_min(split: ErrorSplit) -> int:

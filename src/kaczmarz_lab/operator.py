@@ -27,7 +27,7 @@ both, on one mode of each conjugate pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm, dtrsm
@@ -214,6 +214,13 @@ def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator
     return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 
+def _restriction(variant: str):
+    """The restriction giving a variant's G|_V (G^T G if symmetric), looked up per call."""
+    if variant not in ("standard", "symmetric"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return restrict_to_V if variant == "standard" else restrict_symmetric_to_V
+
+
 @dataclass(frozen=True)
 class SharpMaps:
     """Spectral machinery for the fixed-point map and its k-sweep truncation.
@@ -229,9 +236,11 @@ class SharpMaps:
         x_k = W (I - Lambda^k) (I - Lambda)^-1 W^+ B b.
 
     ``lam`` holds the eigenvalues (descending modulus) and ``kappa_W`` the
-    condition number of C.  The eigenbasis is real: ``R0`` is
-    ``EigResult.R0``, ``W_real`` = V R0 its lift, ``Y`` = R0^-1 V^T, and
-    ``conj[i]`` the index of lambda_i's conjugate.  For a pair (j, j') with
+    condition number of C.  The eigenbasis is kept real, as the two arrays
+    that its routes read: ``W_real`` = V R0, the lift of the real basis
+    R0 = ``EigResult.R0``, and ``Y`` = R0^-1 V^T; ``conj[i]`` is the index
+    of lambda_i's conjugate.  Neither R0 nor G|_V is held (the LU route
+    :meth:`apply_A_sharp` rebuilds G|_V).  For a pair (j, j') with
     Im lambda_j > 0, columns j and j' of ``W_real`` are Re w_j and Im w_j,
     and rows j and j' of W^+ are (Y_j -+ i Y_j') / 2; a real mode has
     column w_j and row Y_j.  A pair's two modes are conjugates, so
@@ -244,12 +253,10 @@ class SharpMaps:
     sv: SvdResult
     variant: str
     lam: np.ndarray
-    R0: np.ndarray
     W_real: np.ndarray
     Y: np.ndarray
     conj: np.ndarray
     kappa_W: float
-    ro: RestrictedOperator = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -333,10 +340,12 @@ class SharpMaps:
         """Fixed-point map: least-norm limit of the sweeps on data e.
 
         Solved with an LU of I - G|_V, independently of the eigenbasis.
+        G|_V is not kept: each call rebuilds it as ``sharp_maps`` built it.
         """
         y = self.apply_B(e)
         V = self.sv.V
-        coeff = np.linalg.solve(np.eye(self.r) - self.ro.Gv, V.T @ y)
+        Gv = _restriction(self.variant)(self.A, self.lf, self.sv).Gv
+        coeff = np.linalg.solve(np.eye(self.r) - Gv, V.T @ y)
         return V @ coeff
 
     def b_transpose(self) -> np.ndarray:
@@ -358,10 +367,10 @@ def sharp_maps(
     """Eigendecompose the restricted operator and package the sharp maps.
 
     Everything stored but the eigenvalues is real (see :class:`SharpMaps`):
-    the real basis R0 of the eigenvectors, their lift V R0 in one ``dgemm``,
-    and Y = R0^-1 V^T from one real LU (``dgesv``).  The eigenvectors are
-    C = R0 P, where P mixes each conjugate pair's columns by
-    [[1, 1], [i, -i]], so W^+ = C^-1 V^T = P^-1 Y, whose rows
+    the lift V R0 of the real eigenvector basis R0 in one ``dgemm``, and
+    Y = R0^-1 V^T from one real LU (``dgesv``).  R0 and G|_V are not kept.
+    The eigenvectors are C = R0 P, where P mixes each conjugate pair's
+    columns by [[1, 1], [i, -i]], so W^+ = C^-1 V^T = P^-1 Y, whose rows
     ``SharpMaps.coefficients`` reads from Y's.
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
@@ -369,12 +378,9 @@ def sharp_maps(
     on the row space and the fixed point is undefined, and NumericalError
     when ``dgesv`` finds R0 singular.
     """
-    if variant not in ("standard", "symmetric"):
-        raise ValueError(f"unknown variant {variant!r}")
+    restrict = _restriction(variant)
     A = np.asarray(A, dtype=float)
-    restrict = restrict_to_V if variant == "standard" else restrict_symmetric_to_V
-    ro = restrict(A, lf, sv)
-    eig = eig_general(ro.Gv)
+    eig = eig_general(restrict(A, lf, sv).Gv)
     lam = eig.eigenvalues
     if np.min(np.abs(1.0 - lam)) < convergence_tol:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
@@ -388,12 +394,10 @@ def sharp_maps(
         sv=sv,
         variant=variant,
         lam=lam,
-        R0=R0,
         W_real=dgemm(1.0, sv.V.T, R0, trans_a=1),
         Y=Y,
         conj=eig.conj,
         kappa_W=eig.kappa,
-        ro=ro,
     )
 
 

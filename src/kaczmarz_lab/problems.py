@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_real
+from .linalg import _as_real, _check_int
 
 __all__ = [
     "TestProblem",
@@ -135,6 +135,7 @@ def gravity(n: int, d: float) -> TestProblem:
     x_bar(t) = sin(pi t) + 0.5 sin(2 pi t).  A is symmetric since the
     kernel depends only on |i - j|.
     """
+    _check_int("n", n)
     if n < 2:
         raise ValueError("n must be at least 2")
     if not (np.isfinite(d) and d > 0):
@@ -157,6 +158,7 @@ def baart(n: int) -> TestProblem:
     coefficient vector of the solution sin(t) is returned as x_bar.
     Severely ill-conditioned already for moderate n.
     """
+    _check_int("n", n)
     if n < 4 or n % 2 != 0:
         raise ValueError("n must be even and at least 4")
     hs = np.pi / (2 * n)
@@ -297,6 +299,8 @@ def paralleltomo(
     pixels are numbered column-major from the upper-left corner.  The
     ground truth is a piecewise-constant ellipse phantom.
     """
+    for name, value in (("N", N), ("n_angles", n_angles), ("rays_per_angle", rays_per_angle)):
+        _check_int(name, value)
     if N < 2:
         raise ValueError("N must be at least 2")
     if n_angles < 1 or rays_per_angle < 1:
@@ -347,6 +351,7 @@ def random_ordering(m: int, seed: int) -> RowOrdering:
 
     Deterministic: the same seed yields the same permutation everywhere.
     """
+    _check_int("m", m)
     if m < 1:
         raise ValueError("m must be positive")
     perm = np.random.default_rng(seed).permutation(m)

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import _as_matrix, _as_real
+from .linalg import _as_matrix, _as_real, _check_int
 from .operator import SweepOperator, build_L
 from .tables import write_table
 
@@ -230,9 +230,10 @@ def cgls(A, b, k_max: int) -> IterationHistory:
 
     Iterates are always stored.  On breakdown (vanishing direction norm)
     the history is truncated and flagged "breakdown".  Raises ValueError
-    for a complex or non-numeric A and for a b that is not one m-vector of
-    finite real entries.
+    for a k_max that is not an integer >= 1, a complex or non-numeric A
+    and a b that is not one m-vector of finite real entries.
     """
+    _check_int("k_max", k_max)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     A = _as_matrix(A)

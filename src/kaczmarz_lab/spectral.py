@@ -91,8 +91,9 @@ class BoundsReport:
     minimum real part of its field of values, positive for omega in
     (0,2)) and sigma_min the smallest retained singular value:
 
-        rho <= 1 - sigma_min^2 / ||L||  <=  1 - nu * sigma_min^2,
+        rho <= 1 - sigma_min^2 / ||L||  <=  1 - nu * sigma_min^2
 
+    (``bound_L`` and ``bound_nu``; sigma_min and ||L||_2 are not kept),
     valid when the extremal eigenvalue is simple, real and positive;
     ``assumption_met`` records whether that held (bounds are reported
     either way).  ``bf_bound`` is the eigenvector-conditioned first-order
@@ -108,8 +109,6 @@ class BoundsReport:
     nu: float
     bf_bound: float
     be_bound: float
-    sigma_min: float
-    norm_L: float
     assumption_met: bool
     omega: float
 
@@ -263,8 +262,6 @@ def rho_bounds(
         nu=nu,
         bf_bound=bauer_fike_bound(A, lf1, kappa_X),
         be_bound=backward_error_bound(A, lf.omega),
-        sigma_min=sigma_min,
-        norm_L=norm_L,
         assumption_met=assumption_met,
         omega=lf.omega,
     )

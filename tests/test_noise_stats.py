@@ -7,13 +7,14 @@ import pytest
 from scipy.stats import spearmanr
 
 import kaczmarz_lab as kl
-from kaczmarz_lab import noise_stats
+from kaczmarz_lab import noise_stats, spectral
 from test_linalg import complex_eigenvectors
+from test_operator import restricted_gv
 
 
 def _complex_basis(sm):
     """W = V C and W^+ = C^-1 V^T in complex arithmetic, C built from R0 and conj."""
-    C = complex_eigenvectors(sm.lam, sm.R0, sm.conj)
+    C = complex_eigenvectors(sm.lam, kl.eig_general(restricted_gv(sm)).R0, sm.conj)
     return sm.sv.V @ C, np.linalg.solve(C, sm.sv.V.T.astype(complex))
 
 
@@ -127,6 +128,18 @@ class TestXiProfile:
         bad = dataclasses.replace(sm, kappa_W=1e13)
         with pytest.raises(kl.NumericalError, match="near-defective"):
             kl.xi_profile(bad, np.zeros(p.m), ks=[1])
+
+    def test_near_defective_threshold_is_spectral(self, gravity32_machinery, monkeypatch):
+        # xi_profile and spectrum judge near-defectiveness by one constant:
+        # lowering it below this kappa_W makes both call the basis near-defective
+        p, sm = gravity32_machinery
+        kl.xi_profile(sm, np.zeros(p.m), ks=[1])
+        ro = kl.restrict_to_V(p.A, sm.lf, sm.sv)
+        assert not kl.spectrum(ro).near_defective
+        monkeypatch.setattr(spectral, "NEAR_DEFECTIVE_KAPPA", sm.kappa_W / 2)
+        assert kl.spectrum(ro).near_defective
+        with pytest.raises(kl.NumericalError, match="near-defective"):
+            kl.xi_profile(sm, np.zeros(p.m), ks=[1])
 
 
 class TestExpectedNorms:

@@ -1,6 +1,7 @@
 """Tests for the sweep factor, iteration operator, and fixed-point maps."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,16 @@ import kaczmarz_lab as kl
 from kaczmarz_lab import operator
 from kaczmarz_lab.errors import NumericalError
 from test_linalg import complex_eigenvectors, lapack_eigenvectors
+
+
+def restricted_gv(sm) -> np.ndarray:
+    """G|_V rebuilt from the problem of sharp maps ``sm`` by its variant's restriction.
+
+    SharpMaps keeps neither G|_V nor the real eigenvector basis R0, so the
+    tests take both from here: ``kl.eig_general(restricted_gv(sm)).R0``.
+    """
+    restrict = kl.restrict_to_V if sm.variant == "standard" else kl.restrict_symmetric_to_V
+    return restrict(sm.A, sm.lf, sm.sv).Gv
 
 
 def _full_G(A, omega):
@@ -481,7 +492,7 @@ class TestSharpMaps:
 
 @pytest.fixture(scope="module", params=["gravity128", "tomo24", "gravity24-symmetric", "real-spectrum"])
 def real_route_case(request):
-    """Sharp maps whose W^+ came from the real LU, and the eigendecomposition's ``conj``."""
+    """Sharp maps whose W^+ came from the real LU, and G|_V's eigendecomposition."""
     variant, omega = "standard", 1.0
     if request.param == "gravity128":
         p = kl.gravity(128, 0.02)  # kappa_W about 1.7e6
@@ -492,12 +503,12 @@ def real_route_case(request):
     else:
         p, omega = kl.gravity(32, 0.06), 0.02  # every eigenvalue is real
     sm = kl.sharp_maps(p.A, kl.build_L(p.A, omega), kl.svd(p.A), variant=variant)
-    return request.param, sm, kl.eig_general(sm.ro.Gv).conj
+    return request.param, sm, kl.eig_general(restricted_gv(sm))
 
 
-def _complex_reference(sm):
+def _complex_reference(sm, eig):
     """C from R0 and conj, and W^+ = C^-1 V^T by a complex solve: the complex route."""
-    C = complex_eigenvectors(sm.lam, sm.R0, sm.conj)
+    C = complex_eigenvectors(sm.lam, eig.R0, sm.conj)
     return C, np.linalg.solve(C, sm.sv.V.T.astype(complex))
 
 
@@ -506,15 +517,16 @@ class TestRealRouteWInv:
 
     def test_matches_complex_solve(self, real_route_case):
         # coefficients of the identity are the kept rows of (I - Lambda)^-1 W^+
-        _, sm, _ = real_route_case
-        _, W_plus = _complex_reference(sm)
+        _, sm, eig = real_route_case
+        _, W_plus = _complex_reference(sm, eig)
         want = (W_plus / (1.0 - sm.lam)[:, None])[sm.keep]
         Z_r, Z_i = sm.coefficients(np.eye(sm.A.shape[1]))
         assert np.max(np.abs(Z_r + 1j * Z_i - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_conjugate_rows_exact(self, real_route_case):
         # one mode of each pair is kept, and a real mode's imaginary part is +0
-        name, sm, conj = real_route_case
+        name, sm, eig = real_route_case
+        conj = eig.conj
         assert np.array_equal(sm.lam[conj], sm.lam.conj())
         keep = sm.keep
         assert np.array_equal(np.union1d(keep, conj[keep]), np.arange(sm.r))
@@ -552,25 +564,42 @@ class TestRealFields:
 
     def test_complex_forms_are_the_eager_ones(self, real_route_case):
         # the complex eigenvectors that R0 and conj stand for are LAPACK's,
-        # and the real fields are eig_general's basis, its lift (one dgemm)
+        # and the real fields are the lift of eig_general's basis (one dgemm)
         # and its LU (dgesv; at two threads OpenBLAS's getrf rounds otherwise).
         # The lift reads V through its transpose, which can round otherwise
         # than a product with V's copy
-        _, sm, _ = real_route_case
-        eig = kl.eig_general(sm.ro.Gv)
-        C, _ = _complex_reference(sm)
-        assert C.tobytes() == lapack_eigenvectors(sm.ro.Gv).astype(complex).tobytes()
+        _, sm, eig = real_route_case
+        C, _ = _complex_reference(sm, eig)
+        assert C.tobytes() == lapack_eigenvectors(restricted_gv(sm)).astype(complex).tobytes()
         lift = dgemm(1.0, sm.sv.V.T, eig.R0, trans_a=1)
-        for got, want in ((sm.R0, eig.R0), (sm.W_real, lift),
-                          (sm.Y, dgesv(eig.R0, sm.sv.V.T)[2])):
+        for got, want in ((sm.W_real, lift), (sm.Y, dgesv(eig.R0, sm.sv.V.T)[2])):
             assert got.dtype == want.dtype
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
         assert np.array_equal(sm.conj, eig.conj)
 
+    def test_holds_only_the_eigenbasis(self, small_problems):
+        # the bytes sharp_maps allocates and still holds after it returns are
+        # its four arrays and the small objects around them: neither the
+        # real basis R0 nor G|_V (8 KiB each at r = 32) stays alive
+        p = small_problems[0]
+        sv, lf = kl.svd(p.A), kl.build_L(p.A, 1.0)
+        kl.sharp_maps(p.A, lf, sv)  # a first call's lasting caches are not its arrays
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sm = kl.sharp_maps(p.A, lf, sv)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        kept = sm.W_real.nbytes + sm.Y.nbytes + sm.lam.nbytes + sm.conj.nbytes
+        assert sm.r == 32
+        assert held <= kept + 4096
+
     def test_real_lift_is_the_lift_of_the_real_basis(self, real_route_case):
         # column j of W_real is Re w_j, column conj[j] is Im w_j for a pair
-        _, sm, conj = real_route_case
-        C, _ = _complex_reference(sm)
+        _, sm, eig = real_route_case
+        conj = eig.conj
+        C, _ = _complex_reference(sm, eig)
         W = sm.sv.V @ C
         up = np.flatnonzero(sm.lam.imag > 0)
         real = np.flatnonzero(sm.lam.imag == 0)

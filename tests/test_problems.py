@@ -265,6 +265,36 @@ class TestOrderings:
             kl.RowOrdering(np.array([0, 0, 2]))
 
 
+def _gravity8_sharp_maps():
+    p = kl.gravity(8, 0.1)
+    return kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), kl.svd(p.A))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kl.gravity(2.5, 0.1),
+    lambda: kl.gravity(True, 0.1),
+    lambda: kl.baart(6.0),
+    lambda: kl.paralleltomo(4.5, 2, 2),
+    lambda: kl.paralleltomo(4, 2.5, 2),
+    lambda: kl.paralleltomo(4, 2, 2.0),
+    lambda: kl.random_ordering(4.5, 0),
+    lambda: kl.cgls(np.eye(3), np.ones(3), 2.5),
+    lambda: kl.expected_norms(_gravity8_sharp_maps(), 1e-3, [1], n_mc=2.5),
+], ids=["gravity-n", "gravity-bool", "baart-n", "tomo-N", "tomo-angles", "tomo-rays",
+        "ordering-m", "cgls-k_max", "expected_norms-n_mc"])
+def test_non_integer_size_rejected(call):
+    # gravity(2.5, 0.1) used to build a 3-by-3 problem recording n = 2.5, and
+    # paralleltomo(4, 2.5, 2) traced 3 angles 72 degrees apart; the others
+    # died with a TypeError or numpy's AxisError
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_accepted():
+    assert kl.gravity(np.int64(4), 0.1).A.shape == (4, 4)
+    assert kl.random_ordering(np.int32(3), 0).m == 3
+
+
 class TestNoise:
     def test_sigma_zero_exact(self):
         b = np.linspace(0.0, 1.0, 50)

@@ -94,11 +94,13 @@ class TestRhoBounds:
         assert 0.5e-5 <= 1.0 - rep.bound_nu <= 2e-5
         assert rep.assumption_met
 
-    def test_ordering_chain(self, gravity_bounds):
+    def test_ordering_chain(self, gravity_bounds, gravity128_02):
         rep = gravity_bounds
         assert rep.rho_actual <= rep.norm_G <= 1.0
         assert rep.rho_actual <= rep.bound_L <= rep.bound_nu
-        assert 0.0 < rep.nu <= 1.0 / rep.norm_L + 1e-12
+        # ||L||_2 by numpy's dense 2-norm, not the report's route
+        norm_L = np.linalg.norm(kl.build_L(gravity128_02.A, 1.0).L, 2)
+        assert 0.0 < rep.nu <= 1.0 / norm_L + 1e-12
 
     def test_orthogonal_rows_normal_operator(self):
         # diagonal A A^T makes G symmetric, so rho equals the norm
