@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import noise_stats, spectral, svgplot
 from .errors import ConfigError
-from .linalg import blas_threads, svd
+from .linalg import _check_int, _check_real, blas_threads, svd
 from .operator import build_L, restrict_to_V, sharp_maps
 from .problems import (
     NoiseModel,
@@ -91,27 +89,42 @@ class ExperimentConfig:
     MAX_DIM = 4096
 
     def validate(self) -> None:
-        """Type- and range-check every field; raise ConfigError on the first bad one."""
+        """Type- and range-check every field; raise ConfigError on the first bad one.
+
+        Numbers go through the library's checks (``linalg._check_int`` and
+        ``_check_real``), and their ValueError is raised as ConfigError.
+        """
         if self.problem not in _PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
-        for name, lo in (("n", 2), ("N", 2), ("n_angles", 1), ("rays", 1), ("sweeps", 0),
-                         ("realizations", 1), ("n_mc", 2), ("ordering_seed", 0),
-                         ("solver_seed", 0), ("noise_seed", 0), ("mc_seed", 0)):
-            if not _is_int(getattr(self, name), lo):
-                raise ConfigError(f"{name} must be an integer >= {lo}")
+        try:
+            for name, lo in (("n", 2), ("N", 2), ("n_angles", 1), ("rays", 1), ("sweeps", 0),
+                             ("realizations", 1), ("n_mc", 2), ("ordering_seed", 0),
+                             ("solver_seed", 0), ("noise_seed", 0), ("mc_seed", 0)):
+                _check_int(name, getattr(self, name), lo)
+            _check_real("d", self.d, positive=True)
+            for name, optional in (("sigma", False), ("width", True), ("zero_tol", False),
+                                   ("im_tol", False), ("rank_tol", True)):
+                if not (optional and getattr(self, name) is None):
+                    _check_real(name, getattr(self, name))
+            _check_real("omega", self.omega, below=2.0)
+            if not (isinstance(self.ks, tuple) and self.ks):
+                raise ValueError("ks must be a nonempty list of integers >= 1")
+            for k in self.ks:
+                _check_int("ks values", k, 1)
+            for name, optional in (("omega_grid", True), ("omegas_bounds", False)):
+                grid = getattr(self, name)
+                if optional and grid is None:
+                    continue
+                if not (isinstance(grid, tuple) and grid):
+                    raise ValueError(f"{name} must be a nonempty list of values in (0, 2)")
+                for w in grid:
+                    _check_real(f"{name} values", w, below=2.0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.problem == "baart" and (self.n < 4 or self.n % 2):
             raise ConfigError("baart needs an even n >= 4")
         if self.n > self.MAX_DIM or self.N * self.N > self.MAX_DIM:
             raise ConfigError(f"problem dimension capped at {self.MAX_DIM}")
-        if not (_is_real(self.d) and self.d > 0):
-            raise ConfigError("d must be finite and positive")
-        for name, optional in (("sigma", False), ("width", True), ("zero_tol", False),
-                               ("im_tol", False), ("rank_tol", True)):
-            value = getattr(self, name)
-            if not (optional and value is None or _is_real(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and nonnegative")
-        if not _is_omega(self.omega):
-            raise ConfigError("omega must lie in (0, 2)")
         if self.ordering not in ("default", "random"):
             raise ConfigError("ordering must be 'default' or 'random'")
         if self.xbar_mode not in ("default", "first-row"):
@@ -121,15 +134,6 @@ class ExperimentConfig:
         for mth in self.methods:
             if mth not in _METHODS:
                 raise ConfigError(f"unknown method {mth!r}; choose from {_METHODS}")
-        if not (isinstance(self.ks, tuple) and self.ks
-                and all(_is_int(k, 1) for k in self.ks)):
-            raise ConfigError("ks must be a nonempty list of integers >= 1")
-        for name, optional in (("omega_grid", True), ("omegas_bounds", False)):
-            grid = getattr(self, name)
-            if optional and grid is None:
-                continue
-            if not (isinstance(grid, tuple) and grid and all(map(_is_omega, grid))):
-                raise ConfigError(f"{name} values must lie in (0, 2)")
         if self.omega_grid is not None:
             self.omega_grid = tuple(float(w) for w in self.omega_grid)
         if self.out is not None and not isinstance(self.out, str):
@@ -187,18 +191,6 @@ class ExperimentConfig:
             if d[key] is not None:
                 d[key] = list(d[key])
         return d
-
-
-def _is_int(value, lo: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= lo
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _is_omega(value) -> bool:
-    return _is_real(value) and 0.0 < value < 2.0
 
 
 def _write_rows(path: Path, columns) -> None:

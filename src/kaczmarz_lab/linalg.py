@@ -51,27 +51,69 @@ _THREAD_SYMBOLS = tuple(
 )
 
 
-def _as_real(x, what: str = "matrix") -> np.ndarray:
-    """x as a float array; ValueError for complex or non-numeric data, never a cast."""
+# The library's three input rules.  Every public entry point that takes
+# caller data checks it here, once per call; ExperimentConfig.validate
+# re-raises their ValueError as ConfigError.
+
+def _check_int(name: str, value, lo: int) -> None:
+    """ValueError unless value is an integer >= lo; 2.5, 6.0 and a bool are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        rule = "a nonnegative integer" if lo == 0 else f"an integer >= {lo}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_real(name: str, value, positive: bool = False, below: float | None = None) -> float:
+    """value as a float; ValueError unless it is a finite real number, not a bool.
+
+    It must be >= 0, or > 0 with ``positive``; with ``below`` it must lie
+    in the open interval (0, below).
+    """
+    if below is not None:
+        positive, rule = True, f"lie in (0, {below:g})"
+    else:
+        rule = "be finite and " + ("positive" if positive else "nonnegative")
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not np.isfinite(value) or not (value > 0 if positive else value >= 0)
+            or below is not None and value >= below):
+        raise ValueError(f"{name} must {rule}, got {value!r}")
+    return float(value)
+
+
+def _as_array(x, what: str, rows: int | None = None, block: bool = False,
+              want: str | None = None) -> np.ndarray:
+    """x as a float array; ValueError unless it is real (never a cast), shaped and finite.
+
+    The shape rule: without ``rows``, a nonempty 2-d matrix; with it, a
+    ``rows``-vector, or with ``block`` also a ``rows``-by-R block, R >= 1.
+    ``want`` words the rule in the message in place of the default.  Data
+    that is already float64 is not copied.
+    """
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
         raise ValueError(f"{what} must be real, got dtype {x.dtype}")
-    return x.astype(float, copy=False)
+    x = x.astype(float, copy=False)
+    if rows is None:
+        ok, rule = x.ndim == 2 and x.size > 0, "be 2-d and nonempty"
+    else:
+        ok = x.ndim in ((1, 2) if block else (1,)) and x.shape[0] == rows and x.size > 0
+        rule = f"be an {rows}-vector"
+        if block:
+            rule += f" or an {rows}-by-R block, R >= 1 ({rows} rows)"
+    if not ok:
+        raise ValueError(f"{what} must {want or rule}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} has non-finite entries")
+    return x
 
 
-def _check_int(name: str, value) -> None:
-    """ValueError for a size or count that is not an integer: 2.5, 6.0 or a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _as_matrix(A) -> np.ndarray:
-    A = _as_real(A)
-    if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
-    return A
+def _check_ks(ks) -> np.ndarray:
+    """The iteration counts as integers; ValueError for a negative or fractional one."""
+    raw = np.asarray(list(ks))
+    with np.errstate(invalid="ignore"):
+        ks = raw.astype(int)
+    if np.any(ks != raw) or np.any(ks < 0):
+        raise ValueError("iteration counts k must be nonnegative integers")
+    return ks
 
 
 @dataclass(frozen=True)
@@ -150,13 +192,12 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
 
     Singular values below ``rank_tol * sigma_max`` are truncated; with
     ``rank_tol=0`` only exact zeros are dropped.  The default threshold
-    is ``max(m, n) * eps``.  Raises NumericalError for the zero matrix.
+    is ``max(m, n) * eps``.  Raises NumericalError for the zero matrix,
+    and ValueError unless A is a finite real matrix and ``rank_tol`` a
+    finite real number >= 0.
     """
-    A = _as_matrix(A)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(A)
-    if not (np.isfinite(rank_tol) and rank_tol >= 0):
-        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
+    A = _as_array(A, "matrix")
+    rank_tol = default_rank_tol(A) if rank_tol is None else _check_real("rank_tol", rank_tol)
     U, S, Vt = sla.svd(A, full_matrices=False, check_finite=False)
     if S[0] <= 0.0:
         raise NumericalError("rank zero matrix")
@@ -164,7 +205,7 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
     if r == 0:
         raise NumericalError("rank zero matrix (all singular values truncated)")
     return SvdResult(
-        U=U[:, :r].copy(), S=S[:r].copy(), V=Vt[:r].T.copy(), rank_tol=float(rank_tol)
+        U=U[:, :r].copy(), S=S[:r].copy(), V=Vt[:r].T.copy(), rank_tol=rank_tol
     )
 
 
@@ -185,7 +226,7 @@ def eig_general(M) -> EigResult:
     :class:`EigResult`), lets callers detect near-defective spectra.
     Raises NumericalError when ``dgeev`` fails.
     """
-    M = _as_matrix(M)
+    M = _as_array(M, "matrix")
     n = M.shape[0]
     if n != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
@@ -219,7 +260,7 @@ def eigvals(M) -> np.ndarray:
     LAPACK's values-only path (Golub and Van Loan, *Matrix Computations*,
     7.5).
     """
-    M = _as_matrix(M)
+    M = _as_array(M, "matrix")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
     w = sla.eigvals(M, check_finite=False)
@@ -234,17 +275,20 @@ def _check_triangular_diag(T: np.ndarray) -> None:
 
 
 def solve_lower(L, b) -> np.ndarray:
-    """Solve L x = b by forward substitution; b may hold multiple columns."""
-    L = np.asarray(L, dtype=float)
+    """Solve L x = b by forward substitution; b may hold multiple columns.
+
+    ValueError unless L and b are finite and real and b has L's m rows.
+    """
+    L = _as_array(L, "L")
     _check_triangular_diag(L)
-    return sla.solve_triangular(L, np.asarray(b, dtype=float), lower=True)
+    return sla.solve_triangular(L, _as_array(b, "b", rows=L.shape[0], block=True), lower=True)
 
 
 def solve_upper(U, b) -> np.ndarray:
     """Solve U x = b by back substitution; companion of solve_lower."""
-    U = np.asarray(U, dtype=float)
+    U = _as_array(U, "U")
     _check_triangular_diag(U)
-    return sla.solve_triangular(U, np.asarray(b, dtype=float), lower=False)
+    return sla.solve_triangular(U, _as_array(b, "b", rows=U.shape[0], block=True), lower=False)
 
 
 def least_norm_solution(
@@ -256,12 +300,11 @@ def least_norm_solution(
     null(A).  The component of b outside range(A) is reported as
     ``residual`` and, when it exceeds ``consistency_tol * ||b||``, the
     result is flagged inconsistent rather than rejected (noisy data ends
-    up here on purpose).  A b with non-finite entries raises ValueError.
+    up here on purpose).  A b that is not an m-vector of finite real
+    entries raises ValueError.
     """
     sv = A if isinstance(A, SvdResult) else svd(A, rank_tol)
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b has non-finite entries")
+    b = _as_array(b, "b", rows=sv.U.shape[0])
     coeff = sv.U.T @ b
     x = sv.V @ (coeff / sv.S)
     residual = float(np.linalg.norm(b - sv.U @ coeff))

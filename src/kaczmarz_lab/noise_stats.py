@@ -45,8 +45,8 @@ from scipy.linalg.blas import dgemm
 
 from . import spectral
 from .errors import NumericalError
-from .linalg import _check_int
-from .operator import SharpMaps, _check_ks
+from .linalg import _as_array, _check_int, _check_ks, _check_real
+from .operator import SharpMaps
 from .operator import apply_Ak_sharp  # noqa: F401  (re-exported per-k reference route)
 from .problems import TestProblem
 from .solvers import IterationHistory, SweepConfig, run
@@ -100,7 +100,7 @@ def error_split_from_histories(
         raise ValueError("histories must store iterates")
     if clean.iterates.shape != noisy.iterates.shape:
         raise ValueError("histories have different lengths")
-    x_bar = np.asarray(x_bar, dtype=float)
+    x_bar = _as_array(x_bar, "x_bar", rows=clean.iterates.shape[1])
     recon = np.linalg.norm(noisy.iterates - x_bar, axis=1)
     iter_ = np.linalg.norm(clean.iterates - x_bar, axis=1)
     noise = np.linalg.norm(noisy.iterates - clean.iterates, axis=1)
@@ -115,6 +115,7 @@ def error_split(
     Both right-hand sides are solved in one block run, so they share the
     configuration (in particular the row order and randomization seed) and
     the iteration-error curve is independent of the noise realization.
+    Raises ValueError unless ``b_noisy`` is a finite real m-vector.
     """
     if k_max is None:
         k_max = cfg.max_sweeps
@@ -125,9 +126,7 @@ def error_split(
         seed=cfg.seed,
         store_iterates=True,
     )
-    b_noisy = np.asarray(b_noisy, dtype=float)
-    if b_noisy.shape != p.b_bar.shape:
-        raise ValueError(f"b_noisy must have shape {p.b_bar.shape}, got {b_noisy.shape}")
+    b_noisy = _as_array(b_noisy, "b_noisy", rows=p.m, want=f"have shape ({p.m},)")
     clean, noisy = run(p, np.column_stack([p.b_bar, b_noisy]), cfg_run)
     return error_split_from_histories(clean, noisy, p.x_bar)
 
@@ -161,18 +160,17 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     invertible eigenbasis: raises NumericalError when the eigenvector
     condition number exceeds ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound
     at which ``spectral.spectrum`` flags a spectrum near-defective.  Raises
-    ValueError for an ``e`` of the wrong length or with non-finite entries,
-    and for a negative or fractional k.
+    ValueError unless ``e`` is a finite real m-vector, and for a negative
+    or fractional k.
     """
     if sm.kappa_W > spectral.NEAR_DEFECTIVE_KAPPA:
         raise NumericalError(
             f"eigenbasis is near-defective (kappa = {sm.kappa_W:.3e})"
         )
-    if np.ndim(e) != 1:
-        raise ValueError(f"e must have shape ({sm.lf.m},), got {np.shape(e)}")
+    e = _as_array(e, "e", rows=sm.lf.m)
     ks = _check_ks(ks)
     lam, keep = sm.lam, sm.keep
-    Z_r, Z_i = sm.coefficients(sm.apply_B(e)[:, None])  # apply_B checks e's length and values
+    Z_r, Z_i = sm.coefficients(sm.apply_B(e)[:, None])
     z = Z_r[:, 0] + 1j * Z_i[:, 0]
     xi = np.empty(sm.r, dtype=complex)
     xi[sm.conj[keep]] = z.conj()  # the other mode of each pair; real modes are set next
@@ -236,15 +234,13 @@ def expected_norms(
     The samples and probes are drawn and lifted in blocks of at most
     ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
     generator yields them in the order of one n_mc-by-m draw followed by
-    one 256-by-m draw per k.  Raises ValueError for a negative or
-    non-finite sigma, an n_mc that is not an integer >= 2, and a negative
-    or fractional k.
+    one 256-by-m draw per k.  Raises ValueError unless sigma is a finite
+    real number >= 0, n_mc an integer >= 2 and seed an integer >= 0, and
+    for a negative or fractional k.
     """
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError("sigma must be finite and nonnegative")
-    _check_int("n_mc", n_mc)
-    if n_mc < 2:
-        raise ValueError("n_mc must be at least 2")
+    _check_real("sigma", sigma)
+    _check_int("n_mc", n_mc, 2)
+    _check_int("seed", seed, 0)
     ks = _check_ks(ks)
     m = sm.lf.m
     n = sm.A.shape[1]

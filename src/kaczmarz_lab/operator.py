@@ -34,7 +34,16 @@ from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalError
-from .linalg import SvdResult, _check_triangular_diag, eig_general, eigvals, svd
+from .linalg import (
+    SvdResult,
+    _as_array,
+    _check_ks,
+    _check_real,
+    _check_triangular_diag,
+    eig_general,
+    eigvals,
+    svd,
+)
 from .problems import TestProblem
 
 __all__ = [
@@ -106,9 +115,11 @@ def build_L(A, omega: float) -> LFactor:
 
     Solver use requires 0 < omega < 2; construction is allowed for any
     omega > 0 so the operator can be analyzed outside the convergent
-    range.  L is nonsingular exactly when A has no zero rows.
+    range.  L is nonsingular exactly when A has no zero rows.  Raises
+    ValueError for an A that is not a finite real matrix and for an omega
+    that is not a finite real number > 0.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     AAT = dgemm(1.0, A, A, trans_b=1)
     d = np.diag(AAT).copy()
     if np.any(d == 0.0):
@@ -124,11 +135,10 @@ def _factor(G, d: np.ndarray, omega: float) -> LFactor:
     the diagonal into +0.0, but ``dgemm`` writes no -0.0 into A A^T, so the
     bytes are those of ``tril(G, -1) + diag(d / omega)``.
     """
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got {omega}")
+    omega = _check_real("omega", omega, positive=True)
     L = np.tril(G, -1)
     np.fill_diagonal(L, d / omega)
-    return LFactor(L=L, omega=float(omega), D_diag=d)
+    return LFactor(L=L, omega=omega, D_diag=d)
 
 
 class SweepOperator:
@@ -173,8 +183,13 @@ class SweepOperator:
 
 
 def _apply(lf: LFactor, A, x, sweep) -> np.ndarray:
-    """A zero-data ``SweepOperator`` sweep on a vector or on the columns of x."""
-    x = np.asarray(x, dtype=float)
+    """A zero-data ``SweepOperator`` sweep on a vector or on the columns of x.
+
+    ValueError unless A is a finite real matrix and x a finite real
+    n-vector or n-by-R block.
+    """
+    A = _as_array(A, "matrix")
+    x = _as_array(x, "x", rows=A.shape[1], block=True)
     return sweep(SweepOperator(A, lf), x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
@@ -325,14 +340,10 @@ class SharpMaps:
         """Apply B (= A^T L^-1 for the standard sweep) to data-space vectors.
 
         Every map of data goes through here, so this is where a bad e is
-        rejected: ValueError unless its first axis is m long and every
-        entry is finite.
+        rejected: ValueError unless it is a finite real m-vector or m-by-R
+        block.
         """
-        e = np.asarray(e, dtype=float)
-        if e.ndim == 0 or e.shape[0] != self.lf.m:
-            raise ValueError(f"e must have {self.lf.m} rows, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("e has non-finite entries")
+        e = _as_array(e, "e", rows=self.lf.m, block=True)
         y = dgemm(1.0, self.A.T, self._weight(e.reshape(e.shape[0], -1)))
         return y.reshape(y.shape[:1] + e.shape[1:])
 
@@ -379,7 +390,7 @@ def sharp_maps(
     when ``dgesv`` finds R0 singular.
     """
     restrict = _restriction(variant)
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     eig = eig_general(restrict(A, lf, sv).Gv)
     lam = eig.eigenvalues
     if np.min(np.abs(1.0 - lam)) < convergence_tol:
@@ -399,16 +410,6 @@ def sharp_maps(
         conj=eig.conj,
         kappa_W=eig.kappa,
     )
-
-
-def _check_ks(ks) -> np.ndarray:
-    """The iteration counts as integers; ValueError for a negative or fractional one."""
-    raw = np.asarray(list(ks))
-    with np.errstate(invalid="ignore"):
-        ks = raw.astype(int)
-    if np.any(ks != raw) or np.any(ks < 0):
-        raise ValueError("iteration counts k must be nonnegative integers")
-    return ks
 
 
 def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
@@ -441,12 +442,13 @@ def fixed_point(
     For consistent (noise-free) b this is the unique least-norm solution
     of A x = b, independent of omega.  For noisy b the same spectral
     formula is evaluated; that limit is reported in outputs under the
-    label ``kaczmarz_limit``.
+    label ``kaczmarz_limit``.  A b that :meth:`SharpMaps.apply_B` rejects
+    raises ValueError.
     """
     if sm is None:
         sv = svd(p.A, rank_tol)
         sm = sharp_maps(p.A, build_L(p.A, omega), sv)
-    return sm.apply_A_sharp(np.asarray(b, dtype=float))
+    return sm.apply_A_sharp(b)
 
 
 def convergence_conditions(A, omega: float, rank_tol: float | None = None) -> dict:
@@ -467,7 +469,7 @@ def convergence_conditions(A, omega: float, rank_tol: float | None = None) -> di
     orthonormal basis; the mathematical statements are basis-independent.
     Returns the five booleans plus the computed radii and pencil spectrum.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     sv = svd(A, rank_tol)
     lf = build_L(A, omega)
     V, U = sv.V, sv.U

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _as_real, _check_int
+from .linalg import _as_array, _check_int, _check_real
 
 __all__ = [
     "TestProblem",
@@ -71,18 +71,10 @@ class TestProblem:
 
     def validate(self) -> None:
         """Raise ValueError unless dtypes, shapes, finiteness and the invariants hold."""
-        for label in ("A", "x_bar", "b_bar"):
-            _as_real(getattr(self, label), f"problem {self.name!r}: {label}")
-        if self.A.ndim != 2:
-            raise ValueError(f"problem {self.name!r}: A must be 2-d, got shape {self.A.shape}")
-        for label, vec, size in (("x_bar", self.x_bar, self.n), ("b_bar", self.b_bar, self.m)):
-            if vec.shape != (size,):
-                raise ValueError(
-                    f"problem {self.name!r}: {label} must have shape ({size},), got {vec.shape}"
-                )
-        for label, arr in (("A", self.A), ("x_bar", self.x_bar), ("b_bar", self.b_bar)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"problem {self.name!r}: {label} has non-finite entries")
+        _as_array(self.A, f"problem {self.name!r}: A")
+        for label, size in (("x_bar", self.n), ("b_bar", self.m)):
+            _as_array(getattr(self, label), f"problem {self.name!r}: {label}", rows=size,
+                      want=f"have shape ({size},)")
         rn = np.einsum("ij,ij->i", self.A, self.A)
         if np.any(rn == 0.0):
             raise ValueError(f"problem {self.name!r} has a zero row")
@@ -93,14 +85,18 @@ class TestProblem:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """White Gaussian noise: e ~ N(0, sigma^2 I), drawn from PCG64(seed)."""
+    """White Gaussian noise: e ~ N(0, sigma^2 I), drawn from PCG64(seed).
+
+    ValueError unless sigma is a finite real number >= 0 and seed an
+    integer >= 0.
+    """
 
     sigma: float
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        _check_real("sigma", self.sigma)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -133,13 +129,11 @@ def gravity(n: int, d: float) -> TestProblem:
     A[i, j] = (1/n) * d * (d^2 + ((i-j)/n)^2)^(-3/2) from midpoint
     quadrature on collocation/quadrature points t = (k - 0.5)/n, and
     x_bar(t) = sin(pi t) + 0.5 sin(2 pi t).  A is symmetric since the
-    kernel depends only on |i - j|.
+    kernel depends only on |i - j|.  Raises ValueError unless n is an
+    integer >= 2 and d a finite real number > 0.
     """
-    _check_int("n", n)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (np.isfinite(d) and d > 0):
-        raise ValueError(f"depth d must be finite and positive, got {d}")
+    _check_int("n", n, 2)
+    _check_real("depth d", d, positive=True)
     t = (np.arange(1, n + 1) - 0.5) / n
     S, T = np.meshgrid(t, t, indexing="ij")
     A = (1.0 / n) * d * (d**2 + (S - T) ** 2) ** (-1.5)
@@ -156,10 +150,11 @@ def baart(n: int) -> TestProblem:
     [0, pi/2] x [0, pi]: the s-integral of exp(s cos t) is evaluated in
     closed form, the t-integral by Simpson's rule on each cell.  The
     coefficient vector of the solution sin(t) is returned as x_bar.
-    Severely ill-conditioned already for moderate n.
+    Severely ill-conditioned already for moderate n.  Raises ValueError
+    unless n is an even integer >= 4.
     """
-    _check_int("n", n)
-    if n < 4 or n % 2 != 0:
+    _check_int("n", n, 4)
+    if n % 2 != 0:
         raise ValueError("n must be even and at least 4")
     hs = np.pi / (2 * n)
     ht = np.pi / n
@@ -204,7 +199,9 @@ def shepp_logan_like(N: int) -> np.ndarray:
 
     Returned flattened in the pixel order used by ``paralleltomo``:
     column-major, top-to-bottom within a column, columns left-to-right.
+    Raises ValueError unless N is an integer >= 1.
     """
+    _check_int("N", N, 1)
     # pixel centers in [-1, 1]^2; x right, y up
     c = (np.arange(N) + 0.5) * (2.0 / N) - 1.0
     X = np.repeat(c, N)            # column-major: x constant per block
@@ -297,18 +294,16 @@ def paralleltomo(
 
     A[i, j] is the exact intersection length of ray i with pixel j;
     pixels are numbered column-major from the upper-left corner.  The
-    ground truth is a piecewise-constant ellipse phantom.
+    ground truth is a piecewise-constant ellipse phantom.  Raises
+    ValueError unless N >= 2, n_angles >= 1 and rays_per_angle >= 1 are
+    integers and the width is a finite real number >= 0.
     """
-    for name, value in (("N", N), ("n_angles", n_angles), ("rays_per_angle", rays_per_angle)):
-        _check_int(name, value)
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if n_angles < 1 or rays_per_angle < 1:
-        raise ValueError("need at least one angle and one ray")
+    for name, value, lo in (("N", N, 2), ("n_angles", n_angles, 1),
+                            ("rays_per_angle", rays_per_angle, 1)):
+        _check_int(name, value, lo)
     if width is None:
         width = float(rays_per_angle - 1) if rays_per_angle > 1 else 0.0
-    if not (np.isfinite(width) and width >= 0):
-        raise ValueError(f"detector width must be finite and nonnegative, got {width}")
+    _check_real("detector width", width)
 
     x_lines = np.arange(N + 1) - N / 2
     angles = np.arange(n_angles) * (180.0 / n_angles)
@@ -350,10 +345,10 @@ def random_ordering(m: int, seed: int) -> RowOrdering:
     """Uniformly random permutation of 0..m-1 from PCG64(seed).
 
     Deterministic: the same seed yields the same permutation everywhere.
+    Raises ValueError unless m is an integer >= 1 and seed one >= 0.
     """
-    _check_int("m", m)
-    if m < 1:
-        raise ValueError("m must be positive")
+    _check_int("m", m, 1)
+    _check_int("seed", seed, 0)
     perm = np.random.default_rng(seed).permutation(m)
     return RowOrdering(perm=perm, label=f"random(seed={seed})")
 

@@ -22,13 +22,12 @@ Iterations are never auto-stopped; ``max_sweeps`` governs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .linalg import _as_matrix, _as_real, _check_int
+from .linalg import _as_array, _check_int, _check_real
 from .operator import SweepOperator, build_L
 from .tables import write_table
 
@@ -52,7 +51,11 @@ _DRAWS = 64
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Knobs for a row-action solve."""
+    """Knobs for a row-action solve.
+
+    ValueError when built unless omega is a real number in (0, 2), the
+    variant is known, and max_sweeps and seed are integers >= 0.
+    """
 
     omega: float = 1.0
     variant: str = "standard"
@@ -61,13 +64,11 @@ class SweepConfig:
     store_iterates: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.omega < 2.0:
-            raise ValueError("omega must lie in (0, 2)")
+        _check_real("omega", self.omega, below=2.0)
         if self.variant not in _VARIANTS:
             raise ValueError(f"variant must be one of {_VARIANTS}")
-        k = self.max_sweeps
-        if isinstance(k, bool) or not (isinstance(k, numbers.Integral) and k >= 0):
-            raise ValueError(f"max_sweeps must be a nonnegative integer, got {k!r}")
+        _check_int("max_sweeps", self.max_sweeps, 0)
+        _check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class IterationHistory:
 
 def row_norms_squared(A) -> np.ndarray:
     """Squared row norms ||a_i||^2, computed once per solve."""
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     rn = np.einsum("ij,ij->i", A, A)
     if np.any(rn == 0.0):
         raise ValueError("matrix has a zero row")
@@ -110,27 +111,27 @@ def _project_rows(A, b, x, omega, rn, order):
     return x
 
 
+def _loop_args(A, b, x, rn):
+    """(A, b, a copy of x, the squared row norms) for a row loop, checked as in ``run``."""
+    A = _as_array(A, "matrix")
+    b = _as_array(b, "b", rows=A.shape[0], block=True)
+    x = _as_array(x, "x", rows=A.shape[1], block=True).copy()
+    return A, b, x, row_norms_squared(A) if rn is None else rn
+
+
 def sweep_standard(A, b, x, omega: float, rn=None) -> np.ndarray:
     """One full pass over the rows in storage order.
 
     Equals x + A^T L^-1 (b - A x) in exact arithmetic.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if rn is None:
-        rn = row_norms_squared(A)
-    x = np.array(x, dtype=float, copy=True)
+    A, b, x, rn = _loop_args(A, b, x, rn)
     return _project_rows(A, b, x, omega, rn, range(A.shape[0]))
 
 
 def sweep_symmetric(A, b, x, omega: float, rn=None) -> np.ndarray:
     """A down sweep followed by an up sweep (2m row updates)."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if rn is None:
-        rn = row_norms_squared(A)
+    A, b, x, rn = _loop_args(A, b, x, rn)
     m = A.shape[0]
-    x = np.array(x, dtype=float, copy=True)
     x = _project_rows(A, b, x, omega, rn, range(m))
     return _project_rows(A, b, x, omega, rn, range(m - 1, -1, -1))
 
@@ -141,26 +142,10 @@ def sweep_randomized(A, b, x, omega: float, rng: np.random.Generator, rn=None) -
     Advances ``rng``; pass the same seeded generator across sweeps for a
     reproducible iterate sequence.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if rn is None:
-        rn = row_norms_squared(A)
+    A, b, x, rn = _loop_args(A, b, x, rn)
     m = A.shape[0]
     order = rng.integers(0, m, size=m)
-    x = np.array(x, dtype=float, copy=True)
     return _project_rows(A, b, x, omega, rn, order)
-
-
-def _rhs_block(b, m: int) -> np.ndarray:
-    """b as a Fortran-ordered m-by-R block; loud on a bad dtype, shape or value."""
-    B = _as_real(b, "b")
-    if B.ndim not in (1, 2) or B.shape[0] != m or B.size == 0:
-        raise ValueError(
-            f"b must be an {m}-vector or an {m}-by-R block, R >= 1, got shape {B.shape}"
-        )
-    if not np.all(np.isfinite(B)):
-        raise ValueError("b has non-finite entries")
-    return np.asfortranarray(B.reshape(m, -1))
 
 
 def run(p, b, cfg: SweepConfig, reference=None):
@@ -171,13 +156,15 @@ def run(p, b, cfg: SweepConfig, reference=None):
     columns are swept together.  Each history records the residual norm
     ||b - A x_k|| per sweep, the error norm ||x_k - reference|| when a
     reference n-vector is given, and the iterates themselves when
-    cfg.store_iterates is set.  Raises ValueError for an A or b that is
-    complex or non-numeric, for a non-finite A, and for a b or a reference
-    of the wrong length or with non-finite entries.
+    cfg.store_iterates is set.  Raises ValueError unless A is a finite
+    real matrix, b a finite real m-vector or m-by-R block and the
+    reference a finite real n-vector.
     """
-    A = _as_matrix(p.A)
+    A = _as_array(p.A, "matrix")
     m, n = A.shape
-    B = _rhs_block(b, m)
+    B = np.asfortranarray(_as_array(b, "b", rows=m, block=True).reshape(m, -1))
+    if reference is not None:
+        reference = _as_array(reference, "reference", rows=n)[:, None]
     R, K = B.shape[1], cfg.max_sweeps
 
     lf = build_L(A, cfg.omega)
@@ -196,13 +183,6 @@ def run(p, b, cfg: SweepConfig, reference=None):
     residuals = np.empty((R, K + 1))
     errors = None if reference is None else np.empty((R, K + 1))
     iterates = np.empty((R, K + 1, n)) if cfg.store_iterates else None
-    if reference is not None:
-        reference = _as_real(reference, "reference")
-        if reference.shape != (n,):
-            raise ValueError(f"reference must be an {n}-vector, got shape {reference.shape}")
-        if not np.all(np.isfinite(reference)):
-            raise ValueError("reference has non-finite entries")
-        reference = reference[:, None]
     X = np.zeros((n, R), order="F")
     for k in range(K + 1):
         if k:
@@ -230,17 +210,12 @@ def cgls(A, b, k_max: int) -> IterationHistory:
 
     Iterates are always stored.  On breakdown (vanishing direction norm)
     the history is truncated and flagged "breakdown".  Raises ValueError
-    for a k_max that is not an integer >= 1, a complex or non-numeric A
-    and a b that is not one m-vector of finite real entries.
+    unless k_max is an integer >= 1, A a finite real matrix and b a finite
+    real m-vector.
     """
-    _check_int("k_max", k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    A = _as_matrix(A)
-    B = _rhs_block(b, A.shape[0])
-    if B.shape[1] != 1:
-        raise ValueError(f"cgls takes one right-hand side, got {B.shape[1]}")
-    b = B[:, 0]
+    _check_int("k_max", k_max, 1)
+    A = _as_array(A, "matrix")
+    b = _as_array(b, "b", rows=A.shape[0])
     n = A.shape[1]
 
     x = np.zeros(n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import SvdResult, eig_general, eigvals
+from .linalg import SvdResult, _as_array, _check_real, eig_general, eigvals
 from .operator import LFactor, RestrictedOperator, build_L, restrict_to_V
 
 __all__ = [
@@ -113,17 +113,12 @@ class BoundsReport:
     omega: float
 
 
-def _check_tol(name: str, value) -> None:
-    if not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-
-
 def spectrum(ro: RestrictedOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectrumReport:
     """Eigendecompose a restricted operator and summarize its spectrum.
 
-    Raises ValueError for a NaN, infinite or negative ``zero_tol``.
+    Raises ValueError unless ``zero_tol`` is a finite real number >= 0.
     """
-    _check_tol("zero_tol", zero_tol)
+    _check_real("zero_tol", zero_tol)
     eig = eig_general(ro.Gv)
     lam = eig.eigenvalues
     return SpectrumReport(
@@ -144,7 +139,7 @@ def structural_orthogonality(A) -> StructureReport:
     also in floating point; the tests here use the supports, never
     floating dot products.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     m = A.shape[0]
     support = (A != 0.0).astype(np.float64)
     overlap = (support @ support.T) > 0.0
@@ -164,11 +159,11 @@ def backward_error_bound(A, omega: float) -> float:
 
     Distance (in the second argument) from (A A^T, L_omega) to a pencil
     with an eigenvalue 1, i.e. from the sweep operator having an exact
-    zero eigenvalue; identically 0 at omega = 1.
+    zero eigenvalue; identically 0 at omega = 1.  Raises ValueError unless
+    omega is a finite real number > 0 and A a finite real matrix.
     """
-    if not (np.isfinite(omega) and omega > 0):
-        raise ValueError(f"omega must be finite and positive, got {omega}")
-    A = np.asarray(A, dtype=float)
+    omega = _check_real("omega", omega, positive=True)
+    A = _as_array(A, "matrix")
     rn = np.einsum("ij,ij->i", A, A)
     return float(abs(1.0 - 1.0 / omega) * np.max(rn))
 
@@ -181,7 +176,7 @@ def bauer_fike_bound(A, lf: LFactor, kappa_X: float) -> float:
     ``kappa_X`` is the condition number of the eigenvector matrix of
     L^-1 A A^T.  Exactly zero when the rows are structurally orthogonal.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     if A.shape[0] < 2:
         return 0.0
     y = lf.solve(np.eye(lf.m, 1))[:, 0]  # L^-1 e_1
@@ -197,7 +192,7 @@ def zero_eigenvalue_condition(A) -> float:
     a computable stand-in for the pencil eigenvalue condition number in
     the backward-error bound; only first-order accurate.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     a1, am = A[0], A[-1]
     denom = abs(am @ a1)
     if denom == 0.0:
@@ -212,7 +207,7 @@ def bauer_fike_kappa(A, lf1: LFactor | None = None) -> float:
     the omega under study, so a caller with several omegas computes it
     once.  ``lf1`` is the omega = 1 factor when the caller has it.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     if lf1 is None:
         lf1 = build_L(A, 1.0)
     return eig_general(lf1.solve(lf1.gram())).kappa
@@ -235,7 +230,7 @@ def rho_bounds(
     ``kappa_X`` (see :func:`bauer_fike_kappa`), the only eigendecomposition
     with eigenvectors, is computed here unless given.
     """
-    A = np.asarray(A, dtype=float)
+    A = _as_array(A, "matrix")
     lam = eigvals(ro.Gv)
     rho = float(np.abs(lam[0]))
 
@@ -319,12 +314,12 @@ def small_omega_scan(
     ``linalg.eigvals``), so the scan runs in one OpenBLAS.  At r = 128 a
     second BLAS thread costs time, so the CLI runs such scans on one
     (``experiments.ONE_THREAD_MAX_DIM``).  A is made Fortran-ordered once,
-    so no step copies it per omega.  Raises ValueError for a NaN,
-    infinite or negative ``zero_tol`` or ``im_tol``.
+    so no step copies it per omega.  Raises ValueError unless A is a finite
+    real matrix and ``zero_tol`` and ``im_tol`` are finite real numbers >= 0.
     """
-    _check_tol("zero_tol", zero_tol)
-    _check_tol("im_tol", im_tol)
-    A = np.asfortranarray(A, dtype=float)
+    _check_real("zero_tol", zero_tol)
+    _check_real("im_tol", im_tol)
+    A = np.asfortranarray(_as_array(A, "matrix"))
     rows = []
     for omega in sorted(float(w) for w in omegas):
         ro = restrict_to_V(A, build_L(A, omega), sv)
