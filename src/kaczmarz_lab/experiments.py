@@ -244,15 +244,14 @@ def cmd_eigplot(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         ylabel="Im",
         unit_circle=True,
     )
-    top_is_complex = bool(abs(lam[0].imag) > 1e-12 * max(1.0, abs(lam[0])))
     print(f"rho = {rep.rho:.10f}")
-    if top_is_complex:
+    if not rep.top_is_real:
         print("note: extremal eigenvalue is a complex conjugate pair")
     summary = {
         "rho": rep.rho,
         "zero_count": rep.zero_count,
         "kappa_W": rep.kappa_W,
-        "top_is_complex": top_is_complex,
+        "top_is_complex": not rep.top_is_real,
         "near_defective": rep.near_defective,
     }
     return summary

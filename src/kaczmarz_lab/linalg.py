@@ -173,8 +173,8 @@ class LeastNormResult:
     """Least-norm solve output with a consistency flag.
 
     ``residual`` is the norm of the component of b outside range(A);
-    ``inconsistent`` is set when that residual exceeds the consistency
-    tolerance (expected for noisy right-hand sides).
+    ``inconsistent`` is set when that residual exceeds 1e-8 * ||b||
+    (expected for noisy right-hand sides).
     """
 
     x: np.ndarray
@@ -291,25 +291,23 @@ def solve_upper(U, b) -> np.ndarray:
     return sla.solve_triangular(U, _as_array(b, "b", rows=U.shape[0], block=True), lower=False)
 
 
-def least_norm_solution(
-    A, b, rank_tol: float | None = None, consistency_tol: float = 1e-8
-) -> LeastNormResult:
+def least_norm_solution(A, b) -> LeastNormResult:
     """Least-norm solution V @ diag(S)^-1 @ U.T @ b of A x = b.
 
-    For a consistent system this is the unique solution orthogonal to
-    null(A).  The component of b outside range(A) is reported as
-    ``residual`` and, when it exceeds ``consistency_tol * ||b||``, the
-    result is flagged inconsistent rather than rejected (noisy data ends
-    up here on purpose).  A b that is not an m-vector of finite real
-    entries raises ValueError.
+    The SVD is ``svd(A)`` at its default rank cut.  For a consistent
+    system this is the unique solution orthogonal to null(A).  The
+    component of b outside range(A) is reported as ``residual`` and, when
+    it exceeds 1e-8 * ||b||, the result is flagged inconsistent rather
+    than rejected (noisy data ends up here on purpose).  A b that is not
+    an m-vector of finite real entries raises ValueError.
     """
-    sv = A if isinstance(A, SvdResult) else svd(A, rank_tol)
+    sv = svd(A)
     b = _as_array(b, "b", rows=sv.U.shape[0])
     coeff = sv.U.T @ b
     x = sv.V @ (coeff / sv.S)
     residual = float(np.linalg.norm(b - sv.U @ coeff))
     bnorm = float(np.linalg.norm(b))
-    inconsistent = residual > consistency_tol * bnorm if bnorm > 0 else False
+    inconsistent = residual > 1e-8 * bnorm if bnorm > 0 else False
     return LeastNormResult(x=x, residual=residual, inconsistent=inconsistent)
 
 

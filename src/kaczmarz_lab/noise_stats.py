@@ -38,6 +38,7 @@ n-by-r array is formed.  The Monte Carlo samples are lifted in blocks of
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,26 +108,17 @@ def error_split_from_histories(
     return ErrorSplit(recon_err=recon, iter_err=iter_, noise_err=noise)
 
 
-def error_split(
-    p: TestProblem, b_noisy, cfg: SweepConfig, k_max: int | None = None
-) -> ErrorSplit:
+def error_split(p: TestProblem, b_noisy, cfg: SweepConfig) -> ErrorSplit:
     """Run the solver on b_bar and on b_noisy and split the error.
 
-    Both right-hand sides are solved in one block run, so they share the
-    configuration (in particular the row order and randomization seed) and
-    the iteration-error curve is independent of the noise realization.
-    Raises ValueError unless ``b_noisy`` is a finite real m-vector.
+    Both right-hand sides are solved in one block run of cfg.max_sweeps
+    sweeps, so they share the configuration (in particular the row order
+    and randomization seed) and the iteration-error curve is independent
+    of the noise realization.  Raises ValueError unless ``b_noisy`` is a
+    finite real m-vector.
     """
-    if k_max is None:
-        k_max = cfg.max_sweeps
-    cfg_run = SweepConfig(
-        omega=cfg.omega,
-        variant=cfg.variant,
-        max_sweeps=k_max,
-        seed=cfg.seed,
-        store_iterates=True,
-    )
     b_noisy = _as_array(b_noisy, "b_noisy", rows=p.m, want=f"have shape ({p.m},)")
+    cfg_run = dataclasses.replace(cfg, store_iterates=True)
     clean, noisy = run(p, np.column_stack([p.b_bar, b_noisy]), cfg_run)
     return error_split_from_histories(clean, noisy, p.x_bar)
 

@@ -368,13 +368,7 @@ class SharpMaps:
         return self._weight(self.A, transpose=True)
 
 
-def sharp_maps(
-    A,
-    lf: LFactor,
-    sv: SvdResult,
-    variant: str = "standard",
-    convergence_tol: float = 1e-12,
-) -> SharpMaps:
+def sharp_maps(A, lf: LFactor, sv: SvdResult, variant: str = "standard") -> SharpMaps:
     """Eigendecompose the restricted operator and package the sharp maps.
 
     Everything stored but the eigenvalues is real (see :class:`SharpMaps`):
@@ -385,15 +379,15 @@ def sharp_maps(
     ``SharpMaps.coefficients`` reads from Y's.
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
-    within ``convergence_tol`` of 1, since then I - G is not invertible
-    on the row space and the fixed point is undefined, and NumericalError
-    when ``dgesv`` finds R0 singular.
+    within 1e-12 of 1, since then I - G is not invertible on the row space
+    and the fixed point is undefined, and NumericalError when ``dgesv``
+    finds R0 singular.
     """
     restrict = _restriction(variant)
     A = _as_array(A, "matrix")
     eig = eig_general(restrict(A, lf, sv).Gv)
     lam = eig.eigenvalues
-    if np.min(np.abs(1.0 - lam)) < convergence_tol:
+    if np.min(np.abs(1.0 - lam)) < 1e-12:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
     R0 = eig.R0
     _, _, Y, info = dgesv(R0, sv.V.T)
@@ -430,28 +424,23 @@ def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     return sm.k_sweep(k, Z_r, Z_i).reshape(y.shape)
 
 
-def fixed_point(
-    p: TestProblem,
-    b,
-    omega: float = 1.0,
-    rank_tol: float | None = None,
-    sm: SharpMaps | None = None,
-) -> np.ndarray:
+def fixed_point(p: TestProblem, b, omega: float = 1.0, sm: SharpMaps | None = None) -> np.ndarray:
     """Limit of the sweep iteration from x0 = 0 with data b.
 
     For consistent (noise-free) b this is the unique least-norm solution
     of A x = b, independent of omega.  For noisy b the same spectral
     formula is evaluated; that limit is reported in outputs under the
-    label ``kaczmarz_limit``.  A b that :meth:`SharpMaps.apply_B` rejects
-    raises ValueError.
+    label ``kaczmarz_limit``.  Without ``sm`` the maps are built from
+    ``svd(p.A)`` at its default rank cut.  Raises ValueError unless b is
+    a finite real m-vector or m-by-R block.
     """
+    b = _as_array(b, "b", rows=p.m, block=True)
     if sm is None:
-        sv = svd(p.A, rank_tol)
-        sm = sharp_maps(p.A, build_L(p.A, omega), sv)
+        sm = sharp_maps(p.A, build_L(p.A, omega), svd(p.A))
     return sm.apply_A_sharp(b)
 
 
-def convergence_conditions(A, omega: float, rank_tol: float | None = None) -> dict:
+def convergence_conditions(A, omega: float) -> dict:
     """Evaluate five equivalent spectral convergence conditions.
 
     Each entry states, in a different algebraic form, that the sweep
@@ -466,11 +455,12 @@ def convergence_conditions(A, omega: float, rank_tol: float | None = None) -> di
 
     The pencil eigenvalues for (d) and (e) are computed as eigenvalues of
     the restriction of L^-1 A A^T to U, using the SVD's U factor as the
-    orthonormal basis; the mathematical statements are basis-independent.
-    Returns the five booleans plus the computed radii and pencil spectrum.
+    orthonormal basis, from ``svd(A)`` at its default rank cut; the
+    mathematical statements are basis-independent.  Returns the five
+    booleans plus the computed radii and pencil spectrum.
     """
     A = _as_array(A, "matrix")
-    sv = svd(A, rank_tol)
+    sv = svd(A)
     lf = build_L(A, omega)
     V, U = sv.V, sv.U
     AAT = lf.gram()

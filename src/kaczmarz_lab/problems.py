@@ -369,8 +369,11 @@ def apply_ordering(p: TestProblem, o: RowOrdering) -> TestProblem:
 
 
 def add_noise(b_bar, nm: NoiseModel) -> np.ndarray:
-    """Return b_bar + e with e ~ N(0, sigma^2 I) from the seeded generator."""
-    b_bar = np.asarray(b_bar, dtype=float)
+    """Return b_bar + e with e ~ N(0, sigma^2 I) from the seeded generator.
+
+    Raises ValueError unless b_bar is a nonempty finite real vector.
+    """
+    b_bar = _as_array(b_bar, "b_bar", rows=np.size(b_bar))
     if nm.sigma == 0.0:
         return b_bar.copy()
     e = np.random.default_rng(nm.seed).standard_normal(b_bar.shape)

@@ -111,38 +111,38 @@ def _project_rows(A, b, x, omega, rn, order):
     return x
 
 
-def _loop_args(A, b, x, rn):
+def _loop_args(A, b, x):
     """(A, b, a copy of x, the squared row norms) for a row loop, checked as in ``run``."""
     A = _as_array(A, "matrix")
     b = _as_array(b, "b", rows=A.shape[0], block=True)
     x = _as_array(x, "x", rows=A.shape[1], block=True).copy()
-    return A, b, x, row_norms_squared(A) if rn is None else rn
+    return A, b, x, row_norms_squared(A)
 
 
-def sweep_standard(A, b, x, omega: float, rn=None) -> np.ndarray:
+def sweep_standard(A, b, x, omega: float) -> np.ndarray:
     """One full pass over the rows in storage order.
 
     Equals x + A^T L^-1 (b - A x) in exact arithmetic.
     """
-    A, b, x, rn = _loop_args(A, b, x, rn)
+    A, b, x, rn = _loop_args(A, b, x)
     return _project_rows(A, b, x, omega, rn, range(A.shape[0]))
 
 
-def sweep_symmetric(A, b, x, omega: float, rn=None) -> np.ndarray:
+def sweep_symmetric(A, b, x, omega: float) -> np.ndarray:
     """A down sweep followed by an up sweep (2m row updates)."""
-    A, b, x, rn = _loop_args(A, b, x, rn)
+    A, b, x, rn = _loop_args(A, b, x)
     m = A.shape[0]
     x = _project_rows(A, b, x, omega, rn, range(m))
     return _project_rows(A, b, x, omega, rn, range(m - 1, -1, -1))
 
 
-def sweep_randomized(A, b, x, omega: float, rng: np.random.Generator, rn=None) -> np.ndarray:
+def sweep_randomized(A, b, x, omega: float, rng: np.random.Generator) -> np.ndarray:
     """m row updates with indices drawn uniformly with replacement.
 
     Advances ``rng``; pass the same seeded generator across sweeps for a
     reproducible iterate sequence.
     """
-    A, b, x, rn = _loop_args(A, b, x, rn)
+    A, b, x, rn = _loop_args(A, b, x)
     m = A.shape[0]
     order = rng.integers(0, m, size=m)
     return _project_rows(A, b, x, omega, rn, order)

@@ -5,6 +5,10 @@ eigenvalues explain the solver's behavior: the (near-)zero eigenvalues
 behind fast initial progress, the eigenvalues close to 1 behind the slow
 asymptotic phase, upper bounds on the spectral radius, and the small-omega
 regime where the spectrum becomes real.
+
+:class:`SpectrumReport` is the one summary of a sorted eigenvalue array:
+``spectrum`` returns one, the rows of ``small_omega_scan`` are reports,
+and ``rho_bounds`` and ``symmetric_relations`` read rho from one.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ __all__ = [
     "SpectrumReport",
     "StructureReport",
     "BoundsReport",
-    "OmegaScanRow",
     "OmegaScan",
     "SymmetricRelations",
     "spectrum",
@@ -54,18 +57,47 @@ NEAR_DEFECTIVE_KAPPA = 1e12
 class SpectrumReport:
     """Eigenvalues of a restricted operator plus summary statistics.
 
-    ``eigenvalues`` are sorted by descending modulus and ``kappa_W`` is
-    the condition number of the restricted operator's eigenvector matrix,
-    which is not kept.  ``zero_count`` counts |lambda| <= zero_tol.
+    ``eigenvalues`` are sorted by descending modulus, as ``eig_general``
+    and ``eigvals`` return them.  ``kappa_W`` is the condition number of
+    the eigenvector matrix, which is not kept, and None where only the
+    eigenvalues were computed.  Each statistic is a property, so each rule
+    is written once: ``zero_count`` counts |lambda| <= zero_tol, and
+    ``top_is_real`` holds when |Im lambda_1| <= 1e-12 * max(1, |lambda_1|).
     """
 
     eigenvalues: np.ndarray
-    kappa_W: float
-    rho: float
-    zero_count: int
-    zero_tol: float
     omega: float
-    near_defective: bool = False
+    zero_tol: float = DEFAULT_ZERO_TOL
+    kappa_W: float | None = None
+
+    @property
+    def rho(self) -> float:
+        return float(np.abs(self.eigenvalues[0]))
+
+    @property
+    def zero_count(self) -> int:
+        return int(np.sum(np.abs(self.eigenvalues) <= self.zero_tol))
+
+    @property
+    def max_im(self) -> float:
+        return float(np.max(np.abs(self.eigenvalues.imag)))
+
+    @property
+    def n_nonpos_real(self) -> int:
+        return int(np.sum(self.eigenvalues.real <= 0.0))
+
+    @property
+    def min_abs(self) -> float:
+        return float(np.min(np.abs(self.eigenvalues)))
+
+    @property
+    def top_is_real(self) -> bool:
+        top = self.eigenvalues[0]
+        return bool(abs(top.imag) <= 1e-12 * max(1.0, abs(top)))
+
+    @property
+    def near_defective(self) -> bool:
+        return self.kappa_W is not None and bool(self.kappa_W > NEAR_DEFECTIVE_KAPPA)
 
 
 @dataclass(frozen=True)
@@ -118,18 +150,9 @@ def spectrum(ro: RestrictedOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> Spec
 
     Raises ValueError unless ``zero_tol`` is a finite real number >= 0.
     """
-    _check_real("zero_tol", zero_tol)
+    zero_tol = _check_real("zero_tol", zero_tol)
     eig = eig_general(ro.Gv)
-    lam = eig.eigenvalues
-    return SpectrumReport(
-        eigenvalues=lam,
-        kappa_W=eig.kappa,
-        rho=float(np.abs(lam[0])),
-        zero_count=int(np.sum(np.abs(lam) <= zero_tol)),
-        zero_tol=float(zero_tol),
-        omega=ro.omega,
-        near_defective=bool(eig.kappa > NEAR_DEFECTIVE_KAPPA),
-    )
+    return SpectrumReport(eig.eigenvalues, ro.omega, zero_tol, eig.kappa)
 
 
 def structural_orthogonality(A) -> StructureReport:
@@ -228,17 +251,16 @@ def rho_bounds(
     When the extremal eigenvalue is complex or multiple the bounds are
     still reported but flagged as outside the proposition's assumptions.
     ``kappa_X`` (see :func:`bauer_fike_kappa`), the only eigendecomposition
-    with eigenvectors, is computed here unless given.
+    with eigenvectors, is computed here unless given.  Raises ValueError
+    when ``ro`` and ``lf`` use different omegas.
     """
+    if ro.omega != lf.omega:
+        raise ValueError("restricted operator and factor use different omega")
     A = _as_array(A, "matrix")
-    lam = eigvals(ro.Gv)
-    rho = float(np.abs(lam[0]))
-
-    top = lam[0]
-    simple = lam.size < 2 or abs(lam[0] - lam[1]) > 1e-12 * max(1.0, abs(top))
-    assumption_met = bool(
-        abs(top.imag) <= 1e-12 * max(1.0, abs(top)) and top.real > 0.0 and simple
-    )
+    rep = SpectrumReport(eigvals(ro.Gv), ro.omega)
+    lam = rep.eigenvalues
+    simple = lam.size < 2 or abs(lam[0] - lam[1]) > 1e-12 * max(1.0, rep.rho)
+    assumption_met = bool(rep.top_is_real and lam[0].real > 0.0 and simple)
 
     norm_G = float(sla.svdvals(ro.Gv, check_finite=False)[0])
     sigma_min = float(sv.S[-1])
@@ -250,7 +272,7 @@ def rho_bounds(
     if kappa_X is None:
         kappa_X = bauer_fike_kappa(A, lf1)
     return BoundsReport(
-        rho_actual=rho,
+        rho_actual=rep.rho,
         norm_G=norm_G,
         bound_L=float(1.0 - sigma_min**2 / norm_L),
         bound_nu=float(1.0 - nu * sigma_min**2),
@@ -263,18 +285,8 @@ def rho_bounds(
 
 
 @dataclass(frozen=True)
-class OmegaScanRow:
-    omega: float
-    rho: float
-    max_im: float
-    zero_count: int
-    n_nonpos_real: int
-    min_abs: float
-
-
-@dataclass(frozen=True)
 class OmegaScan:
-    """Per-omega spectrum statistics over an ascending omega grid.
+    """One :class:`SpectrumReport` per omega of an ascending omega grid.
 
     ``omega0`` is the largest scanned omega below the first omega whose
     spectrum has max |Im(lambda)| > im_tol, i.e. the detected edge of the
@@ -283,7 +295,6 @@ class OmegaScan:
 
     rows: tuple
     im_tol: float
-    zero_tol: float
 
     @property
     def omega0(self) -> float | None:
@@ -305,9 +316,11 @@ def small_omega_scan(
     """Scan the restricted spectrum over a grid of relaxation parameters.
 
     For each omega (sorted ascending) the restricted operator is rebuilt
-    and its eigenvalues (no eigenvectors) classified: largest modulus,
-    largest |imaginary part|, count of numerically zero eigenvalues, and
-    count of eigenvalues with nonpositive real part.
+    and its eigenvalues (no eigenvectors) summarized in a
+    :class:`SpectrumReport` with no ``kappa_W``: largest modulus, largest
+    |imaginary part|, count of numerically zero eigenvalues, and count of
+    eigenvalues with nonpositive real part.  Each omega's factor comes
+    from one A A^T through ``LFactor.with_omega``.
 
     Every product and the eigensolve go through scipy's BLAS and LAPACK
     (``build_L``, the ``SweepOperator`` engine behind ``restrict_to_V``,
@@ -317,24 +330,15 @@ def small_omega_scan(
     so no step copies it per omega.  Raises ValueError unless A is a finite
     real matrix and ``zero_tol`` and ``im_tol`` are finite real numbers >= 0.
     """
-    _check_real("zero_tol", zero_tol)
-    _check_real("im_tol", im_tol)
+    zero_tol = _check_real("zero_tol", zero_tol)
+    im_tol = _check_real("im_tol", im_tol)
     A = np.asfortranarray(_as_array(A, "matrix"))
-    rows = []
+    rows, lf = [], None
     for omega in sorted(float(w) for w in omegas):
-        ro = restrict_to_V(A, build_L(A, omega), sv)
-        lam = eigvals(ro.Gv)
-        rows.append(
-            OmegaScanRow(
-                omega=omega,
-                rho=float(np.max(np.abs(lam))),
-                max_im=float(np.max(np.abs(lam.imag))),
-                zero_count=int(np.sum(np.abs(lam) <= zero_tol)),
-                n_nonpos_real=int(np.sum(lam.real <= 0.0)),
-                min_abs=float(np.min(np.abs(lam))),
-            )
-        )
-    return OmegaScan(rows=tuple(rows), im_tol=float(im_tol), zero_tol=float(zero_tol))
+        lf = build_L(A, omega) if lf is None else lf.with_omega(omega)
+        ro = restrict_to_V(A, lf, sv)
+        rows.append(SpectrumReport(eigvals(ro.Gv), omega, zero_tol))
+    return OmegaScan(rows=tuple(rows), im_tol=im_tol)
 
 
 @dataclass(frozen=True)
@@ -357,13 +361,14 @@ def symmetric_relations(
     Both restrictions must come from the same matrix and omega; the
     double-sweep restriction is assembled through the two sweeps, so the
     reported ``difference`` is a genuine numerical cross-check rather
-    than an algebraic identity.
+    than an algebraic identity.  ||G|_V||_2 is the top singular value, as
+    in ``rho_bounds``.
     """
     if ro_G.omega != ro_Gs.omega:
         raise ValueError("restricted operators use different omega")
-    rho_G = float(np.max(np.abs(eigvals(ro_G.Gv))))
-    rho_Gs = float(np.max(np.abs(eigvals(ro_Gs.Gv))))
-    norm_G = float(np.linalg.norm(ro_G.Gv, 2))
+    rho_G = SpectrumReport(eigvals(ro_G.Gv), ro_G.omega).rho
+    rho_Gs = SpectrumReport(eigvals(ro_Gs.Gv), ro_Gs.omega).rho
+    norm_G = float(sla.svdvals(ro_G.Gv, check_finite=False)[0])
     return SymmetricRelations(
         rho_G=rho_G,
         rho_Gs=rho_Gs,

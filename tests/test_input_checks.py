@@ -63,6 +63,13 @@ _BAD_INPUT = [
     ("NoiseModel-string", lambda p, sv, lf, sm: kl.NoiseModel("1"), "sigma must be finite"),
     ("spectrum-None", lambda p, sv, lf, sm: kl.spectrum(kl.restrict_to_V(p.A, lf, sv), None),
      "zero_tol must be finite"),
+    ("fixed_point-short", lambda p, sv, lf, sm: kl.fixed_point(p, np.ones(11), sm=sm),
+     "b must be an 12-vector"),
+    ("add_noise-complex", lambda p, sv, lf, sm: kl.add_noise(_COMPLEX, kl.NoiseModel(0.1, 0)),
+     "b_bar must be real"),
+    ("rho_bounds-omega", lambda p, sv, lf, sm: kl.rho_bounds(
+        p.A, sv, lf, kl.restrict_to_V(p.A, lf.with_omega(0.5), sv)),
+     "restricted operator and factor use different omega"),
 ]
 
 

@@ -46,6 +46,37 @@ class TestSpectrum:
             kl.spectrum(ro, zero_tol=zero_tol)
 
 
+# sorted by descending modulus: a complex top pair, exact zeros of both
+# signs, a zero within the tolerance and negative real parts; then an
+# all-real spectrum
+_SPECTRA = {
+    "complex-top": np.array([0.6 + 0.8j, 0.6 - 0.8j, -0.7, -0.3 + 0.2j, -0.3 - 0.2j,
+                             2e-8, 1e-10, 0.0, -0.0]),
+    "all-real": np.array([1.5 + 0j, -1.2, 0.5, -0.25, 1e-3]),
+}
+
+_PROPERTIES = {
+    "rho": lambda lam, rep: max(abs(z) for z in lam),
+    "zero_count": lambda lam, rep: sum(abs(z) <= rep.zero_tol for z in lam),
+    "max_im": lambda lam, rep: max(abs(z.imag) for z in lam),
+    "n_nonpos_real": lambda lam, rep: sum(z.real <= 0.0 for z in lam),
+    "min_abs": lambda lam, rep: min(abs(z) for z in lam),
+    "top_is_real": lambda lam, rep: max(lam, key=abs).imag == 0.0,
+    "near_defective": lambda lam, rep: (rep.kappa_W is not None
+                                        and rep.kappa_W > kl.spectral.NEAR_DEFECTIVE_KAPPA),
+}
+
+
+class TestSpectrumReport:
+    @pytest.mark.parametrize("prop", list(_PROPERTIES))
+    @pytest.mark.parametrize("name, kappa_W", [("complex-top", None), ("complex-top", 10.0),
+                                               ("all-real", 1e13)])
+    def test_property_matches_direct_formula(self, name, kappa_W, prop):
+        lam = _SPECTRA[name]
+        rep = kl.SpectrumReport(lam, 1.0, 1e-8, kappa_W)
+        assert getattr(rep, prop) == _PROPERTIES[prop](list(lam), rep)
+
+
 class TestStructuralOrthogonality:
     def test_diagonal_matrix_full_block(self):
         rep = kl.structural_orthogonality(np.diag([1.0, 2.0, 3.0]))
@@ -249,6 +280,31 @@ class TestSmallOmega:
             assert 0.0 < row.rho <= 1.0 + 1e-10
             assert row.zero_count >= 0 and row.n_nonpos_real >= 0
 
+
+    def test_rows_are_eigenvalue_only_reports(self, gravity128_06):
+        sv = kl.svd(gravity128_06.A)
+        for row in kl.small_omega_scan(gravity128_06.A, sv, [0.5, 1.0]).rows:
+            assert isinstance(row, kl.SpectrumReport)
+            assert row.kappa_W is None
+            assert row.near_defective is False
+
+    def test_one_gram_per_scan(self, monkeypatch):
+        # each omega's factor comes from the first one through with_omega,
+        # bit-identical to a factor built at that omega
+        p = kl.gravity(32, 0.06)
+        sv = kl.svd(p.A)
+        calls = []
+
+        def spy(A, omega):
+            calls.append(omega)
+            return kl.build_L(A, omega)
+
+        monkeypatch.setattr(kl.spectral, "build_L", spy)
+        scan = kl.small_omega_scan(p.A, sv, [1.5, 0.5, 1.0])
+        assert calls == [0.5]
+        for row in scan.rows:
+            ro = kl.restrict_to_V(p.A, kl.build_L(p.A, row.omega), sv)
+            np.testing.assert_array_equal(row.eigenvalues, kl.eigvals(ro.Gv))
 
     @pytest.mark.parametrize("name", ["zero_tol", "im_tol"])
     @pytest.mark.parametrize("value", [np.nan, -1.0, np.inf])
