@@ -267,7 +267,6 @@ def _head(hist, k: int):
     return dataclasses.replace(
         hist,
         residual_norms=hist.residual_norms[: k + 1],
-        sweep_count=k,
         iterates=hist.iterates[: k + 1],
         error_norms=None if hist.error_norms is None else hist.error_norms[: k + 1],
     )

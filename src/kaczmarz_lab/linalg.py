@@ -3,7 +3,9 @@
 SVD with an explicit rank decision, general real eigendecomposition with
 complex eigenvalues and a real eigenbasis, forward/backward triangular
 solves, and the least-norm solve used as the reference solution of
-consistent systems.
+consistent systems.  The SVD keeps the singular values and the row-space
+factor V only: every object of the library lives in range(A^T), and the
+column-space factor U is not kept.
 
 All inputs are 64-bit real (complex or non-numeric data raises
 ValueError); only eigenvalues are complex.  The decompositions are
@@ -118,15 +120,15 @@ def _check_ks(ks) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Rank-truncated SVD: A ~ U @ diag(S) @ V.T with r retained values.
+    """Rank-truncated SVD A ~ U @ diag(S) @ V.T with r retained values, without U.
 
-    U is m-by-r and V is n-by-r with orthonormal columns; S holds the r
-    retained singular values, strictly positive and nonincreasing.
-    ``rank_tol`` is the relative threshold used for the cut: singular
-    values <= rank_tol * S[0] were discarded.
+    V is n-by-r with orthonormal columns, a basis of the row space; S
+    holds the r retained singular values, strictly positive and
+    nonincreasing.  U is not kept: no caller reads it, and A V = U diag(S)
+    recovers it where needed.  ``rank_tol`` is the relative threshold used
+    for the cut: singular values <= rank_tol * S[0] were discarded.
     """
 
-    U: np.ndarray
     S: np.ndarray
     V: np.ndarray
     rank_tol: float
@@ -198,15 +200,13 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
     """
     A = _as_array(A, "matrix")
     rank_tol = default_rank_tol(A) if rank_tol is None else _check_real("rank_tol", rank_tol)
-    U, S, Vt = sla.svd(A, full_matrices=False, check_finite=False)
+    _, S, Vt = sla.svd(A, full_matrices=False, check_finite=False)
     if S[0] <= 0.0:
         raise NumericalError("rank zero matrix")
     r = int(np.count_nonzero(S > rank_tol * S[0]))
     if r == 0:
         raise NumericalError("rank zero matrix (all singular values truncated)")
-    return SvdResult(
-        U=U[:, :r].copy(), S=S[:r].copy(), V=Vt[:r].T.copy(), rank_tol=rank_tol
-    )
+    return SvdResult(S=S[:r].copy(), V=Vt[:r].T.copy(), rank_tol=rank_tol)
 
 
 def _eig_order(w: np.ndarray) -> np.ndarray:
@@ -294,18 +294,22 @@ def solve_upper(U, b) -> np.ndarray:
 def least_norm_solution(A, b) -> LeastNormResult:
     """Least-norm solution V @ diag(S)^-1 @ U.T @ b of A x = b.
 
-    The SVD is ``svd(A)`` at its default rank cut.  For a consistent
-    system this is the unique solution orthogonal to null(A).  The
-    component of b outside range(A) is reported as ``residual`` and, when
-    it exceeds 1e-8 * ||b||, the result is flagged inconsistent rather
-    than rejected (noisy data ends up here on purpose).  A b that is not
-    an m-vector of finite real entries raises ValueError.
+    One ``gelsd`` call (scipy's ``lstsq``) with ``rcond`` at ``svd``'s
+    default rank cut: it drops singular values <= rcond * S[0], the rule
+    ``svd`` applies.  For a consistent system this is the unique solution
+    orthogonal to null(A).  ``residual`` is ||b - A x||, the component of
+    b outside range(A); when it exceeds 1e-8 * ||b||, the result is
+    flagged inconsistent rather than rejected (noisy data ends up here on
+    purpose).  Raises ValueError unless A is a finite real matrix and b a
+    finite real m-vector, and NumericalError when A has rank zero.
     """
-    sv = svd(A)
-    b = _as_array(b, "b", rows=sv.U.shape[0])
-    coeff = sv.U.T @ b
-    x = sv.V @ (coeff / sv.S)
-    residual = float(np.linalg.norm(b - sv.U @ coeff))
+    A = _as_array(A, "matrix")
+    b = _as_array(b, "b", rows=A.shape[0])
+    x, _, rank, _ = sla.lstsq(A, b, cond=default_rank_tol(A), check_finite=False,
+                              lapack_driver="gelsd")
+    if rank == 0:
+        raise NumericalError("rank zero matrix")
+    residual = float(np.linalg.norm(b - A @ x))
     bnorm = float(np.linalg.norm(b))
     inconsistent = residual > 1e-8 * bnorm if bnorm > 0 else False
     return LeastNormResult(x=x, residual=residual, inconsistent=inconsistent)

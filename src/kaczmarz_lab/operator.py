@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy.linalg.blas import dgemm, dtrsm
 from scipy.linalg.lapack import dgesv
 
@@ -103,11 +104,14 @@ class RestrictedOperator:
 
     V is the orthonormal row-space factor of the problem's SVD, so for a
     full-column-rank A the restriction is similar to the operator itself.
-    G is the one-sweep operator, or the down-up double sweep G^T G.
+    ``variant`` names the operator: "standard" for the one-sweep G
+    (``restrict_to_V``), "symmetric" for the down-up double sweep G^T G
+    (``restrict_symmetric_to_V``).
     """
 
     Gv: np.ndarray
     omega: float
+    variant: str
 
 
 def build_L(A, omega: float) -> LFactor:
@@ -215,7 +219,7 @@ def restrict_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
     with r right-hand sides.
     """
     Gv = dgemm(1.0, sv.V, apply_G(lf, A, sv.V), trans_a=1)
-    return RestrictedOperator(Gv=Gv, omega=lf.omega)
+    return RestrictedOperator(Gv=Gv, omega=lf.omega, variant="standard")
 
 
 def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
@@ -226,7 +230,7 @@ def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator
     serve as an independent cross-check of norm/spectral identities.
     """
     Gv = dgemm(1.0, sv.V, apply_Gs(lf, A, sv.V), trans_a=1)
-    return RestrictedOperator(Gv=Gv, omega=lf.omega)
+    return RestrictedOperator(Gv=Gv, omega=lf.omega, variant="symmetric")
 
 
 def _restriction(variant: str):
@@ -356,7 +360,7 @@ class SharpMaps:
         y = self.apply_B(e)
         V = self.sv.V
         Gv = _restriction(self.variant)(self.A, self.lf, self.sv).Gv
-        coeff = np.linalg.solve(np.eye(self.r) - Gv, V.T @ y)
+        coeff = sla.solve(np.eye(self.r) - Gv, V.T @ y, check_finite=False)
         return V @ coeff
 
     def b_transpose(self) -> np.ndarray:
@@ -454,22 +458,24 @@ def convergence_conditions(A, omega: float) -> dict:
        of center 1 and radius 1.
 
     The pencil eigenvalues for (d) and (e) are computed as eigenvalues of
-    the restriction of L^-1 A A^T to U, using the SVD's U factor as the
-    orthonormal basis, from ``svd(A)`` at its default rank cut; the
+    the restriction of L^-1 A A^T to U.  V is ``svd(A)``'s row-space
+    factor at its default rank cut, and the orthonormal basis of
+    U = range(A) = range(A V) is the Q of a QR factorization of A V; the
     mathematical statements are basis-independent.  Returns the five
     booleans plus the computed radii and pencil spectrum.
     """
     A = _as_array(A, "matrix")
     sv = svd(A)
     lf = build_L(A, omega)
-    V, U = sv.V, sv.U
+    V = sv.V
+    U, _ = sla.qr(A @ V, mode="economic", check_finite=False)
     AAT = lf.gram()
     I_r = np.eye(sv.rank)
 
     rho_a = np.max(np.abs(eigvals(V.T @ (A.T @ lf.solve(A @ V)) - I_r)))
     MU = lf.solve(AAT @ U)
     rho_b = np.max(np.abs(eigvals(U.T @ MU - I_r)))
-    Q, _ = np.linalg.qr(lf.L @ U)
+    Q, _ = sla.qr(lf.L @ U, mode="economic", check_finite=False)
     rho_c = np.max(np.abs(eigvals(Q.T @ (AAT @ lf.solve(Q)) - I_r)))
     pencil = eigvals(U.T @ MU)
     rho_d = np.max(np.abs(pencil - 1.0))

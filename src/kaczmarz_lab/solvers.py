@@ -75,16 +75,20 @@ class SweepConfig:
 class IterationHistory:
     """Per-sweep record including the initial point x0.
 
-    All arrays have length sweep_count + 1.  ``iterates`` and
-    ``error_norms`` are optional (the latter requires a reference
-    vector).  ``flags`` carries events such as a CGLS breakdown.
+    All arrays have length sweep_count + 1, and ``sweep_count`` is read
+    from ``residual_norms``.  ``iterates`` and ``error_norms`` are
+    optional (the latter requires a reference vector).  ``flags`` carries
+    events such as a CGLS breakdown.
     """
 
     residual_norms: np.ndarray
-    sweep_count: int
     iterates: np.ndarray | None = None
     error_norms: np.ndarray | None = None
     flags: tuple = ()
+
+    @property
+    def sweep_count(self) -> int:
+        return self.residual_norms.size - 1
 
     def write_csv(self, fh) -> None:
         """CSV columns: sweep, residual_norm[, error_norm]."""
@@ -196,7 +200,6 @@ def run(p, b, cfg: SweepConfig, reference=None):
     hists = tuple(
         IterationHistory(
             residual_norms=residuals[j],
-            sweep_count=K,
             iterates=None if iterates is None else iterates[j],
             error_norms=None if errors is None else errors[j],
         )
@@ -245,7 +248,6 @@ def cgls(A, b, k_max: int) -> IterationHistory:
 
     return IterationHistory(
         residual_norms=np.array(residuals),
-        sweep_count=len(residuals) - 1,
         iterates=np.array(iterates),
         flags=flags,
     )

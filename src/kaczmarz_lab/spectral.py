@@ -252,8 +252,12 @@ def rho_bounds(
     still reported but flagged as outside the proposition's assumptions.
     ``kappa_X`` (see :func:`bauer_fike_kappa`), the only eigendecomposition
     with eigenvectors, is computed here unless given.  Raises ValueError
-    when ``ro`` and ``lf`` use different omegas.
+    when ``ro`` is not a one-sweep restriction (``restrict_to_V``), since
+    the bounds are the one-sweep operator's, and when ``ro`` and ``lf`` use
+    different omegas.
     """
+    if ro.variant != "standard":
+        raise ValueError(f"rho_bounds needs the one-sweep restriction, got {ro.variant!r}")
     if ro.omega != lf.omega:
         raise ValueError("restricted operator and factor use different omega")
     A = _as_array(A, "matrix")
@@ -343,14 +347,26 @@ def small_omega_scan(
 
 @dataclass(frozen=True)
 class SymmetricRelations:
-    """Spectral statistics tying the double sweep to the single sweep."""
+    """Spectral statistics tying the double sweep to the single sweep.
+
+    ``difference`` is |rho_Gs - ||G|_V||_2^2|, zero in exact arithmetic.
+    """
 
     rho_G: float
     rho_Gs: float
     norm_G: float
-    norm_G_squared: float
-    difference: float
-    max_all: float
+
+    @property
+    def norm_G_squared(self) -> float:
+        return self.norm_G**2
+
+    @property
+    def difference(self) -> float:
+        return abs(self.rho_Gs - self.norm_G_squared)
+
+    @property
+    def max_all(self) -> float:
+        return max(self.rho_G, self.rho_Gs, self.norm_G)
 
 
 def symmetric_relations(
@@ -362,21 +378,19 @@ def symmetric_relations(
     double-sweep restriction is assembled through the two sweeps, so the
     reported ``difference`` is a genuine numerical cross-check rather
     than an algebraic identity.  ||G|_V||_2 is the top singular value, as
-    in ``rho_bounds``.
+    in ``rho_bounds``.  Raises ValueError unless ``ro_G`` is a one-sweep
+    restriction and ``ro_Gs`` a double-sweep one, in that order, at the
+    same omega.
     """
+    if (ro_G.variant, ro_Gs.variant) != ("standard", "symmetric"):
+        raise ValueError("symmetric_relations takes a standard then a symmetric restriction, "
+                         f"got {ro_G.variant!r} and {ro_Gs.variant!r}")
     if ro_G.omega != ro_Gs.omega:
         raise ValueError("restricted operators use different omega")
     rho_G = SpectrumReport(eigvals(ro_G.Gv), ro_G.omega).rho
     rho_Gs = SpectrumReport(eigvals(ro_Gs.Gv), ro_Gs.omega).rho
     norm_G = float(sla.svdvals(ro_G.Gv, check_finite=False)[0])
-    return SymmetricRelations(
-        rho_G=rho_G,
-        rho_Gs=rho_Gs,
-        norm_G=norm_G,
-        norm_G_squared=norm_G**2,
-        difference=abs(rho_Gs - norm_G**2),
-        max_all=max(rho_G, rho_Gs, norm_G),
-    )
+    return SymmetricRelations(rho_G=rho_G, rho_Gs=rho_Gs, norm_G=norm_G)
 
 
 def norm_threshold_alpha(
@@ -392,7 +406,7 @@ def norm_threshold_alpha(
     d1, d2 = diag
 
     def norm2(alpha):
-        return np.linalg.norm(np.array([[d1, alpha], [0.0, d2]]), 2)
+        return sla.svdvals(np.array([[d1, alpha], [0.0, d2]]))[0]
 
     lo, hi = 0.0, alpha_hi
     if norm2(lo) >= 1.0 or norm2(hi) <= 1.0:

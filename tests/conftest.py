@@ -22,6 +22,33 @@ def subprocess_env():
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+_DENSE_NUMPY = ("svd", "eig", "eigvals", "solve", "cond", "eigvalsh", "eigh", "qr", "lstsq",
+                "inv", "pinv", "det", "slogdet", "matrix_rank")
+
+
+@pytest.fixture
+def no_numpy_lapack(monkeypatch):
+    """Make every dense ``numpy.linalg`` routine and matrix 2-norm raise AssertionError.
+
+    Vector norms and the Frobenius norm stay, since they run no LAPACK.
+    """
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+        return call
+
+    for name in _DENSE_NUMPY:
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+    norm = np.linalg.norm
+
+    def vector_norm(x, ord=None, *args, **kwargs):
+        if np.ndim(x) == 2 and ord in (2, -2, "nuc"):
+            raise AssertionError("numpy.linalg.norm of a matrix by its singular values")
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", vector_norm)
+
+
 @pytest.fixture(scope="session")
 def tomo():
     p = kl.paralleltomo(32, 32, 32)

@@ -23,7 +23,11 @@ class TestSvd:
         sv = kl.svd(np.eye(3), rank_tol=0.0)
         assert sv.rank == 3
         np.testing.assert_allclose(sv.S, np.ones(3))
-        np.testing.assert_allclose(np.abs(sv.U.T @ sv.V), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(sv.V.T @ sv.V, np.eye(3), atol=1e-14)
+
+    def test_fields_are_S_V_rank_tol(self):
+        # U (m-by-r) is not kept: the library reads only the row space
+        assert [f.name for f in dataclasses.fields(kl.SvdResult)] == ["S", "V", "rank_tol"]
 
     def test_rank_one_outer_product(self):
         rng = np.random.default_rng(0)
@@ -52,16 +56,20 @@ class TestSvd:
 
     @pytest.mark.parametrize("shape", [(8, 5), (5, 8), (7, 7)])
     def test_reconstruction(self, shape):
+        # A V V^T = A when V spans the row space, and A v_i = s_i u_i
+        # with a unit u_i
         A = np.random.default_rng(7).standard_normal(shape)
         sv = kl.svd(A)
-        err = np.linalg.norm(A - sv.U @ np.diag(sv.S) @ sv.V.T, "fro")
+        err = np.linalg.norm(A - A @ sv.V @ sv.V.T, "fro")
         assert err <= 1e-10 * np.linalg.norm(A, "fro") * max(shape)
+        np.testing.assert_allclose(np.linalg.norm(A @ sv.V, axis=0), sv.S, rtol=1e-12)
 
     def test_orthonormal_factors(self):
         A = np.random.default_rng(3).standard_normal((20, 12))
         sv = kl.svd(A)
         r = sv.rank
-        assert np.linalg.norm(sv.U.T @ sv.U - np.eye(r)) <= 1e-10 * r
+        AV = A @ sv.V  # U diag(S): orthogonal columns of norms S
+        assert np.linalg.norm(AV.T @ AV - np.diag(sv.S**2)) <= 1e-10 * r * sv.S[0] ** 2
         assert np.linalg.norm(sv.V.T @ sv.V - np.eye(r)) <= 1e-10 * r
         assert np.all(np.diff(sv.S) <= 0) and np.all(sv.S > 0)
 
@@ -369,16 +377,40 @@ class TestLeastNorm:
         res = kl.least_norm_solution(A + 0.0, [1.0, 1.0])
         assert res.inconsistent and res.residual > 0.5
 
+    def test_zero_matrix_rank_zero(self):
+        with pytest.raises(NumericalError, match="rank zero"):
+            kl.least_norm_solution(np.zeros((3, 3)), np.ones(3))
+
+    @pytest.mark.parametrize("which", ["gravity", "duplicate-column"])
+    def test_matches_truncated_pseudo_inverse(self, which):
+        # gelsd against V diag(S)^-1 U^T b from scipy's full SVD, cut by
+        # svd's rule S > default_rank_tol * S[0]
+        A = kl.gravity(32, 0.06).A if which == "gravity" else _duplicate_column(
+            np.random.default_rng(2))
+        b = np.random.default_rng(4).standard_normal(A.shape[0])
+        U, S, Vt = sla.svd(A, full_matrices=False)
+        r = int(np.count_nonzero(S > linalg.default_rank_tol(A) * S[0]))
+        want = Vt[:r].T @ ((U[:, :r].T @ b) / S[:r])
+        res = kl.least_norm_solution(A, b)
+        assert np.linalg.norm(res.x - want) <= 1e-10 * np.linalg.norm(want)
+        outside = np.linalg.norm(b - U[:, :r] @ (U[:, :r].T @ b))
+        assert abs(res.residual - outside) <= 1e-10 * np.linalg.norm(b)
+
     def test_output_orthogonal_to_nullspace(self):
         # duplicate column creates a known nullspace
         rng = np.random.default_rng(2)
-        B = rng.standard_normal((6, 3))
-        A = np.hstack([B, B[:, :1]])
+        A = _duplicate_column(rng)
         sv_full = np.linalg.svd(A)
         null_basis = sv_full[2][np.linalg.matrix_rank(A):].T
         res = kl.least_norm_solution(A, A @ rng.standard_normal(4))
         for v in null_basis.T:
             assert abs(v @ res.x) <= 1e-10 * np.linalg.norm(res.x)
+
+
+def _duplicate_column(rng):
+    """A 6-by-4 matrix of rank 3, drawn from rng: its last column repeats its first."""
+    B = rng.standard_normal((6, 3))
+    return np.hstack([B, B[:, :1]])
 
 
 def _thread_counts():

@@ -353,6 +353,16 @@ class TestConvergenceConditions:
         np.testing.assert_allclose(res["rho_a"], res["rho_d"], rtol=1e-8)
 
 
+def test_reference_routines_use_no_numpy_lapack(no_numpy_lapack):
+    # the library's reference routines take their factorizations from
+    # scipy (gelsd, QR, LU, svdvals), not from numpy's OpenBLAS
+    p = kl.gravity(32, 0.06)
+    assert kl.least_norm_solution(p.A, p.b_bar).x.shape == (p.n,)
+    assert kl.convergence_conditions(p.A, 1.0)["e"]
+    assert kl.fixed_point(p, p.b_bar).shape == (p.n,)
+    assert abs(kl.norm_threshold_alpha() - 0.0281) <= 5e-4
+
+
 class TestFixedPoint:
     def test_zero_data(self):
         p = kl.gravity(12, 0.1)

@@ -394,6 +394,28 @@ class TestSymmetricRelations:
                 kl.restrict_symmetric_to_V(p.A, kl.build_L(p.A, 1.0), sv),
             )
 
+    def test_restrictions_record_their_operator(self):
+        # on gravity(32, 0.06) at omega = 1 the double-sweep radius (0.99346)
+        # reads as a plausible one-sweep radius (0.99663), so rho_bounds and
+        # symmetric_relations tell the two restrictions apart by their variant
+        p = kl.gravity(32, 0.06)
+        sv, lf = kl.svd(p.A), kl.build_L(p.A, 1.0)
+        ro_G = kl.restrict_to_V(p.A, lf, sv)
+        ro_Gs = kl.restrict_symmetric_to_V(p.A, lf, sv)
+        assert (ro_G.variant, ro_Gs.variant) == ("standard", "symmetric")
+        assert kl.rho_bounds(p.A, sv, lf, ro_G, kappa_X=1.0).rho_actual == pytest.approx(
+            0.99663, abs=1e-5)
+        with pytest.raises(ValueError, match="one-sweep"):
+            kl.rho_bounds(p.A, sv, lf, ro_Gs, kappa_X=1.0)
+        for args in ((ro_Gs, ro_G), (ro_G, ro_G), (ro_Gs, ro_Gs)):
+            with pytest.raises(ValueError, match="standard then a symmetric"):
+                kl.symmetric_relations(*args)
+        rel = kl.symmetric_relations(ro_G, ro_Gs)
+        assert rel.rho_Gs == pytest.approx(0.99346, abs=1e-5)
+        assert rel.norm_G_squared == rel.norm_G**2
+        assert rel.difference == abs(rel.rho_Gs - rel.norm_G**2)
+        assert rel.max_all == max(rel.rho_G, rel.rho_Gs, rel.norm_G)
+
     def test_two_by_two_norm_threshold(self):
         # the miniature nonnormal example: norm reaches 1 at alpha ~ 0.0281
         alpha = kl.norm_threshold_alpha()
