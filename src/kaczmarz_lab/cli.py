@@ -2,9 +2,9 @@
 
 Subcommands: eigplot, errhist, omegasweep, noisestats, bounds, structure.
 Configuration comes from an optional JSON/TOML file (--config) with flags
-taking precedence.  The output root defaults to $KACZMARZ_LAB_OUT or
-./runs; each command owns one subdirectory and writes the resolved config
-next to its outputs.
+taking precedence; each ExperimentConfig field declares its flag.  The
+output root defaults to $KACZMARZ_LAB_OUT or ./runs; each command owns one
+subdirectory and writes the resolved config next to its outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -15,38 +15,14 @@ import argparse
 import sys
 
 from .errors import ConfigError, NumericalError
-from .experiments import COMMANDS, ExperimentConfig, run_command
+from .experiments import COMMANDS, SETTINGS, ExperimentConfig, run_command
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON or TOML config file")
-    sub.add_argument("--out", help="output root directory")
-    sub.add_argument("--problem", choices=("gravity", "baart", "paralleltomo"))
-    sub.add_argument("--n", type=int, help="gravity/baart size")
-    sub.add_argument("--d", type=float, help="gravity depth parameter")
-    sub.add_argument("--N", type=int, help="tomography image side")
-    sub.add_argument("--n-angles", dest="n_angles", type=int)
-    sub.add_argument("--rays", type=int, help="rays per angle")
-    sub.add_argument("--width", type=float, help="detector width (default rays-1)")
-    sub.add_argument("--ordering", choices=("default", "random"))
-    sub.add_argument("--ordering-seed", dest="ordering_seed", type=int)
-    sub.add_argument("--xbar-mode", dest="xbar_mode", choices=("default", "first-row"))
-    sub.add_argument("--omega", type=float)
-    sub.add_argument("--sweeps", type=int)
-    sub.add_argument("--methods", nargs="+",
-                     choices=("standard", "symmetric", "randomized", "cgls"))
-    sub.add_argument("--solver-seed", dest="solver_seed", type=int)
-    sub.add_argument("--sigma", type=float, help="noise standard deviation")
-    sub.add_argument("--noise-seed", dest="noise_seed", type=int)
-    sub.add_argument("--realizations", type=int)
-    sub.add_argument("--ks", nargs="+", type=int, help="iteration counts to analyze")
-    sub.add_argument("--omega-grid", dest="omega_grid", nargs="+", type=float)
-    sub.add_argument("--omegas-bounds", dest="omegas_bounds", nargs="+", type=float)
-    sub.add_argument("--rank-tol", dest="rank_tol", type=float)
-    sub.add_argument("--zero-tol", dest="zero_tol", type=float)
-    sub.add_argument("--im-tol", dest="im_tol", type=float)
-    sub.add_argument("--n-mc", dest="n_mc", type=int)
-    sub.add_argument("--mc-seed", dest="mc_seed", type=int)
+    for f, kind, many in SETTINGS:
+        sub.add_argument("--" + f.name.replace("_", "-"), type=kind, nargs="+" if many else None,
+                         choices=f.metadata["rule"].get("choices"), help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,11 @@ rest of the directory: it writes the resolved configuration as
 seed): rerunning reproduces byte-identical CSVs.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import json
 import os
+import types
+import typing
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,12 +38,9 @@ from .problems import (
 from .solvers import SweepConfig, cgls, run
 from .tables import write_table
 
-__all__ = ["ExperimentConfig", "COMMANDS", "run_command"]
+__all__ = ["ExperimentConfig", "SETTINGS", "COMMANDS", "run_command"]
 
 OUTPUT_ROOT_ENV = "KACZMARZ_LAB_OUT"
-
-_PROBLEMS = ("gravity", "baart", "paralleltomo")
-_METHODS = ("standard", "symmetric", "randomized", "cgls")
 
 #: Problems with max(m, n) up to this size run every command on one BLAS
 #: thread; larger ones keep the library's count.  On a 2-vCPU host one
@@ -54,90 +51,96 @@ _METHODS = ("standard", "symmetric", "randomized", "cgls")
 ONE_THREAD_MAX_DIM = 256
 
 
+def _setting(default, help=None, **rule):
+    """An ExperimentConfig field: default, flag help and value rule.
+
+    ``rule`` is ``lo`` for an integer, ``_check_real``'s keywords for a real
+    number, or ``choices`` for a string.  A default of None makes it optional.
+    """
+    return dataclasses.field(default=default, metadata={"help": help, "rule": rule})
+
+
+def _check_value(name: str, kind: type, rule: dict, value):
+    """value as the setting holds it; ValueError unless it keeps the rule."""
+    if kind is int:
+        _check_int(name, value, **rule)
+        return value
+    if kind is float:
+        return _check_real(name, value, **rule)
+    choices = rule.get("choices")
+    if not isinstance(value, str) or choices and value not in choices:
+        want = f"one of {choices}" if choices else "a string"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
-    """Validated knobs shared by all commands; flags override file values."""
+    """Validated knobs shared by all commands; flags override file values.
 
-    problem: str = "gravity"
-    n: int = 128                      # gravity / baart size
-    d: float = 0.01                   # gravity depth
-    N: int = 32                       # tomography image side
-    n_angles: int = 32
-    rays: int = 32
-    width: float | None = None        # detector width (default: rays - 1)
-    ordering: str = "default"         # default | random
-    ordering_seed: int = 0
-    xbar_mode: str = "default"        # default | first-row
-    omega: float = 1.0
-    methods: tuple = ("standard",)
-    sweeps: int = 100
-    solver_seed: int = 0
-    sigma: float = 0.0
-    noise_seed: int = 0
-    realizations: int = 25
-    ks: tuple = (1, 5, 20)
-    omega_grid: tuple | None = None
-    omegas_bounds: tuple = (0.5, 1.0, 1.5)
-    rank_tol: float | None = None
-    zero_tol: float = spectral.DEFAULT_ZERO_TOL
-    im_tol: float = spectral.DEFAULT_IM_TOL
-    n_mc: int = 10_000
-    mc_seed: int = 1
-    out: str | None = None
+    Each field is one setting: its config key, its flag ``--<name>`` (``_``
+    as ``-``) and its check come from the field and its type.
+    """
+
+    out: str | None = _setting(None, "output root directory")
+    problem: str = _setting("gravity", choices=("gravity", "baart", "paralleltomo"))
+    n: int = _setting(128, "gravity/baart size", lo=2)
+    d: float = _setting(0.01, "gravity depth parameter", positive=True)
+    N: int = _setting(32, "tomography image side", lo=2)
+    n_angles: int = _setting(32, lo=1)
+    rays: int = _setting(32, "rays per angle", lo=1)
+    width: float | None = _setting(None, "detector width (default rays-1)")
+    ordering: str = _setting("default", choices=("default", "random"))
+    ordering_seed: int = _setting(0, lo=0)
+    xbar_mode: str = _setting("default", choices=("default", "first-row"))
+    omega: float = _setting(1.0, below=2.0)
+    sweeps: int = _setting(100, lo=0)
+    methods: tuple[str, ...] = _setting(
+        ("standard",), choices=("standard", "symmetric", "randomized", "cgls"))
+    solver_seed: int = _setting(0, lo=0)
+    sigma: float = _setting(0.0, "noise standard deviation")
+    noise_seed: int = _setting(0, lo=0)
+    realizations: int = _setting(25, lo=1)
+    ks: tuple[int, ...] = _setting((1, 5, 20), "iteration counts to analyze", lo=1)
+    omega_grid: tuple[float, ...] | None = _setting(None, below=2.0)
+    omegas_bounds: tuple[float, ...] = _setting((0.5, 1.0, 1.5), below=2.0)
+    rank_tol: float | None = _setting(None)
+    zero_tol: float = _setting(spectral.DEFAULT_ZERO_TOL)
+    im_tol: float = _setting(spectral.DEFAULT_IM_TOL)
+    n_mc: int = _setting(10_000, lo=2)
+    mc_seed: int = _setting(1, lo=0)
 
     # cubic-cost routines (dense SVD/eig) cap the problem size
     MAX_DIM = 4096
 
     def validate(self) -> None:
-        """Type- and range-check every field; raise ConfigError on the first bad one.
+        """Check every field by its rule; raise ConfigError on the first bad one.
 
         Numbers go through the library's checks (``linalg._check_int`` and
         ``_check_real``), and their ValueError is raised as ConfigError.
+        A list setting is a nonempty list of distinct values, held as a
+        tuple; real values are held as floats.
         """
-        if self.problem not in _PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}; choose from {_PROBLEMS}")
         try:
-            for name, lo in (("n", 2), ("N", 2), ("n_angles", 1), ("rays", 1), ("sweeps", 0),
-                             ("realizations", 1), ("n_mc", 2), ("ordering_seed", 0),
-                             ("solver_seed", 0), ("noise_seed", 0), ("mc_seed", 0)):
-                _check_int(name, getattr(self, name), lo)
-            _check_real("d", self.d, positive=True)
-            for name, optional in (("sigma", False), ("width", True), ("zero_tol", False),
-                                   ("im_tol", False), ("rank_tol", True)):
-                if not (optional and getattr(self, name) is None):
-                    _check_real(name, getattr(self, name))
-            _check_real("omega", self.omega, below=2.0)
-            if not (isinstance(self.ks, tuple) and self.ks):
-                raise ValueError("ks must be a nonempty list of integers >= 1")
-            for k in self.ks:
-                _check_int("ks values", k, 1)
-            for name, optional in (("omega_grid", True), ("omegas_bounds", False)):
-                grid = getattr(self, name)
-                if optional and grid is None:
+            for f, kind, many in SETTINGS:
+                value, rule = getattr(self, f.name), f.metadata["rule"]
+                if value is None and f.default is None:
                     continue
-                if not (isinstance(grid, tuple) and grid):
-                    raise ValueError(f"{name} must be a nonempty list of values in (0, 2)")
-                for w in grid:
-                    _check_real(f"{name} values", w, below=2.0)
+                if not many:
+                    value = _check_value(f.name, kind, rule, value)
+                elif isinstance(value, (list, tuple)) and value:
+                    value = tuple(_check_value(f"{f.name} values", kind, rule, v) for v in value)
+                    if len(set(value)) < len(value):
+                        raise ValueError(f"{f.name} must not repeat a value, got {list(value)}")
+                else:
+                    raise ValueError(f"{f.name} must be a nonempty list")
+                setattr(self, f.name, value)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.problem == "baart" and (self.n < 4 or self.n % 2):
             raise ConfigError("baart needs an even n >= 4")
         if self.n > self.MAX_DIM or self.N * self.N > self.MAX_DIM:
             raise ConfigError(f"problem dimension capped at {self.MAX_DIM}")
-        if self.ordering not in ("default", "random"):
-            raise ConfigError("ordering must be 'default' or 'random'")
-        if self.xbar_mode not in ("default", "first-row"):
-            raise ConfigError("xbar_mode must be 'default' or 'first-row'")
-        if not isinstance(self.methods, tuple) or not self.methods:
-            raise ConfigError("methods must be a nonempty list")
-        for mth in self.methods:
-            if mth not in _METHODS:
-                raise ConfigError(f"unknown method {mth!r}; choose from {_METHODS}")
-        if self.omega_grid is not None:
-            self.omega_grid = tuple(float(w) for w in self.omega_grid)
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError("out must be a path")
 
     @classmethod
     def from_sources(cls, config_path=None, overrides=None) -> "ExperimentConfig":
@@ -174,9 +177,6 @@ class ExperimentConfig:
         unknown = set(values) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("methods", "ks", "omega_grid", "omegas_bounds"):
-            if isinstance(values.get(key), list):
-                values[key] = tuple(values[key])
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -186,11 +186,20 @@ class ExperimentConfig:
         return Path(root) / command
 
     def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key in ("methods", "ks", "omega_grid", "omegas_bounds"):
-            if d[key] is not None:
-                d[key] = list(d[key])
-        return d
+        """The fields as JSON values, each list setting as a list."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in dataclasses.asdict(self).items()}
+
+
+def _value_type(hint) -> tuple[type, bool]:
+    """(value type, is a list) of a type hint: ``tuple[float, ...] | None`` gives (float, True)."""
+    hint = typing.get_args(hint)[0] if isinstance(hint, types.UnionType) else hint
+    many = typing.get_origin(hint) is tuple
+    return typing.get_args(hint)[0] if many else hint, many
+
+
+#: (field, value type, is a list) of every setting, in flag order
+SETTINGS = tuple((f, *_value_type(f.type)) for f in dataclasses.fields(ExperimentConfig))
 
 
 def _write_rows(path: Path, columns) -> None:
@@ -282,10 +291,9 @@ def _errhist_method(p: TestProblem, cfg: ExperimentConfig, method: str, noisy_b,
     """
     ref = p.x_bar
     if method == "cgls":
-        k_max = max(cfg.sweeps, 1)
-        clean = cgls(p.A, p.b_bar, k_max)
+        clean = cgls(p.A, p.b_bar, cfg.sweeps)
         clean = dataclasses.replace(clean, error_norms=np.linalg.norm(clean.iterates - ref, axis=1))
-        noisy = (cgls(p.A, b, k_max) for b in noisy_b)
+        noisy = (cgls(p.A, b, cfg.sweeps) for b in noisy_b)
     else:
         scfg = SweepConfig(
             omega=cfg.omega, variant=method, max_sweeps=cfg.sweeps,
@@ -314,8 +322,8 @@ def cmd_errhist(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
 
     Each noise realization is drawn once and shared by all methods.
     """
-    if cfg.sigma > 0 and cfg.sweeps < 1:
-        raise ConfigError("noisy error histories need at least one sweep")
+    if cfg.sweeps < 1:
+        raise ConfigError("errhist needs at least one sweep")
     noisy_b = [
         p.b_bar + cfg.sigma * np.random.default_rng([cfg.noise_seed, real]).standard_normal(p.m)
         for real in range(cfg.realizations)
@@ -475,13 +483,17 @@ def run_command(name: str, cfg: ExperimentConfig, outdir=None) -> dict:
     The output directory defaults to <root>/<name>.  ``config.json`` is
     written there before the command runs, so it is left even when the
     command raises, and ``summary.json`` from the returned summary after
-    it.  A problem with ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one
-    BLAS thread; a larger one keeps the counts.
+    it.  A generator's ValueError is raised as ConfigError.  A problem
+    with ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one BLAS thread; a
+    larger one keeps the counts.
     """
     if name not in COMMANDS:
         raise ConfigError(f"unknown command {name!r}")
     out = Path(outdir) if outdir is not None else cfg.resolved_out(name)
-    p = make_problem(cfg)
+    try:
+        p = make_problem(cfg)
+    except ValueError as exc:  # the generators' own checks, e.g. rays that miss the grid
+        raise ConfigError(str(exc)) from None
     threads = blas_threads(1) if max(p.A.shape) <= ONE_THREAD_MAX_DIM else nullcontext()
     _prepare(out, cfg)
     with threads:

@@ -9,9 +9,9 @@ import pytest
 from scipy.linalg.blas import dtrsm
 
 from kaczmarz_lab import experiments, linalg, operator, spectral
-from kaczmarz_lab.cli import main
+from kaczmarz_lab.cli import build_parser, main
 from kaczmarz_lab.errors import ConfigError
-from kaczmarz_lab.experiments import COMMANDS, ExperimentConfig, run_command
+from kaczmarz_lab.experiments import COMMANDS, SETTINGS, ExperimentConfig, run_command
 
 
 def _csv_bytes(outdir):
@@ -281,8 +281,18 @@ class TestExitCodes:
         ("structure", ["--problem", "paralleltomo", "--N", "8", "--rays", "0"]),
         ("errhist", ["--methods", "randomized", "--solver-seed", "-1"]),
         ("eigplot", {"sigma": "abc"}),
+        ("structure", ["--problem", "paralleltomo", "--N", "4", "--n-angles", "2",
+                       "--rays", "2", "--width", "1000"]),
+        ("omegasweep", ["--omega-grid", "1.0", "1.0"]),
+        ("omegasweep", {"omega_grid": [1, 1.0]}),
+        ("bounds", ["--omegas-bounds", "0.5", "0.5"]),
+        ("errhist", ["--methods", "standard", "standard"]),
+        ("noisestats", ["--sigma", "0.01", "--ks", "5", "5"]),
+        ("errhist", ["--sweeps", "0", "--methods", "cgls", "standard"]),
     ], ids=["sigma-nan", "sigma-inf", "noisestats-sigma-nan", "ks-0", "ks-negative", "n-0",
-            "N-0", "rays-0", "solver-seed-negative", "sigma-string"])
+            "N-0", "rays-0", "solver-seed-negative", "sigma-string", "rays-miss-grid",
+            "omega-grid-repeat", "omega-grid-repeat-int", "omegas-bounds-repeat",
+            "methods-repeat", "ks-repeat", "errhist-sweeps-0"])
     def test_config_error_bad_value(self, command, args, tmp_path, capsys):
         if isinstance(args, dict):
             cfg_file = tmp_path / "cfg.json"
@@ -357,6 +367,47 @@ class TestConfigSources:
             capture_output=True, text=True, env=subprocess_env,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSettings:
+    # each ExperimentConfig field declares its flag, its config key and its
+    # check; the parser and the config must agree on all three
+    def test_one_flag_per_field(self):
+        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+        assert set(subs) == set(COMMANDS)
+        for sub in subs.values():
+            actions = [a for a in sub._actions if a.dest not in ("help", "config")]
+            assert [a.dest for a in actions] == [f.name for f, _, _ in SETTINGS]
+            for a, (f, kind, many) in zip(actions, SETTINGS):
+                assert a.option_strings == ["--" + f.name.replace("_", "-")]
+                assert a.type is kind and a.default is None
+                assert a.nargs == ("+" if many else None)
+                assert a.choices == f.metadata["rule"].get("choices")
+
+    def test_config_json_resolves_to_the_same_config(self, tmp_path):
+        argv = ["structure", "--problem", "paralleltomo", "--N", "8", "--n-angles", "4",
+                "--rays", "8", "--methods", "symmetric", "cgls", "--ks", "2", "7",
+                "--omega-grid", "0.5", "1", "--omegas-bounds", "1.5", "--width", "6",
+                "--out", str(tmp_path)]
+        args = vars(build_parser().parse_args(argv))
+        cfg = ExperimentConfig.from_sources(
+            overrides={k: v for k, v in args.items() if k not in ("command", "config")})
+        assert main(argv) == 0
+        written = tmp_path / "structure" / "config.json"
+        text = written.read_text()
+        back = ExperimentConfig.from_sources(written)
+        assert back == cfg
+        assert back.methods == ("symmetric", "cgls") and back.ks == (2, 7)
+        assert back.omega_grid == (0.5, 1.0) and back.omegas_bounds == (1.5,)
+        assert main(["structure", "--config", str(written)]) == 0
+        assert written.read_text() == text
+
+    def test_list_settings_become_tuples_of_their_type(self):
+        cfg = ExperimentConfig(omega_grid=[1, 0.5], omegas_bounds=[1], ks=[3], methods=["cgls"])
+        cfg.validate()
+        assert cfg.omega_grid == (1.0, 0.5) and cfg.omegas_bounds == (1.0,)
+        assert all(type(w) is float for w in (*cfg.omega_grid, *cfg.omegas_bounds))
+        assert cfg.ks == (3,) and cfg.methods == ("cgls",)
 
 
 class TestEigplot:
