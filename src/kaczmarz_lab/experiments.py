@@ -480,15 +480,18 @@ COMMANDS = {
 def run_command(name: str, cfg: ExperimentConfig, outdir=None) -> dict:
     """Build the configured problem, run one command on it and return its summary.
 
-    The output directory defaults to <root>/<name>.  ``config.json`` is
-    written there before the command runs, so it is left even when the
-    command raises, and ``summary.json`` from the returned summary after
-    it.  A generator's ValueError is raised as ConfigError.  A problem
-    with ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one BLAS thread; a
-    larger one keeps the counts.
+    The config is validated first (``ExperimentConfig.validate``), so a bad
+    one raises ConfigError and writes no file.  The output directory
+    defaults to <root>/<name>.  ``config.json`` is written there before
+    the command runs, so it is left even when the command raises, and
+    ``summary.json`` from the returned summary after it.  A generator's
+    ValueError is raised as ConfigError.  A problem with
+    ``max(m, n) <= ONE_THREAD_MAX_DIM`` runs on one BLAS thread; a larger
+    one keeps the counts.
     """
     if name not in COMMANDS:
         raise ConfigError(f"unknown command {name!r}")
+    cfg.validate()
     out = Path(outdir) if outdir is not None else cfg.resolved_out(name)
     try:
         p = make_problem(cfg)

@@ -122,7 +122,8 @@ def _check_ks(ks) -> np.ndarray:
 class SvdResult:
     """Rank-truncated SVD A ~ U @ diag(S) @ V.T with r retained values, without U.
 
-    V is n-by-r with orthonormal columns, a basis of the row space; S
+    V is n-by-r with orthonormal columns, a basis of the row space, and
+    Fortran-ordered, so scipy's BLAS wrappers read it without a copy; S
     holds the r retained singular values, strictly positive and
     nonincreasing.  U is not kept: no caller reads it, and A V = U diag(S)
     recovers it where needed.  ``rank_tol`` is the relative threshold used
@@ -206,7 +207,7 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
     r = int(np.count_nonzero(S > rank_tol * S[0]))
     if r == 0:
         raise NumericalError("rank zero matrix (all singular values truncated)")
-    return SvdResult(S=S[:r].copy(), V=Vt[:r].T.copy(), rank_tol=rank_tol)
+    return SvdResult(S=S[:r].copy(), V=Vt[:r].T.copy(order="F"), rank_tol=rank_tol)
 
 
 def _eig_order(w: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ coefficient map M = W^+ A_limit comes from the eigendecomposition itself:
 I - G|_V = C (I - Lambda) C^-1 gives M = (I - Lambda)^-1 W^+ B, with
 B = A^T L^-1 for the standard sweep and A^T S for the symmetric one, so
 neither the fixed-point matrix nor an LU of I - G|_V is formed.
+``sharp_maps`` forms M once, and every function here reads it from
+``SharpMaps.M_r`` and ``SharpMaps.M_i``.
 
 G|_V is real, so the modes come in exact conjugate pairs: lambda, the
 rows of W^+ and the columns of W of one pair are conjugates, and so are
@@ -28,12 +30,13 @@ one mode per pair with weight 2,
 
     Re(W diag(phi) Z) = sum_real w_i phi_i z_i + 2 sum_{Im>0} Re(w_i phi_i z_i),
 
-and likewise for E2.  ``expected_norms`` and ``xi_profile`` take the
-coefficients of those modes from ``SharpMaps.coefficients`` and
-``expected_norms`` lifts them with ``SharpMaps.k_sweep``, both in real
-arithmetic on the real eigenbasis that ``SharpMaps`` keeps, so no complex
-n-by-r array is formed.  The Monte Carlo samples are lifted in blocks of
-``_MC_BLOCK``, so the memory they take does not grow with their number.
+and likewise for E2.  ``SharpMaps`` holds M on those modes only, as its
+real and imaginary parts; ``expected_norms`` and ``xi_profile`` take the
+coefficients M e from there and ``expected_norms`` lifts them with
+``SharpMaps.k_sweep``, in real arithmetic on the real eigenbasis, so no
+complex n-by-r array is formed.  The Monte Carlo samples are lifted in
+blocks of ``_MC_BLOCK``, so the memory they take does not grow with
+their number.
 """
 
 from __future__ import annotations
@@ -148,10 +151,12 @@ class XiProfile:
 def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     """Per-mode decomposition of the noise error for iteration counts ks.
 
-    The coefficients are xi = M e = (I - Lambda)^-1 W^+ (B e).  Requires an
-    invertible eigenbasis: raises NumericalError when the eigenvector
-    condition number exceeds ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound
-    at which ``spectral.spectrum`` flags a spectrum near-defective.  Raises
+    The coefficients are xi = M e = (I - Lambda)^-1 W^+ (B e), with M read
+    from ``sm`` on one mode of each pair and the other mode's taken as the
+    conjugate.  Requires an invertible eigenbasis: raises NumericalError
+    when the eigenvector condition number exceeds
+    ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound at which
+    ``spectral.spectrum`` flags a spectrum near-defective.  Raises
     ValueError unless ``e`` is a finite real m-vector, and for a negative
     or fractional k.
     """
@@ -159,11 +164,10 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
         raise NumericalError(
             f"eigenbasis is near-defective (kappa = {sm.kappa_W:.3e})"
         )
-    e = _as_array(e, "e", rows=sm.lf.m)
+    e = _as_array(e, "e", rows=sm.M_r.shape[1])
     ks = _check_ks(ks)
     lam, keep = sm.lam, sm.keep
-    Z_r, Z_i = sm.coefficients(sm.apply_B(e)[:, None])
-    z = Z_r[:, 0] + 1j * Z_i[:, 0]
+    z = dgemm(1.0, sm.M_r, e[:, None])[:, 0] + 1j * dgemm(1.0, sm.M_i, e[:, None])[:, 0]
     xi = np.empty(sm.r, dtype=complex)
     xi[sm.conj[keep]] = z.conj()  # the other mode of each pair; real modes are set next
     xi[keep] = z
@@ -215,13 +219,11 @@ def expected_norms(
     that they are estimated from 256 standard Gaussian probes per k, drawn
     from the same generator after the n_mc Monte Carlo samples.
 
-    Only the modes with Im lambda >= 0 are formed and lifted, the complex
-    ones with weight 2 (see the module docstring), all in real arithmetic.
-    M does not depend on k and is formed once, as its real and imaginary
-    parts, from M = (I - Lambda)^-1 W^+ B: ``SharpMaps.coefficients`` of
-    B, whose transpose takes triangular solves on the n columns of A
-    (``SharpMaps.b_transpose``).  Each k only scales the coefficients by
-    1 - lambda^k and lifts them with W (``SharpMaps.k_sweep``).
+    Only the modes with Im lambda >= 0 are lifted, the complex ones with
+    weight 2 (see the module docstring), all in real arithmetic.  M does
+    not depend on k: it is ``sm.M_r`` + i ``sm.M_i``, formed once by
+    ``sharp_maps``.  Each k only scales the coefficients by 1 - lambda^k
+    and lifts them with W (``SharpMaps.k_sweep``).
 
     The samples and probes are drawn and lifted in blocks of at most
     ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
@@ -234,15 +236,14 @@ def expected_norms(
     _check_int("n_mc", n_mc, 2)
     _check_int("seed", seed, 0)
     ks = _check_ks(ks)
-    m = sm.lf.m
-    n = sm.A.shape[1]
+    M_r, M_i = sm.M_r, sm.M_i
+    m, n = M_r.shape[1], sm.W_real.shape[0]
     # one mode per conjugate pair: the pair's terms are conjugates, so the
     # one with Im lambda > 0 stands for both with weight 2
     lam = sm.lam[sm.keep]
     wgt = np.where(lam.imag > 0, 2.0, 1.0)
 
     # rows of M = (I - Lambda)^-1 W^+ B drive the xi covariance
-    M_r, M_i = sm.coefficients(sm.b_transpose().T)
     e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
     phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     e2 = phi2 @ (wgt * e_xi2)

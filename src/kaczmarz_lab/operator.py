@@ -17,12 +17,14 @@ suffice; the restricted matrix is the only dense operator-level object.
 iterates through ``LFactor.solve``, the library's only L^-1; ``apply_G``,
 ``apply_Gt``, both restrictions and the randomized sweeps are its sweeps.
 
-:class:`SharpMaps` holds the eigendecomposition of G|_V in real
-arithmetic, as ``eig_general`` returns it: the eigenvalues are the only
-complex array.  The coefficient map (I - Lambda)^-1 W^+ has one route,
-``SharpMaps.coefficients``, and the lift W (I - Lambda^k) one,
+:class:`SharpMaps` is the noise map of the sweeps in the eigenbasis of
+G|_V, in real arithmetic: the eigenvalues (the only complex array), the
+lift W and the coefficient map M = (I - Lambda)^-1 W^+ B, which
+``sharp_maps`` forms once.  The lift W (I - Lambda^k) has one route,
 ``SharpMaps.k_sweep``; ``apply_Ak_sharp`` and the noise statistics call
-both, on one mode of each conjugate pair.
+it on coefficients M e, on one mode of each conjugate pair.  The limit of
+the sweeps has an independent reference route, ``fixed_point``: an LU of
+I - G|_V, with no eigendecomposition.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ def build_L(A, omega: float) -> LFactor:
     ValueError for an A that is not a finite real matrix and for an omega
     that is not a finite real number > 0.
     """
-    A = _as_array(A, "matrix")
+    A = np.asfortranarray(_as_array(A, "matrix"))  # dgemm reads both operands uncopied
     AAT = dgemm(1.0, A, A, trans_b=1)
     d = np.diag(AAT).copy()
     if np.any(d == 0.0):
@@ -242,38 +244,36 @@ def _restriction(variant: str):
 
 @dataclass(frozen=True)
 class SharpMaps:
-    """Spectral machinery for the fixed-point map and its k-sweep truncation.
+    """The noise map of the sweeps in the eigenbasis of the restricted operator.
 
-    The fixed point of the sweep iteration is x = (M|_V)^-1 B b where
-    M = A^T L^-1 A and B = A^T L^-1 for the standard sweep (for the
-    symmetric variant, M = A^T S A and B = A^T S with the SPD weight
-    S = (2/omega - 1) L^-T D L^-1).  After k sweeps from x0 = 0 the
-    iterate is (I - G^k) applied to the fixed point.  In the eigenbasis
-    W = V C of the restricted operator, with W^+ = C^-1 V^T, the relation
+    From x0 = 0 with data b the sweeps converge to x = (I - G|_V)^-1 B b,
+    where B = A^T L^-1 for the standard sweep (for the symmetric variant,
+    G^T G = I - A^T S A and B = A^T S with the SPD weight
+    S = (2/omega - 1) L^-T D L^-1).  After k sweeps the iterate is
+    (I - G^k) applied to that limit.  In the eigenbasis W = V C of the
+    restricted operator, with W^+ = C^-1 V^T, the relation
     I - G|_V = C (I - Lambda) C^-1 turns this into
 
-        x_k = W (I - Lambda^k) (I - Lambda)^-1 W^+ B b.
+        x_k = W (I - Lambda^k) M b,    M = (I - Lambda)^-1 W^+ B,
+
+    and M is the one map through which data noise enters the iterates.
 
     ``lam`` holds the eigenvalues (descending modulus) and ``kappa_W`` the
-    condition number of C.  The eigenbasis is kept real, as the two arrays
-    that its routes read: ``W_real`` = V R0, the lift of the real basis
-    R0 = ``EigResult.R0``, and ``Y`` = R0^-1 V^T; ``conj[i]`` is the index
-    of lambda_i's conjugate.  Neither R0 nor G|_V is held (the LU route
-    :meth:`apply_A_sharp` rebuilds G|_V).  For a pair (j, j') with
-    Im lambda_j > 0, columns j and j' of ``W_real`` are Re w_j and Im w_j,
-    and rows j and j' of W^+ are (Y_j -+ i Y_j') / 2; a real mode has
-    column w_j and row Y_j.  A pair's two modes are conjugates, so
-    :meth:`coefficients` (W^+) and :meth:`k_sweep` (W) work on one mode
-    of each pair, the modes ``keep``, and no complex basis is formed.
+    condition number of C.  Everything else is real.  ``W_real`` = V R0 is
+    the lift of the real basis R0 = ``EigResult.R0``, and ``conj[i]`` is
+    the index of lambda_i's conjugate.  For a pair (j, j') with
+    Im lambda_j > 0, columns j and j' of ``W_real`` are Re w_j and Im w_j;
+    a real mode has column w_j.  A pair's two modes are conjugates, so M
+    is held on one mode of each pair, the modes ``keep``: ``M_r`` and
+    ``M_i`` are its real and imaginary parts (``keep.size``-by-m), and
+    :meth:`k_sweep` lifts coefficients on those modes.  No complex basis
+    is formed, and neither the problem, R0 nor G|_V is held.
     """
 
-    A: np.ndarray
-    lf: LFactor
-    sv: SvdResult
-    variant: str
     lam: np.ndarray
     W_real: np.ndarray
-    Y: np.ndarray
+    M_r: np.ndarray
+    M_i: np.ndarray
     conj: np.ndarray
     kappa_W: float
 
@@ -285,34 +285,6 @@ class SharpMaps:
     def keep(self) -> np.ndarray:
         """The modes with Im lambda >= 0: every real mode and one of each pair."""
         return np.flatnonzero(self.lam.imag >= 0)
-
-    def coefficients(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of (I - Lambda)^-1 W^+ X on the modes ``keep``.
-
-        X is n-by-k.  Row j of W^+ is (Y_j - i Y_j') / 2 for a pair (j, j')
-        and Y_j for a real mode; it is divided by d = 1 - lambda_j as
-        x conj(d) / |d|^2, in real arithmetic, before the two real products
-        with X.  The products read X through its transpose, so a C-ordered
-        X, such as ``b_transpose().T``, is not copied.
-        """
-        keep = self.keep
-        lam = self.lam[keep]
-        pair = lam.imag > 0
-        d = 1.0 - lam
-        h = np.where(pair, 0.5, 1.0) / (d.real**2 + d.imag**2)
-        a, b = (h * d.real)[:, None], (h * d.imag)[:, None]
-        P, Q = self.Y[keep], self.Y[self.conj[keep]]  # Q_j = Y_j at a real mode
-        re = P * a
-        re -= Q * b  # b = 0 at a real mode
-        P *= -b
-        Q *= -a
-        P += Q
-        del Q
-        P[~pair] = 0.0  # a real mode has no imaginary part: exactly +0
-        Xt = np.asarray(X).T
-        Z_r = dgemm(1.0, re.T, Xt, trans_a=1, trans_b=1)
-        del re  # not held while the second product is formed
-        return Z_r, dgemm(1.0, P.T, Xt, trans_a=1, trans_b=1)
 
     def k_sweep(self, k: int, Z_r, Z_i) -> np.ndarray:
         """Re(W (I - Lambda^k) Z) for Z = Z_r + i Z_i given on the modes ``keep``.
@@ -332,55 +304,54 @@ class SharpMaps:
         T[self.conj[keep[pair]]] = -(p_r * Z_i + p_i * Z_r)[pair]
         return dgemm(1.0, self.W_real, T)
 
-    def _weight(self, E, transpose: bool = False) -> np.ndarray:
-        """B's data-space factor on an m-by-k E: L^-1 E (L^-T E if ``transpose``), or S E."""
-        if self.variant == "standard":
-            return self.lf.solve(E, transpose)
-        Y = self.lf.solve(E)
-        Y *= ((2.0 / self.lf.omega - 1.0) * self.lf.D_diag)[:, None]
-        return self.lf.solve(Y, transpose=True)
 
-    def apply_B(self, e) -> np.ndarray:
-        """Apply B (= A^T L^-1 for the standard sweep) to data-space vectors.
+def _weight(lf: LFactor, variant: str, E, transpose: bool = False) -> np.ndarray:
+    """B's data-space factor on an m-by-k E: L^-1 E (L^-T E if ``transpose``), or S E."""
+    if variant == "standard":
+        return lf.solve(E, transpose)
+    Y = lf.solve(E)
+    Y *= ((2.0 / lf.omega - 1.0) * lf.D_diag)[:, None]
+    return lf.solve(Y, transpose=True)
 
-        Every map of data goes through here, so this is where a bad e is
-        rejected: ValueError unless it is a finite real m-vector or m-by-R
-        block.
-        """
-        e = _as_array(e, "e", rows=self.lf.m, block=True)
-        y = dgemm(1.0, self.A.T, self._weight(e.reshape(e.shape[0], -1)))
-        return y.reshape(y.shape[:1] + e.shape[1:])
 
-    def apply_A_sharp(self, e) -> np.ndarray:
-        """Fixed-point map: least-norm limit of the sweeps on data e.
+def _coefficients(lam, conj, Y, BT) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of M = (I - Lambda)^-1 W^+ B on the modes Im lambda >= 0.
 
-        Solved with an LU of I - G|_V, independently of the eigenbasis.
-        G|_V is not kept: each call rebuilds it as ``sharp_maps`` built it.
-        """
-        y = self.apply_B(e)
-        V = self.sv.V
-        Gv = _restriction(self.variant)(self.A, self.lf, self.sv).Gv
-        coeff = sla.solve(np.eye(self.r) - Gv, V.T @ y, check_finite=False)
-        return V @ coeff
-
-    def b_transpose(self) -> np.ndarray:
-        """B^T as an m-by-n matrix: L^-T A, or S A for the symmetric sweep.
-
-        Triangular solves on the n columns of A, not on the m columns of
-        the identity.
-        """
-        return self._weight(self.A, transpose=True)
+    B is given as its m-by-n transpose ``BT`` and W^+ through
+    Y = R0^-1 V^T.  Row j of W^+ is (Y_j - i Y_j') / 2 for a pair (j, j')
+    and Y_j for a real mode; it is divided by d = 1 - lambda_j as
+    x conj(d) / |d|^2, in real arithmetic, before the two real products
+    with B, which read B through ``BT`` uncopied.
+    """
+    keep = np.flatnonzero(lam.imag >= 0)
+    lam = lam[keep]
+    pair = lam.imag > 0
+    d = 1.0 - lam
+    h = np.where(pair, 0.5, 1.0) / (d.real**2 + d.imag**2)
+    a, b = (h * d.real)[:, None], (h * d.imag)[:, None]
+    P, Q = Y[keep], Y[conj[keep]]  # Q_j = Y_j at a real mode
+    re = P * a
+    re -= Q * b  # b = 0 at a real mode
+    P *= -b
+    Q *= -a
+    P += Q
+    del Q
+    P[~pair] = 0.0  # a real mode has no imaginary part: exactly +0
+    M_r = dgemm(1.0, re.T, BT, trans_a=1, trans_b=1)
+    del re  # not held while the second product is formed
+    return M_r, dgemm(1.0, P.T, BT, trans_a=1, trans_b=1)
 
 
 def sharp_maps(A, lf: LFactor, sv: SvdResult, variant: str = "standard") -> SharpMaps:
-    """Eigendecompose the restricted operator and package the sharp maps.
+    """Eigendecompose the restricted operator and form the noise map M.
 
-    Everything stored but the eigenvalues is real (see :class:`SharpMaps`):
-    the lift V R0 of the real eigenvector basis R0 in one ``dgemm``, and
-    Y = R0^-1 V^T from one real LU (``dgesv``).  R0 and G|_V are not kept.
-    The eigenvectors are C = R0 P, where P mixes each conjugate pair's
-    columns by [[1, 1], [i, -i]], so W^+ = C^-1 V^T = P^-1 Y, whose rows
-    ``SharpMaps.coefficients`` reads from Y's.
+    The lift V R0 of the real eigenvector basis R0 is one ``dgemm``, and
+    Y = R0^-1 V^T one real LU (``dgesv``).  The eigenvectors are C = R0 P,
+    where P mixes each conjugate pair's columns by [[1, 1], [i, -i]], so
+    W^+ = C^-1 V^T = P^-1 Y.  M = (I - Lambda)^-1 W^+ B is then formed
+    once from Y's rows and B^T, which takes triangular solves on the n
+    columns of A, not on the m columns of the identity.  Y, B^T, R0 and
+    G|_V are dropped before this returns (see :class:`SharpMaps`).
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
     within 1e-12 of 1, since then I - G is not invertible on the row space
@@ -393,55 +364,57 @@ def sharp_maps(A, lf: LFactor, sv: SvdResult, variant: str = "standard") -> Shar
     lam = eig.eigenvalues
     if np.min(np.abs(1.0 - lam)) < 1e-12:
         raise NumericalError("non-convergent mode: eigenvalue at 1")
-    R0 = eig.R0
-    _, _, Y, info = dgesv(R0, sv.V.T)
+    _, _, Y, info = dgesv(eig.R0, sv.V.T)
     if info != 0:
         raise NumericalError(f"eigenbasis LU failed: dgesv info = {info}")
-    return SharpMaps(
-        A=A,
-        lf=lf,
-        sv=sv,
-        variant=variant,
-        lam=lam,
-        W_real=dgemm(1.0, sv.V.T, R0, trans_a=1),
-        Y=Y,
-        conj=eig.conj,
-        kappa_W=eig.kappa,
-    )
+    W_real = dgemm(1.0, sv.V.T, eig.R0, trans_a=1)
+    conj, kappa_W = eig.conj, eig.kappa
+    del eig  # R0 is not held while M is formed
+    M_r, M_i = _coefficients(lam, conj, Y, _weight(lf, variant, A, transpose=True))
+    return SharpMaps(lam=lam, W_real=W_real, M_r=M_r, M_i=M_i, conj=conj, kappa_W=kappa_W)
 
 
 def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     """Map data e to the k-sweep iterate (I - G^k) applied to the limit.
 
-    Evaluated in the eigenbasis as W (I - Lambda^k) (I - Lambda)^-1 W^+ B e,
-    through the real routines of ``expected_norms`` and ``xi_profile``
-    (:meth:`SharpMaps.coefficients`, :meth:`SharpMaps.k_sweep`), on a
-    vector or on the columns of a block e.  k = 0 yields the zero vector
-    and k -> infinity approaches the fixed point, which
-    :meth:`SharpMaps.apply_A_sharp` takes from an LU of I - G|_V instead.
-    Raises ValueError for a negative or fractional k and for an e that
-    :meth:`SharpMaps.apply_B` rejects.
+    Evaluated in the eigenbasis as W (I - Lambda^k) M e, on a vector or on
+    the columns of a block e: the coefficients M e, lifted by
+    :meth:`SharpMaps.k_sweep`, the routine of ``expected_norms``.  k = 0
+    yields the zero vector and k -> infinity approaches the fixed point,
+    which :func:`fixed_point` takes from an LU of I - G|_V instead.
+    Raises ValueError for a negative or fractional k, and unless e is a
+    finite real m-vector or m-by-R block.
     """
     k = int(_check_ks([k])[0])
-    y = sm.apply_B(e)
-    Z_r, Z_i = sm.coefficients(y.reshape(y.shape[0], -1))
-    return sm.k_sweep(k, Z_r, Z_i).reshape(y.shape)
+    e = _as_array(e, "e", rows=sm.M_r.shape[1], block=True)
+    E = e.reshape(e.shape[0], -1)
+    x = sm.k_sweep(k, dgemm(1.0, sm.M_r, E), dgemm(1.0, sm.M_i, E))
+    return x.reshape(x.shape[:1] + e.shape[1:])
 
 
-def fixed_point(p: TestProblem, b, omega: float = 1.0, sm: SharpMaps | None = None) -> np.ndarray:
+def fixed_point(p: TestProblem, b, omega: float = 1.0, variant: str = "standard") -> np.ndarray:
     """Limit of the sweep iteration from x0 = 0 with data b.
 
     For consistent (noise-free) b this is the unique least-norm solution
-    of A x = b, independent of omega.  For noisy b the same spectral
-    formula is evaluated; that limit is reported in outputs under the
-    label ``kaczmarz_limit``.  Without ``sm`` the maps are built from
-    ``svd(p.A)`` at its default rank cut.  Raises ValueError unless b is
-    a finite real m-vector or m-by-R block.
+    of A x = b, independent of omega.  For noisy b it is the limit
+    (I - G|_V)^-1 B b that the k-sweep maps approach (see
+    :class:`SharpMaps`; with ``variant="symmetric"`` G|_V is the
+    restriction of G^T G and B = A^T S).  This is the library's
+    reference route for that limit, independent of the eigenbasis: one
+    LU solve with I - G|_V on the row space of ``svd(p.A)`` at its default
+    rank cut, with no eigendecomposition.  Raises ValueError unless b is
+    a finite real m-vector or m-by-R block, and for an unknown variant.
     """
+    restrict = _restriction(variant)
+    A = _as_array(p.A, "matrix")
     b = _as_array(b, "b", rows=p.m, block=True)
-    if sm is None:
-        sm = sharp_maps(p.A, build_L(p.A, omega), svd(p.A))
-    return sm.apply_A_sharp(b)
+    lf, sv = build_L(A, omega), svd(A)
+    y = dgemm(1.0, A.T, _weight(lf, variant, b.reshape(b.shape[0], -1)))
+    y = y.reshape(y.shape[:1] + b.shape[1:])
+    V = sv.V
+    Gv = restrict(A, lf, sv).Gv
+    coeff = sla.solve(np.eye(sv.rank) - Gv, V.T @ y, check_finite=False)
+    return V @ coeff
 
 
 def convergence_conditions(A, omega: float) -> dict:

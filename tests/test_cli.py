@@ -113,6 +113,18 @@ class TestOutputStep:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
         assert json.loads((tmp_path / "config.json").read_text()) == cfg.as_dict()
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"omega_grid": (1.0, 1.0), "sweeps": -3}, "sweeps must be a nonnegative integer"),
+        ({"omega_grid": (1.0, 1.0)}, "omega_grid must not repeat a value"),
+    ], ids=["repeat-and-negative-sweeps", "repeat"])
+    def test_bad_config_writes_no_file(self, fields, match, tmp_path):
+        # a library caller's config is validated as the CLI's is; the
+        # repeated omega used to write two identical scan.csv rows
+        cfg = ExperimentConfig(n=8, **fields)
+        with pytest.raises(ConfigError, match=match):
+            run_command("omegasweep", cfg, outdir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, fields", [
         ("eigplot", {}),
         ("errhist", {"sweeps": 5, "sigma": 1e-3, "realizations": 2,
@@ -184,7 +196,8 @@ def test_L_inverse_only_through_dtrsm(tmp_path, monkeypatch):
     assert operator.convergence_conditions(p.A, 1.0)["e"]
     sm = operator.sharp_maps(p.A, operator.build_L(p.A, 1.0), linalg.svd(p.A),
                              variant="symmetric")
-    assert sm.apply_B(p.b_bar).shape == (p.n,)
+    assert sm.M_r.shape[1] == p.m
+    assert operator.fixed_point(p, p.b_bar, variant="symmetric").shape == (p.n,)
     assert callers == {operator.LFactor.solve.__code__}
 
 

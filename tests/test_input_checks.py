@@ -27,14 +27,12 @@ _COMPLEX = np.ones(12) + 1e-3j
 # with a ComplexWarning, returned NaN, died with a BLAS or matmul shape
 # error or a TypeError, or ran on a bool as 1.0.
 _BAD_INPUT = [
-    ("apply_B-complex", lambda p, sv, lf, sm: sm.apply_B(_COMPLEX), "e must be real"),
     ("apply_Ak_sharp-complex", lambda p, sv, lf, sm: kl.apply_Ak_sharp(sm, _COMPLEX, 2),
      "e must be real"),
-    ("apply_A_sharp-complex", lambda p, sv, lf, sm: sm.apply_A_sharp(_COMPLEX), "e must be real"),
     ("xi_profile-complex", lambda p, sv, lf, sm: kl.xi_profile(sm, _COMPLEX, [1]),
      "e must be real"),
-    ("fixed_point-complex", lambda p, sv, lf, sm: kl.fixed_point(p, _COMPLEX, sm=sm),
-     "must be real"),
+    ("fixed_point-complex", lambda p, sv, lf, sm: kl.fixed_point(p, _COMPLEX),
+     "b must be real"),
     ("least_norm_solution-complex", lambda p, sv, lf, sm: kl.least_norm_solution(p.A, _COMPLEX),
      "b must be real"),
     ("apply_G-complex", lambda p, sv, lf, sm: kl.apply_G(lf, p.A, _COMPLEX), "x must be real"),
@@ -63,7 +61,7 @@ _BAD_INPUT = [
     ("NoiseModel-string", lambda p, sv, lf, sm: kl.NoiseModel("1"), "sigma must be finite"),
     ("spectrum-None", lambda p, sv, lf, sm: kl.spectrum(kl.restrict_to_V(p.A, lf, sv), None),
      "zero_tol must be finite"),
-    ("fixed_point-short", lambda p, sv, lf, sm: kl.fixed_point(p, np.ones(11), sm=sm),
+    ("fixed_point-short", lambda p, sv, lf, sm: kl.fixed_point(p, np.ones(11)),
      "b must be an 12-vector"),
     ("add_noise-complex", lambda p, sv, lf, sm: kl.add_noise(_COMPLEX, kl.NoiseModel(0.1, 0)),
      "b_bar must be real"),

@@ -7,24 +7,21 @@ import pytest
 from scipy.stats import spearmanr
 
 import kaczmarz_lab as kl
-from kaczmarz_lab import noise_stats, spectral
+from kaczmarz_lab import noise_stats, operator, spectral
 from test_linalg import complex_eigenvectors
-from test_operator import restricted_gv
+from test_operator import restricted_gv, sharp_case
 
 
-def _complex_basis(sm):
+def _complex_basis(case):
     """W = V C and W^+ = C^-1 V^T in complex arithmetic, C built from R0 and conj."""
-    C = complex_eigenvectors(sm.lam, kl.eig_general(restricted_gv(sm)).R0, sm.conj)
-    return sm.sv.V @ C, np.linalg.solve(C, sm.sv.V.T.astype(complex))
+    sm, V = case.sm, case.sv.V
+    C = complex_eigenvectors(sm.lam, kl.eig_general(restricted_gv(case)).R0, sm.conj)
+    return V @ C, np.linalg.solve(C, V.T.astype(complex))
 
 
 @pytest.fixture(scope="module")
 def gravity32_machinery():
-    p = kl.gravity(32, 0.06)
-    sv = kl.svd(p.A)
-    lf = kl.build_L(p.A, 1.0)
-    sm = kl.sharp_maps(p.A, lf, sv)
-    return p, sm
+    return sharp_case(kl.gravity(32, 0.06))
 
 
 class TestErrorSplit:
@@ -68,7 +65,7 @@ class TestErrorSplit:
 
 class TestXiProfile:
     def test_k_zero_vanishes(self, gravity32_machinery):
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(5e-3, seed=3))
         prof = kl.xi_profile(sm, e, ks=[0, 1])
         assert prof.norms[0] == 0.0
@@ -82,16 +79,16 @@ class TestXiProfile:
 
     def test_norm_identity_against_operator_route(self, gravity32_machinery):
         # the honest route applies the sweep operator k times
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(1e-2, seed=4))
         ks = [1, 3, 10]
         prof = kl.xi_profile(sm, e, ks)
-        y0 = sm.apply_A_sharp(e)
-        _, W_plus = _complex_basis(sm)
+        y0 = kl.fixed_point(p, e)
+        _, W_plus = _complex_basis(gravity32_machinery)
         for j, k in enumerate(ks):
             gk = y0.copy()
             for _ in range(k):
-                gk = kl.apply_G(sm.lf, p.A, gk)
+                gk = kl.apply_G(gravity32_machinery.lf, p.A, gk)
             xi_k = W_plus @ (y0 - gk)
             direct = float(np.sum(np.abs(xi_k) ** 2))
             assert abs(direct - prof.norms[j]) <= 1e-10 * max(direct, 1e-30)
@@ -122,7 +119,7 @@ class TestXiProfile:
         assert spearmanr(np.abs(prof.lam), np.abs(prof.xi)).statistic > 0.9
 
     def test_near_defective_raises(self, gravity32_machinery):
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         import dataclasses
 
         bad = dataclasses.replace(sm, kappa_W=1e13)
@@ -132,9 +129,9 @@ class TestXiProfile:
     def test_near_defective_threshold_is_spectral(self, gravity32_machinery, monkeypatch):
         # xi_profile and spectrum judge near-defectiveness by one constant:
         # lowering it below this kappa_W makes both call the basis near-defective
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         kl.xi_profile(sm, np.zeros(p.m), ks=[1])
-        ro = kl.restrict_to_V(p.A, sm.lf, sm.sv)
+        ro = kl.restrict_to_V(p.A, gravity32_machinery.lf, gravity32_machinery.sv)
         assert not kl.spectrum(ro).near_defective
         monkeypatch.setattr(spectral, "NEAR_DEFECTIVE_KAPPA", sm.kappa_W / 2)
         assert kl.spectrum(ro).near_defective
@@ -144,7 +141,7 @@ class TestXiProfile:
 
 class TestExpectedNorms:
     def test_sigma_zero_all_zero(self, gravity32_machinery):
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         exp = kl.expected_norms(sm, sigma=0.0, ks=[1, 5], n_mc=10, seed=0)
         assert np.all(exp.e1 == 0.0) and np.all(exp.e2 == 0.0)
         assert np.all(exp.mc == 0.0)
@@ -162,7 +159,7 @@ class TestExpectedNorms:
     def test_frobenius_identity_gravity(self, gravity32_machinery):
         # sample mean of squared propagated standard Gaussians converges
         # to the squared Frobenius norm of the k-sweep map
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         exp = kl.expected_norms(sm, sigma=1.0, ks=[1, 5, 20], n_mc=10_000, seed=8)
         for j in range(3):
             assert abs(exp.mc[j] - exp.e1[j]) <= 3.0 * exp.mc_stderr[j]
@@ -217,7 +214,7 @@ def _per_k_reference(sm, sigma, ks, n_mc, seed, estimated):
     n_mc Monte Carlo samples first, then 256 E1 probes per k when the
     estimator is used.
     """
-    m = sm.lf.m
+    m = sm.M_r.shape[1]
     rng = np.random.default_rng(seed)
     draws = sigma * rng.standard_normal((n_mc, m))
     e1, mc, stderr = [], [], []
@@ -237,10 +234,7 @@ def _per_k_reference(sm, sigma, ks, n_mc, seed, estimated):
 @pytest.fixture(scope="module", params=["standard", "symmetric"])
 def gravity32_variant(request):
     # the symmetric sweep has its own B = A^T S, so it gets its own check
-    p = kl.gravity(32, 0.06)
-    sv = kl.svd(p.A)
-    sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), sv, variant=request.param)
-    return p, sm
+    return sharp_case(kl.gravity(32, 0.06), variant=request.param)
 
 
 class TestExpectedNormsAgainstPerKRoute:
@@ -252,7 +246,7 @@ class TestExpectedNormsAgainstPerKRoute:
 
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
     def test_both_branches(self, gravity32_variant, monkeypatch, max_n):
-        p, sm = gravity32_variant
+        p, sm, *_ = gravity32_variant
         monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
         exp = kl.expected_norms(sm, sigma=3e-3, ks=self.KS, n_mc=300, seed=11)
         assert exp.e1_estimated == (p.n > max_n)
@@ -262,25 +256,28 @@ class TestExpectedNormsAgainstPerKRoute:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
     def test_xi_profile_norms(self, gravity32_variant):
-        p, sm = gravity32_variant
+        p, sm, *_ = gravity32_variant
         e = kl.add_noise(np.zeros(p.m), kl.NoiseModel(3e-3, seed=12))
         prof = kl.xi_profile(sm, e, self.KS)
-        xi = _complex_basis(sm)[1] @ sm.apply_A_sharp(e)
+        limit = kl.fixed_point(p, e, variant=gravity32_variant.variant)
+        xi = _complex_basis(gravity32_variant)[1] @ limit
         for j, k in enumerate(self.KS):
             want = np.sum(np.abs(1.0 - sm.lam**k) ** 2 * np.abs(xi) ** 2)
             assert prof.norms[j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def _all_modes_reference(sm, sigma, ks, n_mc, seed, estimated):
+def _all_modes_reference(case, sigma, ks, n_mc, seed, estimated):
     """E1, E2, mc and stderr with every mode lifted in complex arithmetic.
 
     The same closed forms and generator draws as expected_norms, without
     folding each conjugate pair into one mode of weight 2, and with W^+ from
-    a complex solve with C rather than from the real LU.
+    a complex solve with C rather than from the real LU.  B is sharp_maps'
+    own B^T transposed.
     """
-    m = sm.lf.m
-    W, W_plus = _complex_basis(sm)
-    M = (W_plus / (1.0 - sm.lam)[:, None]) @ sm.b_transpose().T
+    sm, m = case.sm, case.p.m
+    W, W_plus = _complex_basis(case)
+    M = (W_plus / (1.0 - sm.lam)[:, None]) @ operator._weight(
+        case.lf, case.variant, case.p.A, transpose=True).T
     e_xi2 = sigma**2 * np.sum(np.abs(M) ** 2, axis=1)
     e2 = [np.sum(np.abs(1.0 - sm.lam**k) ** 2 * e_xi2) for k in ks]
     rng = np.random.default_rng(seed)
@@ -304,7 +301,7 @@ def gravity32_pairs(request):
     p = kl.gravity(32, 0.06)
     variant = "symmetric" if request.param == "symmetric" else "standard"
     omega = 0.02 if request.param == "real-spectrum" else 1.0
-    return kl.sharp_maps(p.A, kl.build_L(p.A, omega), kl.svd(p.A), variant=variant)
+    return sharp_case(p, omega, variant)
 
 
 class TestExpectedNormsOneModePerPair:
@@ -314,15 +311,14 @@ class TestExpectedNormsOneModePerPair:
 
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
     def test_matches_all_modes(self, gravity32_pairs, monkeypatch, max_n):
-        sm = gravity32_pairs
         monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
-        exp = kl.expected_norms(sm, sigma=3e-3, ks=self.KS, n_mc=300, seed=5)
-        want = _all_modes_reference(sm, 3e-3, self.KS, 300, 5, exp.e1_estimated)
+        exp = kl.expected_norms(gravity32_pairs.sm, sigma=3e-3, ks=self.KS, n_mc=300, seed=5)
+        want = _all_modes_reference(gravity32_pairs, 3e-3, self.KS, 300, 5, exp.e1_estimated)
         for got, ref in zip((exp.e1, exp.e2, exp.mc, exp.mc_stderr), want):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
     def test_standard_spectrum_is_mostly_complex(self, gravity32_machinery):
-        _, sm = gravity32_machinery
+        _, sm, *_ = gravity32_machinery
         assert np.count_nonzero(sm.lam.imag > 0) >= 8
 
 
@@ -332,7 +328,7 @@ class TestMonteCarloBlocks:
     # moves the rounding of the per-sample products
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])
     def test_blocks_match_one_block(self, gravity32_variant, monkeypatch, max_n):
-        p, sm = gravity32_variant
+        p, sm, *_ = gravity32_variant
         monkeypatch.setattr(noise_stats, "EXPLICIT_MAP_MAX_N", max_n)
         runs = []
         for block in (10_000, 7):
@@ -396,7 +392,7 @@ class TestRejectsBadInput:
     # inf or a meaningless number
     @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -1.0])
     def test_expected_norms_bad_sigma(self, gravity32_machinery, sigma):
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         with pytest.raises(ValueError, match="sigma"):
             kl.expected_norms(sm, sigma=sigma, ks=[1], n_mc=10)
 
@@ -404,7 +400,7 @@ class TestRejectsBadInput:
                              ids=["negative", "negative-among-valid", "fractional", "nan"])
     def test_bad_k(self, gravity32_machinery, ks):
         # k = 2.5 used to be truncated to 2 without a word
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         with pytest.raises(ValueError, match="nonnegative integers"):
             kl.expected_norms(sm, sigma=1e-3, ks=ks, n_mc=10)
         with pytest.raises(ValueError, match="nonnegative integers"):
@@ -412,7 +408,7 @@ class TestRejectsBadInput:
 
     @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
     def test_xi_profile_bad_e(self, gravity32_machinery, bad):
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         e = np.full(p.m, 1e-3)
         if bad in ("nan", "inf"):
             e[3] = np.nan if bad == "nan" else np.inf
@@ -434,7 +430,7 @@ class TestRejectsBadInput:
         assert mono.ks.tolist() == [1, 2, 3]
 
     def test_k_zero_stays_valid(self, gravity32_machinery):
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         exp = kl.expected_norms(sm, sigma=1e-3, ks=[0], n_mc=10)
         prof = kl.xi_profile(sm, np.full(p.m, 1e-3), [0])
         assert exp.e1[0] == exp.e2[0] == exp.mc[0] == 0.0
@@ -457,7 +453,7 @@ class TestMonotonicityProbe:
     def test_gravity_bumps_but_monotone_sum(self, gravity32_machinery):
         # individual curves for the small eigenvalues bump, yet the sum
         # over all modes grows monotonically
-        p, sm = gravity32_machinery
+        p, sm, *_ = gravity32_machinery
         mono = kl.monotonicity_probe(sm.lam, range(1, 60))
         assert np.any(mono.bumps > 0)
         assert mono.e2_monotone

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,14 +16,59 @@ from kaczmarz_lab.errors import NumericalError
 from test_linalg import complex_eigenvectors, lapack_eigenvectors
 
 
-def restricted_gv(sm) -> np.ndarray:
-    """G|_V rebuilt from the problem of sharp maps ``sm`` by its variant's restriction.
+class SharpCase(NamedTuple):
+    """Sharp maps ``sm`` with the problem ``p``, factor ``lf`` and SVD ``sv`` they come from.
 
-    SharpMaps keeps neither G|_V nor the real eigenvector basis R0, so the
-    tests take both from here: ``kl.eig_general(restricted_gv(sm)).R0``.
+    SharpMaps keeps none of these, nor G|_V or the real eigenvector basis
+    R0, so the tests carry them here and take the rest from
+    ``restricted_gv``: ``kl.eig_general(restricted_gv(case)).R0``.
     """
-    restrict = kl.restrict_to_V if sm.variant == "standard" else kl.restrict_symmetric_to_V
-    return restrict(sm.A, sm.lf, sm.sv).Gv
+
+    p: kl.TestProblem
+    sm: kl.SharpMaps
+    lf: kl.LFactor
+    sv: kl.SvdResult
+    variant: str
+
+
+def sharp_case(p, omega=1.0, variant="standard") -> SharpCase:
+    sv, lf = kl.svd(p.A), kl.build_L(p.A, omega)
+    return SharpCase(p, kl.sharp_maps(p.A, lf, sv, variant=variant), lf, sv, variant)
+
+
+def restricted_gv(case) -> np.ndarray:
+    """G|_V of a ``sharp_case``, rebuilt by its variant's restriction."""
+    restrict = kl.restrict_to_V if case.variant == "standard" else kl.restrict_symmetric_to_V
+    return restrict(case.p.A, case.lf, case.sv).Gv
+
+
+def dense_B(A, lf, variant) -> np.ndarray:
+    """B = A^T L^-1, or A^T S with S = (2/omega - 1) L^-T D L^-1, from an explicit inverse of L."""
+    Linv = np.linalg.inv(lf.L)
+    S = Linv if variant == "standard" else (
+        (2.0 / lf.omega - 1.0) * Linv.T @ np.diag(lf.D_diag) @ Linv)
+    return A.T @ S
+
+
+@pytest.mark.parametrize("restrict", [kl.restrict_to_V, kl.restrict_symmetric_to_V])
+def test_dgemm_reads_only_fortran_operands(monkeypatch, restrict):
+    # f2py copies a C-ordered operand before dgemm reads it: build_L makes A
+    # Fortran-ordered once, and svd returns V Fortran-ordered, so neither
+    # build_L nor a restriction hands dgemm a C-ordered matrix
+    p = kl.gravity(32, 0.06)
+    sv = kl.svd(p.A)
+    fortran = []
+
+    def spy(*args, **kwargs):
+        fortran.extend(a.flags.f_contiguous for a in (*args, *kwargs.values())
+                       if isinstance(a, np.ndarray) and a.ndim == 2)
+        return dgemm(*args, **kwargs)
+
+    monkeypatch.setattr(operator, "dgemm", spy)
+    lf = kl.build_L(p.A, 1.0)
+    assert fortran == [True, True]
+    restrict(p.A, lf, sv)
+    assert len(fortran) > 2 and all(fortran)
 
 
 def _full_G(A, omega):
@@ -386,32 +432,58 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="non-finite|12 rows"):
             kl.fixed_point(kl.gravity(12, 0.1), b)
 
+    def test_runs_no_eigendecomposition(self, monkeypatch):
+        # the LU route needs no eigenbasis: no dgeev, no kappa SVD, no dgesv
+        def forbidden(*args, **kwargs):
+            raise AssertionError("fixed_point used an eigendecomposition")
+
+        monkeypatch.setattr(operator, "eig_general", forbidden)
+        monkeypatch.setattr(operator, "dgesv", forbidden)
+        p = kl.gravity(32, 0.06)
+        want = kl.least_norm_solution(p.A, p.b_bar).x
+        for variant in ("standard", "symmetric"):
+            x = kl.fixed_point(p, p.b_bar, omega=0.8, variant=variant)
+            assert np.linalg.norm(x - want) <= 1e-8 * np.linalg.norm(want), variant
+
+    def test_unknown_variant_rejected(self):
+        p = kl.gravity(12, 0.1)
+        with pytest.raises(ValueError, match="unknown variant 'randomized'"):
+            kl.fixed_point(p, p.b_bar, variant="randomized")
+
 
 @pytest.fixture(scope="module")
-def sm():
-    p = kl.gravity(24, 0.08)
-    sv = kl.svd(p.A)
-    return kl.sharp_maps(p.A, kl.build_L(p.A, 1.0), sv)
+def g24():
+    return sharp_case(kl.gravity(24, 0.08))
 
 
 class TestSharpMaps:
 
-    def test_k_zero_is_zero_map(self, sm):
+    def test_k_zero_is_zero_map(self, g24):
         e = np.random.default_rng(10).standard_normal(24)
-        np.testing.assert_allclose(kl.apply_Ak_sharp(sm, e, 0), np.zeros(24),
+        np.testing.assert_allclose(kl.apply_Ak_sharp(g24.sm, e, 0), np.zeros(24),
                                    atol=1e-12)
 
-    def test_k_one_is_one_sweep_from_zero(self, sm):
+    def test_k_one_is_one_sweep_from_zero(self, g24):
         # one term of the truncated series: A^T L^-1 e
         e = np.random.default_rng(11).standard_normal(24)
-        want = sm.A.T @ sla.solve_triangular(sm.lf.L, e, lower=True)
-        got = kl.apply_Ak_sharp(sm, e, 1)
+        want = g24.p.A.T @ sla.solve_triangular(g24.lf.L, e, lower=True)
+        got = kl.apply_Ak_sharp(g24.sm, e, 1)
         assert np.linalg.norm(got - want) <= 1e-8 * max(1.0, np.linalg.norm(want))
 
-    def test_large_k_approaches_limit(self, sm):
+    def test_large_k_approaches_limit(self, g24):
         e = np.random.default_rng(12).standard_normal(24)
-        limit = sm.apply_A_sharp(e)
-        got = kl.apply_Ak_sharp(sm, e, 4000)
+        limit = kl.fixed_point(g24.p, e)
+        got = kl.apply_Ak_sharp(g24.sm, e, 4000)
+        assert np.linalg.norm(got - limit) <= 1e-6 * np.linalg.norm(limit)
+
+    def test_symmetric_block_approaches_limit(self):
+        # the symmetric variant's eigenbasis route tends to its LU route's
+        # limit, column by column of a block
+        case = sharp_case(kl.gravity(24, 0.08), 0.8, "symmetric")
+        e = np.random.default_rng(12).standard_normal((24, 2))
+        limit = kl.fixed_point(case.p, e, 0.8, "symmetric")
+        got = kl.apply_Ak_sharp(case.sm, e, 4000)
+        assert got.shape == limit.shape == (24, 2)
         assert np.linalg.norm(got - limit) <= 1e-6 * np.linalg.norm(limit)
 
     def test_matches_swept_iterate(self):
@@ -436,51 +508,39 @@ class TestSharpMaps:
     @pytest.mark.parametrize("variant", ["standard", "symmetric"])
     @pytest.mark.parametrize("omega", [0.3, 1.0, 1.7])
     def test_b_transpose_matches_dense_B(self, small_problems, variant, omega):
-        # B = A^T L^-1, or A^T S with S = (2/omega - 1) L^-T D L^-1, formed
-        # from an explicit inverse of L
+        # B^T, the step of sharp_maps that takes triangular solves on the n
+        # columns of A, against B formed from an explicit inverse of L
         for p in small_problems:
             lf = kl.build_L(p.A, omega)
-            sm = kl.sharp_maps(p.A, lf, kl.svd(p.A, rank_tol=1e-6), variant=variant)
-            Linv = np.linalg.inv(lf.L)
-            S = Linv if variant == "standard" else (
-                (2.0 / omega - 1.0) * Linv.T @ np.diag(lf.D_diag) @ Linv)
-            want = (p.A.T @ S).T
-            got = sm.b_transpose()
+            want = dense_B(p.A, lf, variant).T
+            got = operator._weight(lf, variant, p.A, transpose=True)
             assert got.shape == (p.m, p.n)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), p.name
 
-    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
-    def test_apply_B_is_b_transpose_transposed(self, small_problems, variant):
-        # apply_B and b_transpose share one data-space weight; e may be a
-        # vector or a block
-        E = np.random.default_rng(3).standard_normal((64, 3))
-        for p in small_problems:
-            sm = kl.sharp_maps(p.A, kl.build_L(p.A, 1.3), kl.svd(p.A, rank_tol=1e-6),
-                               variant=variant)
-            B, e = sm.b_transpose().T, E[:p.m]
-            tol = 1e-12 * np.abs(B).sum(axis=1).max() * np.abs(e).max()
-            assert np.max(np.abs(sm.apply_B(e) - B @ e)) <= tol, p.name
-            assert np.max(np.abs(sm.apply_B(e[:, 0]) - B @ e[:, 0])) <= tol, p.name
-
     @pytest.mark.parametrize("k", [-1, 2.5, np.nan])
-    def test_bad_k_rejected(self, sm, k):
+    def test_bad_k_rejected(self, g24, k):
         # a fractional k used to be raised to a fractional power of lambda
         with pytest.raises(ValueError, match="nonnegative integers"):
-            kl.apply_Ak_sharp(sm, np.ones(24), k)
+            kl.apply_Ak_sharp(g24.sm, np.ones(24), k)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "nan-block", "short", "long", "short-block",
                                      "scalar"])
-    def test_bad_data_rejected(self, sm, bad):
+    def test_bad_data_rejected(self, g24, bad):
         # a NaN used to come back as a NaN iterate, and a short e as a BLAS
-        # shape error; every map of data checks e in apply_B
+        # shape error; every map of data checks its e.  xi_profile takes a
+        # vector only, so a block is a shape error there
         e = np.full(24, 1e-3)
         e[5] = np.nan if bad.startswith("nan") else np.inf
         e = {"nan-block": np.column_stack([e, e]), "short": e[:-1], "long": np.ones(25),
              "short-block": np.ones((23, 2)), "scalar": 1.0}.get(bad, e)
         match = "non-finite" if bad in ("nan", "inf", "nan-block") else "24 rows"
-        for apply in (sm.apply_B, sm.apply_A_sharp, lambda e: kl.apply_Ak_sharp(sm, e, 3)):
+        for apply in (lambda e: kl.fixed_point(g24.p, e),
+                      lambda e: kl.apply_Ak_sharp(g24.sm, e, 3)):
             with pytest.raises(ValueError, match=match):
                 apply(e)
+        match = "non-finite" if bad in ("nan", "inf") else "e must be an 24-vector"
+        with pytest.raises(ValueError, match=match):
+            kl.xi_profile(g24.sm, e, [1])
 
     def test_non_convergent_mode_raises(self):
         # omega -> 0 makes L blow up and G approach the identity, so an
@@ -512,38 +572,41 @@ def real_route_case(request):
         p, variant, omega = kl.gravity(24, 0.08), "symmetric", 0.8
     else:
         p, omega = kl.gravity(32, 0.06), 0.02  # every eigenvalue is real
-    sm = kl.sharp_maps(p.A, kl.build_L(p.A, omega), kl.svd(p.A), variant=variant)
-    return request.param, sm, kl.eig_general(restricted_gv(sm))
+    case = sharp_case(p, omega, variant)
+    return request.param, case, kl.eig_general(restricted_gv(case))
 
 
-def _complex_reference(sm, eig):
+def _complex_reference(case, eig):
     """C from R0 and conj, and W^+ = C^-1 V^T by a complex solve: the complex route."""
-    C = complex_eigenvectors(sm.lam, eig.R0, sm.conj)
-    return C, np.linalg.solve(C, sm.sv.V.T.astype(complex))
+    C = complex_eigenvectors(case.sm.lam, eig.R0, case.sm.conj)
+    return C, np.linalg.solve(C, case.sv.V.T.astype(complex))
 
 
 class TestRealRouteWInv:
-    """The real W^+ route, SharpMaps.coefficients, against a complex solve with C."""
+    """The noise map M from the real W^+ route against a complex solve with C."""
 
     def test_matches_complex_solve(self, real_route_case):
-        # coefficients of the identity are the kept rows of (I - Lambda)^-1 W^+
-        _, sm, eig = real_route_case
-        _, W_plus = _complex_reference(sm, eig)
-        want = (W_plus / (1.0 - sm.lam)[:, None])[sm.keep]
-        Z_r, Z_i = sm.coefficients(np.eye(sm.A.shape[1]))
-        assert np.max(np.abs(Z_r + 1j * Z_i - want)) <= 1e-10 * np.max(np.abs(want))
+        # M_r + i M_i are the kept rows of (I - Lambda)^-1 W^+ B, with W^+
+        # from a complex solve and B from an explicit inverse of L
+        _, case, eig = real_route_case
+        sm = case.sm
+        _, W_plus = _complex_reference(case, eig)
+        B = dense_B(case.p.A, case.lf, case.variant)
+        want = ((W_plus / (1.0 - sm.lam)[:, None]) @ B)[sm.keep]
+        assert sm.M_r.shape == sm.M_i.shape == want.shape
+        assert np.max(np.abs(sm.M_r + 1j * sm.M_i - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_conjugate_rows_exact(self, real_route_case):
         # one mode of each pair is kept, and a real mode's imaginary part is +0
-        name, sm, eig = real_route_case
+        name, case, eig = real_route_case
+        sm = case.sm
         conj = eig.conj
         assert np.array_equal(sm.lam[conj], sm.lam.conj())
         keep = sm.keep
         assert np.array_equal(np.union1d(keep, conj[keep]), np.arange(sm.r))
         assert keep.size == sm.r - np.count_nonzero(sm.lam.imag > 0)
-        _, Z_i = sm.coefficients(np.random.default_rng(4).standard_normal((sm.A.shape[1], 3)))
         real = sm.lam[keep].imag == 0
-        assert not Z_i[real].any() and not np.signbit(Z_i[real]).any()
+        assert not sm.M_i[real].any() and not np.signbit(sm.M_i[real]).any()
         if name in ("gravity128", "tomo24"):
             assert np.count_nonzero(sm.lam.imag) > 0
         else:
@@ -551,11 +614,13 @@ class TestRealRouteWInv:
             assert not np.iscomplexobj(sm.lam)
 
     def test_left_inverse(self, real_route_case):
-        # W (I - Lambda) (I - Lambda)^-1 W^+ x = x on the row space: the real
-        # lift at k = 1 undoes the real coefficients
-        _, sm, _ = real_route_case
-        x = sm.sv.V @ np.random.default_rng(5).standard_normal((sm.r, 3))
-        got = sm.k_sweep(1, *sm.coefficients(x))
+        # W (I - Lambda) M e = W W^+ B e is B e's projection on the row space:
+        # the real lift at k = 1 undoes the real coefficients
+        _, case, _ = real_route_case
+        sm, V = case.sm, case.sv.V
+        e = np.random.default_rng(5).standard_normal((case.p.m, 3))
+        x = V @ (V.T @ (dense_B(case.p.A, case.lf, case.variant) @ e))
+        got = sm.k_sweep(1, sm.M_r @ e, sm.M_i @ e)
         np.testing.assert_allclose(got, x, rtol=0, atol=1e-9 * sm.kappa_W * np.abs(x).max())
 
 
@@ -564,33 +629,38 @@ class TestRealFields:
 
     def test_every_array_field_is_real(self, real_route_case):
         # the eigenvalues are the one complex field
-        _, sm, _ = real_route_case
+        _, case, _ = real_route_case
+        sm = case.sm
         for f in dataclasses.fields(sm):
             value = getattr(sm, f.name)
             if isinstance(value, np.ndarray) and f.name != "lam":
                 assert not np.iscomplexobj(value), f.name
-        assert sm.W_real.shape == (sm.A.shape[1], sm.r)
-        assert sm.Y.shape == (sm.r, sm.A.shape[1])
+        assert sm.W_real.shape == (case.p.n, sm.r)
+        assert sm.M_r.shape == sm.M_i.shape == (sm.keep.size, case.p.m)
 
     def test_complex_forms_are_the_eager_ones(self, real_route_case):
         # the complex eigenvectors that R0 and conj stand for are LAPACK's,
         # and the real fields are the lift of eig_general's basis (one dgemm)
-        # and its LU (dgesv; at two threads OpenBLAS's getrf rounds otherwise).
-        # The lift reads V through its transpose, which can round otherwise
-        # than a product with V's copy
-        _, sm, eig = real_route_case
-        C, _ = _complex_reference(sm, eig)
-        assert C.tobytes() == lapack_eigenvectors(restricted_gv(sm)).astype(complex).tobytes()
-        lift = dgemm(1.0, sm.sv.V.T, eig.R0, trans_a=1)
-        for got, want in ((sm.W_real, lift), (sm.Y, dgesv(eig.R0, sm.sv.V.T)[2])):
+        # and M from its LU (dgesv; at two threads OpenBLAS's getrf rounds
+        # otherwise) and B^T.  The lift reads V through its transpose, which
+        # can round otherwise than a product with V's copy
+        _, case, eig = real_route_case
+        sm, V = case.sm, case.sv.V
+        C, _ = _complex_reference(case, eig)
+        assert C.tobytes() == lapack_eigenvectors(restricted_gv(case)).astype(complex).tobytes()
+        lift = dgemm(1.0, V.T, eig.R0, trans_a=1)
+        BT = operator._weight(case.lf, case.variant, case.p.A, transpose=True)
+        M_r, M_i = operator._coefficients(sm.lam, eig.conj, dgesv(eig.R0, V.T)[2], BT)
+        for got, want in ((sm.W_real, lift), (sm.M_r, M_r), (sm.M_i, M_i)):
             assert got.dtype == want.dtype
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
         assert np.array_equal(sm.conj, eig.conj)
 
     def test_holds_only_the_eigenbasis(self, small_problems):
         # the bytes sharp_maps allocates and still holds after it returns are
-        # its four arrays and the small objects around them: neither the
-        # real basis R0 nor G|_V (8 KiB each at r = 32) stays alive
+        # its five arrays and the small objects around them: neither the
+        # real basis R0, G|_V (8 KiB each at r = 32), Y = R0^-1 V^T nor B^T
+        # stays alive
         p = small_problems[0]
         sv, lf = kl.svd(p.A), kl.build_L(p.A, 1.0)
         kl.sharp_maps(p.A, lf, sv)  # a first call's lasting caches are not its arrays
@@ -601,16 +671,16 @@ class TestRealFields:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        kept = sm.W_real.nbytes + sm.Y.nbytes + sm.lam.nbytes + sm.conj.nbytes
+        kept = sum(a.nbytes for a in (sm.W_real, sm.M_r, sm.M_i, sm.lam, sm.conj))
         assert sm.r == 32
         assert held <= kept + 4096
 
     def test_real_lift_is_the_lift_of_the_real_basis(self, real_route_case):
         # column j of W_real is Re w_j, column conj[j] is Im w_j for a pair
-        _, sm, eig = real_route_case
-        conj = eig.conj
-        C, _ = _complex_reference(sm, eig)
-        W = sm.sv.V @ C
+        _, case, eig = real_route_case
+        sm, conj = case.sm, eig.conj
+        C, _ = _complex_reference(case, eig)
+        W = case.sv.V @ C
         up = np.flatnonzero(sm.lam.imag > 0)
         real = np.flatnonzero(sm.lam.imag == 0)
         tol = 1e-13 * np.abs(W).max()
