@@ -427,12 +427,9 @@ def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     sv = svd(p.A, cfg.rank_tol)
     # one A A^T: each omega's factor differs from L_1 only in the diagonal
     lf1 = build_L(p.A, 1.0)
-    kappa_X = spectral.bauer_fike_kappa(p.A, lf1)  # independent of omega: once per command
-    reports = []
-    for omega in cfg.omegas_bounds:
-        lf = lf1.with_omega(float(omega))
-        reports.append(spectral.rho_bounds(p.A, sv, lf, restrict_to_V(p.A, lf, sv),
-                                           kappa_X=kappa_X))
+    kappa_X = spectral.bauer_fike_kappa(lf1)  # independent of omega: once per command
+    reports = [spectral.rho_bounds(p.A, sv, lf1.with_omega(float(omega)), kappa_X=kappa_X)
+               for omega in cfg.omegas_bounds]
     columns = {"problem": [p.name] * len(reports), "omega": [r.omega for r in reports],
                "rho": [r.rho_actual for r in reports]}
     for col in ("norm_G", "bound_L", "bound_nu", "nu", "bf_bound", "be_bound"):

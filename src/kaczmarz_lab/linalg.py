@@ -109,8 +109,10 @@ def _as_array(x, what: str, rows: int | None = None, block: bool = False,
 
 
 def _check_ks(ks) -> np.ndarray:
-    """The iteration counts as integers; ValueError for a negative or fractional one."""
+    """The iteration counts as integers; ValueError if empty or for a negative or fractional k."""
     raw = np.asarray(list(ks))
+    if raw.size == 0:
+        raise ValueError("iteration counts k must be a nonempty list")
     with np.errstate(invalid="ignore"):
         ks = raw.astype(int)
     if np.any(ks != raw) or np.any(ks < 0):

@@ -157,8 +157,8 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     when the eigenvector condition number exceeds
     ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound at which
     ``spectral.spectrum`` flags a spectrum near-defective.  Raises
-    ValueError unless ``e`` is a finite real m-vector, and for a negative
-    or fractional k.
+    ValueError unless ``e`` is a finite real m-vector, for an empty ``ks``
+    and for a negative or fractional k.
     """
     if sm.kappa_W > spectral.NEAR_DEFECTIVE_KAPPA:
         raise NumericalError(
@@ -229,8 +229,8 @@ def expected_norms(
     ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
     generator yields them in the order of one n_mc-by-m draw followed by
     one 256-by-m draw per k.  Raises ValueError unless sigma is a finite
-    real number >= 0, n_mc an integer >= 2 and seed an integer >= 0, and
-    for a negative or fractional k.
+    real number >= 0, n_mc an integer >= 2 and seed an integer >= 0, for an
+    empty ``ks`` and for a negative or fractional k.
     """
     _check_real("sigma", sigma)
     _check_int("n_mc", n_mc, 2)
@@ -307,11 +307,17 @@ def monotonicity_probe(lam, ks) -> MonotonicityReport:
     Individual curves for complex eigenvalues may bump up and down (the
     factor |1 - lambda^k| can exceed 1), yet their sum over a large
     spectrum typically grows monotonically; this probe quantifies both.
-    The counts are sorted and deduplicated; a negative or fractional k
-    raises ValueError.
+    The counts are sorted and deduplicated.  Raises ValueError unless
+    ``lam`` is a nonempty, finite, 1-d real or complex array, for an empty
+    ``ks`` and for a negative or fractional k.
     """
     ks = np.unique(_check_ks(ks))
     lam = np.asarray(lam)
+    if lam.dtype.kind not in "biufc" or lam.ndim != 1 or lam.size == 0:
+        raise ValueError("lam must be a nonempty 1-d real or complex array, "
+                         f"got dtype {lam.dtype} and shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lam has non-finite entries")
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None])
     e2_unit = np.sum(factors**2, axis=1)
     diffs = np.diff(factors, axis=0)

@@ -106,14 +106,12 @@ class RestrictedOperator:
 
     V is the orthonormal row-space factor of the problem's SVD, so for a
     full-column-rank A the restriction is similar to the operator itself.
-    ``variant`` names the operator: "standard" for the one-sweep G
-    (``restrict_to_V``), "symmetric" for the down-up double sweep G^T G
-    (``restrict_symmetric_to_V``).
+    ``restrict_to_V`` restricts the one-sweep G and
+    ``restrict_symmetric_to_V`` the down-up double sweep G^T G.
     """
 
     Gv: np.ndarray
     omega: float
-    variant: str
 
 
 def build_L(A, omega: float) -> LFactor:
@@ -221,7 +219,7 @@ def restrict_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
     with r right-hand sides.
     """
     Gv = dgemm(1.0, sv.V, apply_G(lf, A, sv.V), trans_a=1)
-    return RestrictedOperator(Gv=Gv, omega=lf.omega, variant="standard")
+    return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 
 def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
@@ -232,7 +230,7 @@ def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator
     serve as an independent cross-check of norm/spectral identities.
     """
     Gv = dgemm(1.0, sv.V, apply_Gs(lf, A, sv.V), trans_a=1)
-    return RestrictedOperator(Gv=Gv, omega=lf.omega, variant="symmetric")
+    return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 
 def _restriction(variant: str):

@@ -8,7 +8,8 @@ regime where the spectrum becomes real.
 
 :class:`SpectrumReport` is the one summary of a sorted eigenvalue array:
 ``spectrum`` returns one, the rows of ``small_omega_scan`` are reports,
-and ``rho_bounds`` and ``symmetric_relations`` read rho from one.
+and ``rho_bounds`` and ``symmetric_relations`` read rho from one, of
+restrictions they build from A, its factor and the row-space basis.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .linalg import SvdResult, _as_array, _check_real, eig_general, eigvals
-from .operator import LFactor, RestrictedOperator, build_L, restrict_to_V
+from .operator import LFactor, RestrictedOperator, build_L, restrict_symmetric_to_V, restrict_to_V
 
 __all__ = [
     "SpectrumReport",
@@ -223,50 +224,40 @@ def zero_eigenvalue_condition(A) -> float:
     return float(np.linalg.norm(a1) * np.linalg.norm(am) / denom)
 
 
-def bauer_fike_kappa(A, lf1: LFactor | None = None) -> float:
+def bauer_fike_kappa(lf: LFactor) -> float:
     """Condition number of the eigenvectors of L_1^-1 A A^T, at omega = 1.
 
-    The ``kappa_X`` of :func:`bauer_fike_bound`.  It does not depend on
-    the omega under study, so a caller with several omegas computes it
-    once.  ``lf1`` is the omega = 1 factor when the caller has it.
+    The ``kappa_X`` of :func:`bauer_fike_bound`.  A A^T is ``lf.gram()``
+    and L_1 is ``lf`` at omega = 1 whatever ``lf.omega`` is, so every
+    factor of one matrix gives the same kappa, and a caller with several
+    omegas computes it once.
     """
-    A = _as_array(A, "matrix")
-    if lf1 is None:
-        lf1 = build_L(A, 1.0)
+    lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
     return eig_general(lf1.solve(lf1.gram())).kappa
 
 
-def rho_bounds(
-    A,
-    sv: SvdResult,
-    lf: LFactor,
-    ro: RestrictedOperator,
-    kappa_X: float | None = None,
-) -> BoundsReport:
-    """Evaluate the spectral radius against its closed-form upper bounds.
+def rho_bounds(A, sv: SvdResult, lf: LFactor, kappa_X: float | None = None) -> BoundsReport:
+    """Evaluate the spectral radius of the one-sweep G|_V against its bounds.
 
-    Reads only the eigenvalues of ``ro`` and takes L_1 from ``lf``.  Cost
-    note: L^-1 is formed explicitly (m triangular solves) for the smallest
-    eigenvalue of its symmetric part; intended for desk-scale m (<= 4096).
-    When the extremal eigenvalue is complex or multiple the bounds are
-    still reported but flagged as outside the proposition's assumptions.
-    ``kappa_X`` (see :func:`bauer_fike_kappa`), the only eigendecomposition
-    with eigenvectors, is computed here unless given.  Raises ValueError
-    when ``ro`` is not a one-sweep restriction (``restrict_to_V``), since
-    the bounds are the one-sweep operator's, and when ``ro`` and ``lf`` use
-    different omegas.
+    G|_V is built here by ``restrict_to_V(A, lf, sv)``, of which only the
+    eigenvalues and the top singular value are read; L_1 comes from
+    ``lf``.  Cost note: L^-1 is formed explicitly (m triangular solves)
+    for the smallest eigenvalue of its symmetric part; intended for
+    desk-scale m (<= 4096).  When the extremal eigenvalue is complex or
+    multiple the bounds are still reported but flagged as outside the
+    proposition's assumptions.  ``kappa_X`` (see :func:`bauer_fike_kappa`),
+    the only eigendecomposition with eigenvectors, is computed here unless
+    given.  Raises ValueError unless A is a finite real matrix whose
+    column count is the row count of ``sv.V``.
     """
-    if ro.variant != "standard":
-        raise ValueError(f"rho_bounds needs the one-sweep restriction, got {ro.variant!r}")
-    if ro.omega != lf.omega:
-        raise ValueError("restricted operator and factor use different omega")
     A = _as_array(A, "matrix")
-    rep = SpectrumReport(eigvals(ro.Gv), ro.omega)
+    Gv = restrict_to_V(A, lf, sv).Gv
+    rep = SpectrumReport(eigvals(Gv), lf.omega)
     lam = rep.eigenvalues
     simple = lam.size < 2 or abs(lam[0] - lam[1]) > 1e-12 * max(1.0, rep.rho)
     assumption_met = bool(rep.top_is_real and lam[0].real > 0.0 and simple)
 
-    norm_G = float(sla.svdvals(ro.Gv, check_finite=False)[0])
+    norm_G = float(sla.svdvals(Gv, check_finite=False)[0])
     sigma_min = float(sv.S[-1])
     norm_L = float(sla.svdvals(lf.L, check_finite=False)[0])
     L_inv = lf.solve(np.eye(lf.m, order="F"))
@@ -274,7 +265,7 @@ def rho_bounds(
 
     lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
     if kappa_X is None:
-        kappa_X = bauer_fike_kappa(A, lf1)
+        kappa_X = bauer_fike_kappa(lf1)
     return BoundsReport(
         rho_actual=rep.rho,
         norm_G=norm_G,
@@ -369,27 +360,21 @@ class SymmetricRelations:
         return max(self.rho_G, self.rho_Gs, self.norm_G)
 
 
-def symmetric_relations(
-    ro_G: RestrictedOperator, ro_Gs: RestrictedOperator
-) -> SymmetricRelations:
+def symmetric_relations(A, lf: LFactor, sv: SvdResult) -> SymmetricRelations:
     """Check rho of the double-sweep operator against ||G|_V||^2.
 
-    Both restrictions must come from the same matrix and omega; the
-    double-sweep restriction is assembled through the two sweeps, so the
-    reported ``difference`` is a genuine numerical cross-check rather
-    than an algebraic identity.  ||G|_V||_2 is the top singular value, as
-    in ``rho_bounds``.  Raises ValueError unless ``ro_G`` is a one-sweep
-    restriction and ``ro_Gs`` a double-sweep one, in that order, at the
-    same omega.
+    Both restrictions are built here from A, ``lf`` and ``sv``: G|_V by
+    ``restrict_to_V`` and the double sweep by ``restrict_symmetric_to_V``,
+    which runs the two sweeps rather than squaring G|_V, so the reported
+    ``difference`` is a genuine numerical cross-check rather than an
+    algebraic identity.  ||G|_V||_2 is the top singular value, as in
+    ``rho_bounds``.  Raises ValueError unless A is a finite real matrix
+    whose column count is the row count of ``sv.V``.
     """
-    if (ro_G.variant, ro_Gs.variant) != ("standard", "symmetric"):
-        raise ValueError("symmetric_relations takes a standard then a symmetric restriction, "
-                         f"got {ro_G.variant!r} and {ro_Gs.variant!r}")
-    if ro_G.omega != ro_Gs.omega:
-        raise ValueError("restricted operators use different omega")
-    rho_G = SpectrumReport(eigvals(ro_G.Gv), ro_G.omega).rho
-    rho_Gs = SpectrumReport(eigvals(ro_Gs.Gv), ro_Gs.omega).rho
-    norm_G = float(sla.svdvals(ro_G.Gv, check_finite=False)[0])
+    Gv = restrict_to_V(A, lf, sv).Gv
+    rho_G = SpectrumReport(eigvals(Gv), lf.omega).rho
+    rho_Gs = SpectrumReport(eigvals(restrict_symmetric_to_V(A, lf, sv).Gv), lf.omega).rho
+    norm_G = float(sla.svdvals(Gv, check_finite=False)[0])
     return SymmetricRelations(rho_G=rho_G, rho_Gs=rho_Gs, norm_G=norm_G)
 
 

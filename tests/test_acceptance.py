@@ -114,10 +114,7 @@ def test_c05_gravity_reference_numbers(gravity128_01, gravity128_02):
         conds[d] = s[0] / s[-1]
     sv = kl.svd(gravity128_01.A)
     lf = kl.build_L(gravity128_01.A, 1.0)
-    rel = kl.symmetric_relations(
-        kl.restrict_to_V(gravity128_01.A, lf, sv),
-        kl.restrict_symmetric_to_V(gravity128_01.A, lf, sv),
-    )
+    rel = kl.symmetric_relations(gravity128_01.A, lf, sv)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(conds[0.01] - 10.21) / 10.21 < 0.05
@@ -142,10 +139,7 @@ def test_c06_symmetric_identity_and_threshold(small_problems):
         sv = kl.svd(p.A)
         for omega in (0.6, 1.0, 1.4):
             lf = kl.build_L(p.A, omega)
-            rel = kl.symmetric_relations(
-                kl.restrict_to_V(p.A, lf, sv),
-                kl.restrict_symmetric_to_V(p.A, lf, sv),
-            )
+            rel = kl.symmetric_relations(p.A, lf, sv)
             worst = max(worst, rel.difference)
             count += 1
     alpha = kl.norm_threshold_alpha()
@@ -161,8 +155,7 @@ def test_c07_bounds_example(gravity128_02):
     """Radius, norm, and both upper bounds for gravity(128, 0.02)."""
     sv = kl.svd(gravity128_02.A)
     lf = kl.build_L(gravity128_02.A, 1.0)
-    ro = kl.restrict_to_V(gravity128_02.A, sv=sv, lf=lf)
-    rep = kl.rho_bounds(gravity128_02.A, sv, lf, ro)
+    rep = kl.rho_bounds(gravity128_02.A, sv, lf)
     within = lambda got, ref: ref / 2.0 <= got <= ref * 2.0  # noqa: E731
     ok = (
         within(1.0 - rep.rho_actual, 1e-4)

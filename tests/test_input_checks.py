@@ -24,8 +24,9 @@ def _with_nan(a, where):
 _COMPLEX = np.ones(12) + 1e-3j
 
 # Before these checks each row either cast complex data to its real part
-# with a ComplexWarning, returned NaN, died with a BLAS or matmul shape
-# error or a TypeError, or ran on a bool as 1.0.
+# with a ComplexWarning, returned NaN or an empty report, died with a BLAS
+# or matmul shape error, a numpy reduction error, an IndexError or a
+# TypeError, or ran on a bool as 1.0.
 _BAD_INPUT = [
     ("apply_Ak_sharp-complex", lambda p, sv, lf, sm: kl.apply_Ak_sharp(sm, _COMPLEX, 2),
      "e must be real"),
@@ -65,9 +66,22 @@ _BAD_INPUT = [
      "b must be an 12-vector"),
     ("add_noise-complex", lambda p, sv, lf, sm: kl.add_noise(_COMPLEX, kl.NoiseModel(0.1, 0)),
      "b_bar must be real"),
-    ("rho_bounds-omega", lambda p, sv, lf, sm: kl.rho_bounds(
-        p.A, sv, lf, kl.restrict_to_V(p.A, lf.with_omega(0.5), sv)),
-     "restricted operator and factor use different omega"),
+    ("monotonicity_probe-empty-ks", lambda p, sv, lf, sm: kl.monotonicity_probe(sm.lam, []),
+     "iteration counts k must be a nonempty list"),
+    ("expected_norms-empty-ks", lambda p, sv, lf, sm: kl.expected_norms(sm, 1e-3, [], n_mc=10),
+     "iteration counts k must be a nonempty list"),
+    ("xi_profile-empty-ks", lambda p, sv, lf, sm: kl.xi_profile(sm, p.b_bar, []),
+     "iteration counts k must be a nonempty list"),
+    ("monotonicity_probe-nan", lambda p, sv, lf, sm: kl.monotonicity_probe(
+        _with_nan(sm.lam.real, 3), [1, 2]), "lam has non-finite"),
+    ("monotonicity_probe-complex-nan", lambda p, sv, lf, sm: kl.monotonicity_probe(
+        np.where(np.arange(sm.r) == 3, np.nan, sm.lam), [1, 2]), "lam has non-finite"),
+    ("monotonicity_probe-string", lambda p, sv, lf, sm: kl.monotonicity_probe("0.5", [1]),
+     "lam must be a nonempty 1-d real or complex array"),
+    ("monotonicity_probe-empty-lam", lambda p, sv, lf, sm: kl.monotonicity_probe([], [1]),
+     "lam must be a nonempty 1-d real or complex array"),
+    ("monotonicity_probe-block", lambda p, sv, lf, sm: kl.monotonicity_probe(
+        sm.lam[:, None], [1]), "lam must be a nonempty 1-d real or complex array"),
 ]
 
 

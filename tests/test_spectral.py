@@ -110,8 +110,8 @@ class TestStructuralOrthogonality:
 
 @pytest.fixture(scope="module")
 def gravity_bounds(gravity128_02):
-    sv, lf, ro = _restricted(gravity128_02, 1.0)
-    return kl.rho_bounds(gravity128_02.A, sv, lf, ro)
+    sv, lf, _ = _restricted(gravity128_02, 1.0)
+    return kl.rho_bounds(gravity128_02.A, sv, lf)
 
 
 class TestRhoBounds:
@@ -137,15 +137,15 @@ class TestRhoBounds:
         # diagonal A A^T makes G symmetric, so rho equals the norm
         rng = np.random.default_rng(1)
         A = np.diag(rng.uniform(0.5, 2.0, size=5)) @ np.eye(5, 8)
-        sv, lf, ro = _restricted(kl.TestProblem(A=A, x_bar=np.zeros(8),
-                                                b_bar=np.zeros(5), name="orth"), 1.3)
-        rep = kl.rho_bounds(A, sv, lf, ro)
+        sv, lf, _ = _restricted(kl.TestProblem(A=A, x_bar=np.zeros(8),
+                                               b_bar=np.zeros(5), name="orth"), 1.3)
+        rep = kl.rho_bounds(A, sv, lf)
         assert abs(rep.rho_actual - rep.norm_G) <= 1e-10
 
     def test_complex_extremal_pair_flagged(self, gravity128_01):
         # this configuration has a conjugate pair at maximum modulus
         sv, lf, ro = _restricted(gravity128_01, 1.4)
-        rep = kl.rho_bounds(gravity128_01.A, sv, lf, ro)
+        rep = kl.rho_bounds(gravity128_01.A, sv, lf)
         assert not rep.assumption_met
         top = kl.spectrum(ro).eigenvalues[0]
         assert abs(top.imag) > 1e-8
@@ -153,8 +153,8 @@ class TestRhoBounds:
     def test_bounds_hold_on_battery(self, small_problems):
         for p in small_problems[:2]:
             for omega in (0.5, 1.0, 1.5):
-                sv, lf, ro = _restricted(p, omega)
-                rep = kl.rho_bounds(p.A, sv, lf, ro)
+                sv, lf, _ = _restricted(p, omega)
+                rep = kl.rho_bounds(p.A, sv, lf)
                 if rep.assumption_met:
                     assert rep.rho_actual <= rep.bound_L + 1e-12
                     assert rep.bound_L <= rep.bound_nu + 1e-12
@@ -164,13 +164,12 @@ class TestRhoBounds:
         # kappa_X is taken at omega = 1 whatever omega is studied, so a
         # caller may compute it once and pass it in
         for p in small_problems[:2]:
-            kappa_X = kl.spectral.bauer_fike_kappa(p.A)
+            kappa_X = kl.spectral.bauer_fike_kappa(kl.build_L(p.A, 1.0))
             assert kappa_X == kl.eig_general(
                 sla.solve_triangular(kl.build_L(p.A, 1.0).L, p.A @ p.A.T, lower=True)).kappa
             for omega in (0.5, 1.0, 1.5):
-                sv, lf, ro = _restricted(p, omega)
-                assert kl.rho_bounds(p.A, sv, lf, ro, kappa_X=kappa_X) == kl.rho_bounds(
-                    p.A, sv, lf, ro)
+                sv, lf, _ = _restricted(p, omega)
+                assert kl.rho_bounds(p.A, sv, lf, kappa_X=kappa_X) == kl.rho_bounds(p.A, sv, lf)
 
 
     def test_given_kappa_X_no_eigenvectors(self, monkeypatch):
@@ -182,11 +181,29 @@ class TestRhoBounds:
         p = kl.gravity(32, 0.06)
         for omega in (0.5, 1.0):
             sv, lf, ro = _restricted(p, omega)
-            rep = kl.rho_bounds(p.A, sv, lf, ro, kappa_X=1.0)
+            rep = kl.rho_bounds(p.A, sv, lf, kappa_X=1.0)
             assert rep.rho_actual == np.max(np.abs(kl.eigvals(ro.Gv)))
+
+    def test_basis_of_another_matrix_rejected(self):
+        # the row-space basis of gravity(16, 0.1) has 16 rows, not 32: the
+        # restriction cannot be built on it, where a restriction passed in
+        # beside it once gave bounds with that problem's sigma_min
+        p, q = kl.gravity(32, 0.06), kl.gravity(16, 0.1)
+        with pytest.raises(ValueError, match="32-by-R block"):
+            kl.rho_bounds(p.A, kl.svd(q.A), kl.build_L(p.A, 1.0), kappa_X=1.0)
 
 
 class TestBauerFike:
+    def test_kappa_is_the_factors_at_omega_one(self):
+        # kappa_X is defined at omega = 1, so the factor at any omega gives
+        # the bits of the omega = 1 factor's (it once used the given omega)
+        p = kl.gravity(32, 0.06)
+        lf1 = kl.build_L(p.A, 1.0)
+        kappa = kl.spectral.bauer_fike_kappa(lf1)
+        for omega in (0.5, 1.0, 1.5):
+            assert kl.spectral.bauer_fike_kappa(kl.build_L(p.A, omega)) == kappa
+            assert kl.spectral.bauer_fike_kappa(lf1.with_omega(omega)) == kappa
+
     def test_structurally_orthogonal_rows_zero_bound(self):
         A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
         lf = kl.build_L(A, 1.0)
@@ -364,11 +381,7 @@ class TestSymmetricRelations:
         for p in small_problems:
             sv = kl.svd(p.A)
             for omega in (0.6, 1.0, 1.4):
-                lf = kl.build_L(p.A, omega)
-                rel = kl.symmetric_relations(
-                    kl.restrict_to_V(p.A, lf, sv),
-                    kl.restrict_symmetric_to_V(p.A, lf, sv),
-                )
+                rel = kl.symmetric_relations(p.A, kl.build_L(p.A, omega), sv)
                 assert rel.difference <= 1e-8
                 assert rel.max_all < 1.0 + 1e-10
                 count += 1
@@ -378,39 +391,20 @@ class TestSymmetricRelations:
         # rho(G) ~ 0.92 and rho of the double sweep ~ 0.85 at omega = 1
         sv = kl.svd(gravity128_01.A)
         lf = kl.build_L(gravity128_01.A, 1.0)
-        rel = kl.symmetric_relations(
-            kl.restrict_to_V(gravity128_01.A, lf, sv),
-            kl.restrict_symmetric_to_V(gravity128_01.A, lf, sv),
-        )
+        rel = kl.symmetric_relations(gravity128_01.A, lf, sv)
         assert abs(rel.rho_G - 0.92) <= 0.02
         assert abs(rel.rho_Gs - 0.85) <= 0.02
-
-    def test_mismatched_omega_rejected(self):
-        p = kl.gravity(8, 0.1)
-        sv = kl.svd(p.A)
-        with pytest.raises(ValueError):
-            kl.symmetric_relations(
-                kl.restrict_to_V(p.A, kl.build_L(p.A, 0.5), sv),
-                kl.restrict_symmetric_to_V(p.A, kl.build_L(p.A, 1.0), sv),
-            )
 
     def test_restrictions_record_their_operator(self):
         # on gravity(32, 0.06) at omega = 1 the double-sweep radius (0.99346)
         # reads as a plausible one-sweep radius (0.99663), so rho_bounds and
-        # symmetric_relations tell the two restrictions apart by their variant
+        # symmetric_relations build each restriction they read themselves
         p = kl.gravity(32, 0.06)
         sv, lf = kl.svd(p.A), kl.build_L(p.A, 1.0)
-        ro_G = kl.restrict_to_V(p.A, lf, sv)
-        ro_Gs = kl.restrict_symmetric_to_V(p.A, lf, sv)
-        assert (ro_G.variant, ro_Gs.variant) == ("standard", "symmetric")
-        assert kl.rho_bounds(p.A, sv, lf, ro_G, kappa_X=1.0).rho_actual == pytest.approx(
-            0.99663, abs=1e-5)
-        with pytest.raises(ValueError, match="one-sweep"):
-            kl.rho_bounds(p.A, sv, lf, ro_Gs, kappa_X=1.0)
-        for args in ((ro_Gs, ro_G), (ro_G, ro_G), (ro_Gs, ro_Gs)):
-            with pytest.raises(ValueError, match="standard then a symmetric"):
-                kl.symmetric_relations(*args)
-        rel = kl.symmetric_relations(ro_G, ro_Gs)
+        rho_G = kl.rho_bounds(p.A, sv, lf, kappa_X=1.0).rho_actual
+        assert rho_G == pytest.approx(0.99663, abs=1e-5)
+        rel = kl.symmetric_relations(p.A, lf, sv)
+        assert rel.rho_G == rho_G
         assert rel.rho_Gs == pytest.approx(0.99346, abs=1e-5)
         assert rel.norm_G_squared == rel.norm_G**2
         assert rel.difference == abs(rel.rho_Gs - rel.norm_G**2)
