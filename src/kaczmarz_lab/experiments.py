@@ -256,14 +256,13 @@ def cmd_eigplot(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     print(f"rho = {rep.rho:.10f}")
     if not rep.top_is_real:
         print("note: extremal eigenvalue is a complex conjugate pair")
-    summary = {
+    return {
         "rho": rep.rho,
         "zero_count": rep.zero_count,
         "kappa_W": rep.kappa_W,
         "top_is_complex": not rep.top_is_real,
         "near_defective": rep.near_defective,
     }
-    return summary
 
 
 def _history_csv(outdir: Path, tag: str, hist) -> None:
@@ -372,11 +371,10 @@ def cmd_omegasweep(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     )
     omega0 = scan.omega0
     print(f"omega0 = {omega0}")
-    summary = {
+    return {
         "omega0": omega0,
         "zero_counts": {str(r.omega): r.zero_count for r in scan.rows},
     }
-    return summary
 
 
 def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
@@ -412,14 +410,13 @@ def cmd_noisestats(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         ylabel="expectation",
         logy=True,
     )
-    summary = {
+    return {
         "e1": exp.e1.tolist(),
         "e2": exp.e2.tolist(),
         "mc": exp.mc.tolist(),
         "e2_monotone": mono.e2_monotone,
         "kappa_W": sm.kappa_W,
     }
-    return summary
 
 
 def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
@@ -427,16 +424,17 @@ def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     sv = svd(p.A, cfg.rank_tol)
     # one A A^T: each omega's factor differs from L_1 only in the diagonal
     lf1 = build_L(p.A, 1.0)
-    kappa_X = spectral.bauer_fike_kappa(lf1)  # independent of omega: once per command
-    reports = [spectral.rho_bounds(p.A, sv, lf1.with_omega(float(omega)), kappa_X=kappa_X)
+    reports = [spectral.rho_bounds(p.A, sv, lf1.with_omega(float(omega)))
                for omega in cfg.omegas_bounds]
     columns = {"problem": [p.name] * len(reports), "omega": [r.omega for r in reports],
                "rho": [r.rho_actual for r in reports]}
-    for col in ("norm_G", "bound_L", "bound_nu", "nu", "bf_bound", "be_bound"):
+    for col in ("norm_G", "bound_L", "bound_nu", "nu"):
         columns[col] = [getattr(r, col) for r in reports]
+    columns["bf_bound"] = [spectral.bauer_fike_bound(p.A, lf1)] * len(reports)  # omega = 1 only
+    columns["be_bound"] = [r.be_bound for r in reports]
     columns["assumption_met"] = [int(r.assumption_met) for r in reports]
     _write_rows(outdir / "bounds.csv", columns)
-    summary = {
+    return {
         "rows": [
             {"omega": r.omega, "rho": r.rho_actual, "bound_L": r.bound_L,
              "bound_nu": r.bound_nu, "norm_G": r.norm_G,
@@ -444,7 +442,6 @@ def cmd_bounds(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
             for r in reports
         ]
     }
-    return summary
 
 
 def cmd_structure(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
@@ -455,13 +452,12 @@ def cmd_structure(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         "leading_diag_block": [rep.leading_diag_block], "orth_pairs": [rep.orth_pairs],
         "near_orth": [rep.near_orth],
     })
-    summary = {
+    print(f"leading_diag_block = {rep.leading_diag_block}")
+    return {
         "leading_diag_block": rep.leading_diag_block,
         "orth_pairs": rep.orth_pairs,
         "near_orth": rep.near_orth,
     }
-    print(f"leading_diag_block = {rep.leading_diag_block}")
-    return summary
 
 
 COMMANDS = {

@@ -53,9 +53,9 @@ _THREAD_SYMBOLS = tuple(
 )
 
 
-# The library's three input rules.  Every public entry point that takes
-# caller data checks it here, once per call; ExperimentConfig.validate
-# re-raises their ValueError as ConfigError.
+# The library's input rules.  Every public entry point that takes caller
+# data checks it here, once per call; ExperimentConfig.validate re-raises
+# their ValueError as ConfigError.
 
 def _check_int(name: str, value, lo: int) -> None:
     """ValueError unless value is an integer >= lo; 2.5, 6.0 and a bool are not."""
@@ -106,6 +106,12 @@ def _as_array(x, what: str, rows: int | None = None, block: bool = False,
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{what} has non-finite entries")
     return x
+
+
+def _check_factor(lf, A: np.ndarray) -> None:
+    """ValueError unless the sweep factor ``lf`` has A's row count, as A's own factor has."""
+    if lf.m != A.shape[0]:
+        raise ValueError(f"lf must have the matrix's {A.shape[0]} rows, got {lf.m}")
 
 
 def _check_ks(ks) -> np.ndarray:

@@ -40,6 +40,7 @@ from .errors import NumericalError
 from .linalg import (
     SvdResult,
     _as_array,
+    _check_factor,
     _check_ks,
     _check_real,
     _check_triangular_diag,
@@ -186,14 +187,15 @@ class SweepOperator:
         return self.up(self.down(X, B), B)
 
 
-def _apply(lf: LFactor, A, x, sweep) -> np.ndarray:
+def _apply(lf: LFactor, A, x, sweep, what: str = "x") -> np.ndarray:
     """A zero-data ``SweepOperator`` sweep on a vector or on the columns of x.
 
-    ValueError unless A is a finite real matrix and x a finite real
-    n-vector or n-by-R block.
+    ValueError unless A is a finite real matrix, ``lf`` has its m rows and
+    x (``what`` in the message) is a finite real n-vector or n-by-R block.
     """
     A = _as_array(A, "matrix")
-    x = _as_array(x, "x", rows=A.shape[1], block=True)
+    _check_factor(lf, A)
+    x = _as_array(x, what, rows=A.shape[1], block=True)
     return sweep(SweepOperator(A, lf), x.reshape(x.shape[0], -1)).reshape(x.shape)
 
 
@@ -216,9 +218,9 @@ def restrict_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator:
     """Restriction V^T G V of the one-sweep operator to the row space.
 
     Assembled blockwise as V^T (V - A^T L^-1 (A V)); one triangular solve
-    with r right-hand sides.
+    with r right-hand sides.  ValueError unless ``lf`` and ``sv`` fit A.
     """
-    Gv = dgemm(1.0, sv.V, apply_G(lf, A, sv.V), trans_a=1)
+    Gv = dgemm(1.0, sv.V, _apply(lf, A, sv.V, SweepOperator.down, "sv.V"), trans_a=1)
     return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 
@@ -228,8 +230,9 @@ def restrict_symmetric_to_V(A, lf: LFactor, sv: SvdResult) -> RestrictedOperator
     Deliberately computed by applying the down sweep then the up sweep
     rather than by squaring the restricted one-sweep matrix, so it can
     serve as an independent cross-check of norm/spectral identities.
+    ValueError unless ``lf`` and ``sv`` fit A.
     """
-    Gv = dgemm(1.0, sv.V, apply_Gs(lf, A, sv.V), trans_a=1)
+    Gv = dgemm(1.0, sv.V, _apply(lf, A, sv.V, SweepOperator.symmetric, "sv.V"), trans_a=1)
     return RestrictedOperator(Gv=Gv, omega=lf.omega)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .linalg import SvdResult, _as_array, _check_real, eig_general, eigvals
+from .linalg import SvdResult, _as_array, _check_factor, _check_real, eig_general, eigvals
 from .operator import LFactor, RestrictedOperator, build_L, restrict_symmetric_to_V, restrict_to_V
 
 __all__ = [
@@ -129,10 +129,9 @@ class BoundsReport:
     (``bound_L`` and ``bound_nu``; sigma_min and ||L||_2 are not kept),
     valid when the extremal eigenvalue is simple, real and positive;
     ``assumption_met`` records whether that held (bounds are reported
-    either way).  ``bf_bound`` is the eigenvector-conditioned first-order
-    bound kappa(X) * |a_1^T a_2| * ||L_1^-1 e_1|| on a second small
-    eigenvalue at omega = 1, and ``be_bound`` the pencil backward error
-    |1 - 1/omega| * max_i ||a_i||^2.
+    either way).  ``be_bound`` is the pencil backward error
+    |1 - 1/omega| * max_i ||a_i||^2.  :func:`bauer_fike_bound` is taken
+    at omega = 1 whatever omega is studied, so it is not a field here.
     """
 
     rho_actual: float
@@ -140,7 +139,6 @@ class BoundsReport:
     bound_L: float
     bound_nu: float
     nu: float
-    bf_bound: float
     be_bound: float
     assumption_met: bool
     omega: float
@@ -192,19 +190,24 @@ def backward_error_bound(A, omega: float) -> float:
     return float(abs(1.0 - 1.0 / omega) * np.max(rn))
 
 
-def bauer_fike_bound(A, lf: LFactor, kappa_X: float) -> float:
-    """First-order bound kappa(X) * |a_1^T a_2| * ||L^-1 e_1||.
+def bauer_fike_bound(A, lf: LFactor) -> float:
+    """First-order bound kappa(X) * |a_1^T a_2| * ||L_1^-1 e_1||, at omega = 1.
 
     Bounds the modulus of a second small eigenvalue of the sweep operator
     at omega = 1 in terms of the near-orthogonality of the first two rows;
-    ``kappa_X`` is the condition number of the eigenvector matrix of
-    L^-1 A A^T.  Exactly zero when the rows are structurally orthogonal.
+    kappa(X) is :func:`bauer_fike_kappa`.  Any factor of A gives the same
+    bound.  It is 0, with no eigendecomposition, when a_1^T a_2 is exactly
+    0 (structurally orthogonal rows).  Raises ValueError unless A is a
+    finite real matrix with ``lf``'s row count.
     """
     A = _as_array(A, "matrix")
-    if A.shape[0] < 2:
+    _check_factor(lf, A)
+    near = abs(A[0] @ A[1]) if A.shape[0] > 1 else 0.0
+    if near == 0.0:
         return 0.0
-    y = lf.solve(np.eye(lf.m, 1))[:, 0]  # L^-1 e_1
-    return float(kappa_X * abs(A[0] @ A[1]) * np.linalg.norm(y))
+    lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
+    y = lf1.solve(np.eye(lf1.m, 1))[:, 0]  # L_1^-1 e_1
+    return float(bauer_fike_kappa(lf1) * near * np.linalg.norm(y))
 
 
 def zero_eigenvalue_condition(A) -> float:
@@ -227,30 +230,26 @@ def zero_eigenvalue_condition(A) -> float:
 def bauer_fike_kappa(lf: LFactor) -> float:
     """Condition number of the eigenvectors of L_1^-1 A A^T, at omega = 1.
 
-    The ``kappa_X`` of :func:`bauer_fike_bound`.  A A^T is ``lf.gram()``
+    The kappa(X) of :func:`bauer_fike_bound`.  A A^T is ``lf.gram()``
     and L_1 is ``lf`` at omega = 1 whatever ``lf.omega`` is, so every
-    factor of one matrix gives the same kappa, and a caller with several
-    omegas computes it once.
+    factor of one matrix gives the same kappa.
     """
     lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
     return eig_general(lf1.solve(lf1.gram())).kappa
 
 
-def rho_bounds(A, sv: SvdResult, lf: LFactor, kappa_X: float | None = None) -> BoundsReport:
+def rho_bounds(A, sv: SvdResult, lf: LFactor) -> BoundsReport:
     """Evaluate the spectral radius of the one-sweep G|_V against its bounds.
 
     G|_V is built here by ``restrict_to_V(A, lf, sv)``, of which only the
-    eigenvalues and the top singular value are read; L_1 comes from
-    ``lf``.  Cost note: L^-1 is formed explicitly (m triangular solves)
-    for the smallest eigenvalue of its symmetric part; intended for
+    eigenvalues and the top singular value are read, so no eigenvectors
+    are computed.  Cost note: L^-1 is formed explicitly (m triangular
+    solves) for the smallest eigenvalue of its symmetric part; intended for
     desk-scale m (<= 4096).  When the extremal eigenvalue is complex or
     multiple the bounds are still reported but flagged as outside the
-    proposition's assumptions.  ``kappa_X`` (see :func:`bauer_fike_kappa`),
-    the only eigendecomposition with eigenvectors, is computed here unless
-    given.  Raises ValueError unless A is a finite real matrix whose
-    column count is the row count of ``sv.V``.
+    proposition's assumptions.  Raises ValueError unless A is a finite
+    real matrix with ``lf``'s row count and ``sv.V``'s as column count.
     """
-    A = _as_array(A, "matrix")
     Gv = restrict_to_V(A, lf, sv).Gv
     rep = SpectrumReport(eigvals(Gv), lf.omega)
     lam = rep.eigenvalues
@@ -262,17 +261,12 @@ def rho_bounds(A, sv: SvdResult, lf: LFactor, kappa_X: float | None = None) -> B
     norm_L = float(sla.svdvals(lf.L, check_finite=False)[0])
     L_inv = lf.solve(np.eye(lf.m, order="F"))
     nu = float(sla.eigvalsh(0.5 * (L_inv + L_inv.T), driver="evd", overwrite_a=True)[0])
-
-    lf1 = lf if lf.omega == 1.0 else lf.with_omega(1.0)
-    if kappa_X is None:
-        kappa_X = bauer_fike_kappa(lf1)
     return BoundsReport(
         rho_actual=rep.rho,
         norm_G=norm_G,
         bound_L=float(1.0 - sigma_min**2 / norm_L),
         bound_nu=float(1.0 - nu * sigma_min**2),
         nu=nu,
-        bf_bound=bauer_fike_bound(A, lf1, kappa_X),
         be_bound=backward_error_bound(A, lf.omega),
         assumption_met=assumption_met,
         omega=lf.omega,

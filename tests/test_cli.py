@@ -219,9 +219,9 @@ def test_bounds_one_gram(tmp_path, monkeypatch):
 
 
 def test_bounds_one_kappa_X(tmp_path, monkeypatch):
-    # kappa_X does not depend on omega: one eigendecomposition for it, and
-    # rho_bounds reads eigenvalues only; bounds.csv is the table of
-    # per-omega rho_bounds
+    # kappa_X is taken at omega = 1: one eigendecomposition per command, in
+    # the one bauer_fike_bound, and rho_bounds reads eigenvalues only; the
+    # bf_bound column is the bound that the factor at each omega gives
     shapes = []
 
     def counting(M):
@@ -234,10 +234,26 @@ def test_bounds_one_kappa_X(tmp_path, monkeypatch):
     monkeypatch.undo()
     cfg = ExperimentConfig.from_sources(overrides={"problem": "gravity", "n": 32, "d": 0.06})
     p = experiments.make_problem(cfg)
-    sv = linalg.svd(p.A)
-    reps = [spectral.rho_bounds(p.A, sv, operator.build_L(p.A, w)) for w in cfg.omegas_bounds]
+    bf = [spectral.bauer_fike_bound(p.A, operator.build_L(p.A, w)) for w in cfg.omegas_bounds]
     rows = (tmp_path / "bounds" / "bounds.csv").read_text().splitlines()[1:]
-    assert [float(r.split(",")[7]) for r in rows] == [r.bf_bound for r in reps]
+    assert [float(r.split(",")[7]) for r in rows] == bf
+
+
+def test_bounds_no_eigendecomposition_for_orthogonal_rows(tmp_path, monkeypatch):
+    # the first two tomography rays cross no common pixel, so a_1^T a_2 is
+    # exactly 0.0 and so is bf_bound, with no eigendecomposition behind it
+    shapes = []
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return linalg.eig_general(M)
+
+    monkeypatch.setattr(spectral, "eig_general", counting)
+    args = ["--problem", "paralleltomo", "--N", "16", "--n-angles", "16", "--rays", "16"]
+    assert main(["bounds", *args, "--out", str(tmp_path)]) == 0
+    assert shapes == []
+    rows = (tmp_path / "bounds" / "bounds.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[7]) for r in rows] == [0.0, 0.0, 0.0]
 
 
 class TestExitCodes:

@@ -23,6 +23,10 @@ def _with_nan(a, where):
 
 _COMPLEX = np.ones(12) + 1e-3j
 
+# the factor and the row-space basis of another, smaller matrix
+_Q = kl.gravity(8, 0.1)
+_LF8, _SV8 = kl.build_L(_Q.A, 1.0), kl.svd(_Q.A)
+
 # Before these checks each row either cast complex data to its real part
 # with a ComplexWarning, returned NaN or an empty report, died with a BLAS
 # or matmul shape error, a numpy reduction error, an IndexError or a
@@ -82,6 +86,19 @@ _BAD_INPUT = [
      "lam must be a nonempty 1-d real or complex array"),
     ("monotonicity_probe-block", lambda p, sv, lf, sm: kl.monotonicity_probe(
         sm.lam[:, None], [1]), "lam must be a nonempty 1-d real or complex array"),
+    ("apply_G-other-factor", lambda p, sv, lf, sm: kl.apply_G(_LF8, p.A, np.ones(12)),
+     "lf must have the matrix's 12 rows, got 8"),
+    ("rho_bounds-other-factor", lambda p, sv, lf, sm: kl.rho_bounds(p.A, sv, _LF8),
+     "lf must have the matrix's 12 rows, got 8"),
+    ("sharp_maps-other-factor", lambda p, sv, lf, sm: kl.sharp_maps(p.A, _LF8, sv),
+     "lf must have the matrix's 12 rows, got 8"),
+    ("bauer_fike_bound-other-factor", lambda p, sv, lf, sm: kl.bauer_fike_bound(p.A, _LF8),
+     "lf must have the matrix's 12 rows, got 8"),
+    ("restrict_to_V-other-basis", lambda p, sv, lf, sm: kl.restrict_to_V(p.A, lf, _SV8),
+     r"sv.V must be an 12-vector or an 12-by-R block.*got shape \(8, 8\)"),
+    ("restrict_symmetric_to_V-other-basis",
+     lambda p, sv, lf, sm: kl.restrict_symmetric_to_V(p.A, lf, _SV8),
+     r"sv.V must be an 12-vector or an 12-by-R block.*got shape \(8, 8\)"),
 ]
 
 

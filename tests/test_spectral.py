@@ -160,20 +160,9 @@ class TestRhoBounds:
                     assert rep.bound_L <= rep.bound_nu + 1e-12
 
 
-    def test_given_kappa_X_changes_nothing(self, small_problems):
-        # kappa_X is taken at omega = 1 whatever omega is studied, so a
-        # caller may compute it once and pass it in
-        for p in small_problems[:2]:
-            kappa_X = kl.spectral.bauer_fike_kappa(kl.build_L(p.A, 1.0))
-            assert kappa_X == kl.eig_general(
-                sla.solve_triangular(kl.build_L(p.A, 1.0).L, p.A @ p.A.T, lower=True)).kappa
-            for omega in (0.5, 1.0, 1.5):
-                sv, lf, _ = _restricted(p, omega)
-                assert kl.rho_bounds(p.A, sv, lf, kappa_X=kappa_X) == kl.rho_bounds(p.A, sv, lf)
-
-
-    def test_given_kappa_X_no_eigenvectors(self, monkeypatch):
-        # with kappa_X given, rho_bounds reads eigenvalues only
+    def test_no_eigenvectors(self, monkeypatch):
+        # rho_bounds reads eigenvalues only; the Bauer-Fike bound, the one
+        # eigendecomposition with eigenvectors, is not part of its report
         def forbidden(M):
             raise AssertionError("rho_bounds computed eigenvectors")
 
@@ -181,7 +170,7 @@ class TestRhoBounds:
         p = kl.gravity(32, 0.06)
         for omega in (0.5, 1.0):
             sv, lf, ro = _restricted(p, omega)
-            rep = kl.rho_bounds(p.A, sv, lf, kappa_X=1.0)
+            rep = kl.rho_bounds(p.A, sv, lf)
             assert rep.rho_actual == np.max(np.abs(kl.eigvals(ro.Gv)))
 
     def test_basis_of_another_matrix_rejected(self):
@@ -190,7 +179,7 @@ class TestRhoBounds:
         # beside it once gave bounds with that problem's sigma_min
         p, q = kl.gravity(32, 0.06), kl.gravity(16, 0.1)
         with pytest.raises(ValueError, match="32-by-R block"):
-            kl.rho_bounds(p.A, kl.svd(q.A), kl.build_L(p.A, 1.0), kappa_X=1.0)
+            kl.rho_bounds(p.A, kl.svd(q.A), kl.build_L(p.A, 1.0))
 
 
 class TestBauerFike:
@@ -204,20 +193,39 @@ class TestBauerFike:
             assert kl.spectral.bauer_fike_kappa(kl.build_L(p.A, omega)) == kappa
             assert kl.spectral.bauer_fike_kappa(lf1.with_omega(omega)) == kappa
 
-    def test_structurally_orthogonal_rows_zero_bound(self):
+    def test_bound_is_the_factors_at_omega_one(self):
+        # every term is taken at omega = 1, so the factor at any omega gives
+        # the bits of the omega = 1 factor's (it once used the given omega:
+        # 26824.3 at omega = 0.5 and 130415.8 at 1.5)
+        p = kl.gravity(32, 0.06)
+        lf1 = kl.build_L(p.A, 1.0)
+        bound = kl.bauer_fike_bound(p.A, lf1)
+        assert bound == pytest.approx(63684.72016091395, rel=1e-9)
+        for omega in (0.5, 1.0, 1.5):
+            assert kl.bauer_fike_bound(p.A, kl.build_L(p.A, omega)) == bound
+            assert kl.bauer_fike_bound(p.A, lf1.with_omega(omega)) == bound
+
+    def test_structurally_orthogonal_rows_zero_bound(self, monkeypatch):
+        # a_1^T a_2 = 0.0 makes the bound 0.0 whatever kappa(X) is, so no
+        # kappa is computed (one of inf would have made it NaN)
+        def forbidden(M):
+            raise AssertionError("kappa(X) computed for a zero bound")
+
+        monkeypatch.setattr(kl.spectral, "eig_general", forbidden)
         A = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.0, 1.0]])
         lf = kl.build_L(A, 1.0)
-        assert kl.bauer_fike_bound(A, lf, kappa_X=10.0) == 0.0
+        assert kl.bauer_fike_bound(A, lf) == 0.0
+        assert kl.bauer_fike_bound(A, lf.with_omega(0.5)) == 0.0
 
     def test_linear_in_row_inner_product(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((5, 4))
         lf = kl.build_L(A, 1.0)
-        b1 = kl.bauer_fike_bound(A, lf, kappa_X=1.0)
+        b1 = kl.bauer_fike_bound(A, lf)
         A2 = A.copy()
         A2[1] *= 3.0
         # same L factor argument isolates the |a_1^T a_2| scaling
-        b2 = kl.bauer_fike_bound(A2, lf, kappa_X=1.0)
+        b2 = kl.bauer_fike_bound(A2, lf)
         assert abs(b2 - 3.0 * b1) <= 1e-12 * max(1.0, b1)
 
     def test_second_smallest_eigenvalue_below_bound(self):
@@ -228,8 +236,7 @@ class TestBauerFike:
         A[1] -= (A[1] @ A[0]) / (A[0] @ A[0]) * A[0]
         A[1] += 1e-4 * A[0]
         lf = kl.build_L(A, 1.0)
-        kappa_X = kl.eig_general(sla.solve_triangular(lf.L, A @ A.T, lower=True)).kappa
-        bound = kl.bauer_fike_bound(A, lf, kappa_X)
+        bound = kl.bauer_fike_bound(A, lf)
         ev = np.sort(np.abs(np.linalg.eigvals(
             np.eye(4) - A.T @ sla.solve_triangular(lf.L, A, lower=True))))
         assert ev[1] <= bound
@@ -401,7 +408,7 @@ class TestSymmetricRelations:
         # symmetric_relations build each restriction they read themselves
         p = kl.gravity(32, 0.06)
         sv, lf = kl.svd(p.A), kl.build_L(p.A, 1.0)
-        rho_G = kl.rho_bounds(p.A, sv, lf, kappa_X=1.0).rho_actual
+        rho_G = kl.rho_bounds(p.A, sv, lf).rho_actual
         assert rho_G == pytest.approx(0.99663, abs=1e-5)
         rel = kl.symmetric_relations(p.A, lf, sv)
         assert rel.rho_G == rho_G
