@@ -28,6 +28,7 @@ from .operator import build_L, restrict_to_V, sharp_maps
 from .problems import (
     NoiseModel,
     TestProblem,
+    _matvec,
     add_noise,
     apply_ordering,
     baart,
@@ -220,7 +221,7 @@ def make_problem(cfg: ExperimentConfig) -> TestProblem:
     if cfg.xbar_mode == "first-row":
         x_bar = p.A[0].copy()
         p = TestProblem(
-            A=p.A, x_bar=x_bar, b_bar=p.A @ x_bar, name=p.name,
+            A=p.A, x_bar=x_bar, b_bar=_matvec(p.A, x_bar), name=p.name,
             params={**p.params, "xbar_mode": "first-row"},
         )
     return p

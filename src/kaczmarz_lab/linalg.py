@@ -9,7 +9,8 @@ column-space factor U is not kept.
 
 All inputs are 64-bit real (complex or non-numeric data raises
 ValueError); only eigenvalues are complex.  The decompositions are
-scipy's LAPACK, so they share one OpenBLAS with the sweep engine.  Every
+scipy's LAPACK, bound by ``_lapack`` without importing ``scipy.linalg``,
+so they share one OpenBLAS with the sweep engine.  Every
 numerical routine is a pure function of its arguments and is safe to call
 from parallel workers.  The exception is :func:`blas_threads`: the thread
 count it lowers is global to the process, so it also governs any other
@@ -24,9 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
+from . import _lapack
+from ._lapack import lapack
 from .errors import NumericalError
 
 __all__ = [
@@ -203,13 +204,13 @@ def svd(A, rank_tol: float | None = None) -> SvdResult:
 
     Singular values below ``rank_tol * sigma_max`` are truncated; with
     ``rank_tol=0`` only exact zeros are dropped.  The default threshold
-    is ``max(m, n) * eps``.  Raises NumericalError for the zero matrix,
-    and ValueError unless A is a finite real matrix and ``rank_tol`` a
-    finite real number >= 0.
+    is ``max(m, n) * eps``.  Raises NumericalError for the zero matrix
+    and when ``dgesdd`` does not converge, and ValueError unless A is a
+    finite real matrix and ``rank_tol`` a finite real number >= 0.
     """
     A = _as_array(A, "matrix")
     rank_tol = default_rank_tol(A) if rank_tol is None else _check_real("rank_tol", rank_tol)
-    _, S, Vt = sla.svd(A, full_matrices=False, check_finite=False)
+    _, S, Vt = _lapack.svd(A)
     if S[0] <= 0.0:
         raise NumericalError("rank zero matrix")
     r = int(np.count_nonzero(S > rank_tol * S[0]))
@@ -259,7 +260,7 @@ def eig_general(M) -> EigResult:
     R0 = vr[:, order]  # Fortran-ordered, like vr: dgemm and dgesv read it uncopied
     del vr
     conj = rank[partner[order]]
-    s = sla.svdvals(R0 * np.where(w.imag != 0, np.sqrt(2.0), 1.0), overwrite_a=True)
+    s = _lapack.svdvals(R0 * np.where(w.imag != 0, np.sqrt(2.0), 1.0), overwrite_a=True)
     return EigResult(eigenvalues=w, R0=R0, kappa=float(s[0] / s[-1]), conj=conj)
 
 
@@ -272,7 +273,7 @@ def eigvals(M) -> np.ndarray:
     M = _as_array(M, "matrix")
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got {M.shape}")
-    w = sla.eigvals(M, check_finite=False)
+    w = _lapack.eigvals(M)
     return w[_eig_order(w)]
 
 
@@ -290,20 +291,21 @@ def solve_lower(L, b) -> np.ndarray:
     """
     L = _as_array(L, "L")
     _check_triangular_diag(L)
-    return sla.solve_triangular(L, _as_array(b, "b", rows=L.shape[0], block=True), lower=True)
+    return _lapack.solve_triangular(L, _as_array(b, "b", rows=L.shape[0], block=True), lower=True)
 
 
 def solve_upper(U, b) -> np.ndarray:
     """Solve U x = b by back substitution; companion of solve_lower."""
     U = _as_array(U, "U")
     _check_triangular_diag(U)
-    return sla.solve_triangular(U, _as_array(b, "b", rows=U.shape[0], block=True), lower=False)
+    return _lapack.solve_triangular(U, _as_array(b, "b", rows=U.shape[0], block=True),
+                                    lower=False)
 
 
 def least_norm_solution(A, b) -> LeastNormResult:
     """Least-norm solution V @ diag(S)^-1 @ U.T @ b of A x = b.
 
-    One ``gelsd`` call (scipy's ``lstsq``) with ``rcond`` at ``svd``'s
+    One ``dgelsd`` call (``_lapack.lstsq``) with ``rcond`` at ``svd``'s
     default rank cut: it drops singular values <= rcond * S[0], the rule
     ``svd`` applies.  For a consistent system this is the unique solution
     orthogonal to null(A).  ``residual`` is ||b - A x||, the component of
@@ -314,8 +316,7 @@ def least_norm_solution(A, b) -> LeastNormResult:
     """
     A = _as_array(A, "matrix")
     b = _as_array(b, "b", rows=A.shape[0])
-    x, _, rank, _ = sla.lstsq(A, b, cond=default_rank_tol(A), check_finite=False,
-                              lapack_driver="gelsd")
+    x, rank = _lapack.lstsq(A, b, cond=default_rank_tol(A))
     if rank == 0:
         raise NumericalError("rank zero matrix")
     residual = float(np.linalg.norm(b - A @ x))

@@ -45,9 +45,9 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 
 from . import spectral
+from ._lapack import blas
 from .errors import NumericalError
 from .linalg import _as_array, _check_int, _check_ks, _check_real
 from .operator import SharpMaps
@@ -167,7 +167,8 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     e = _as_array(e, "e", rows=sm.M_r.shape[1])
     ks = _check_ks(ks)
     lam, keep = sm.lam, sm.keep
-    z = dgemm(1.0, sm.M_r, e[:, None])[:, 0] + 1j * dgemm(1.0, sm.M_i, e[:, None])[:, 0]
+    E = e[:, None]
+    z = blas.dgemm(1.0, sm.M_r, E)[:, 0] + 1j * blas.dgemm(1.0, sm.M_i, E)[:, 0]
     xi = np.empty(sm.r, dtype=complex)
     xi[sm.conj[keep]] = z.conj()  # the other mode of each pair; real modes are set next
     xi[keep] = z
@@ -256,7 +257,7 @@ def expected_norms(
         for lo in range(0, count, _MC_BLOCK):
             draws = rng.standard_normal((min(_MC_BLOCK, count - lo), m))
             draws *= scale  # in place: the values of scale * draws, without a second array
-            Z_r, Z_i = dgemm(1.0, M_r, draws.T), dgemm(1.0, M_i, draws.T)
+            Z_r, Z_i = blas.dgemm(1.0, M_r, draws.T), blas.dgemm(1.0, M_i, draws.T)
             for j, k in enumerate(ks):
                 out[j, lo:lo + draws.shape[0]] = np.sum(sm.k_sweep(k, Z_r, Z_i) ** 2, axis=0)
         return out

@@ -32,10 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dgesv
 
+from . import _lapack
 from .errors import NumericalError
 from .linalg import (
     SvdResult,
@@ -49,6 +47,8 @@ from .linalg import (
     svd,
 )
 from .problems import TestProblem
+
+dgemm, dtrsm, dgesv = _lapack.blas.dgemm, _lapack.blas.dtrsm, _lapack.lapack.dgesv
 
 __all__ = [
     "LFactor",
@@ -404,7 +404,8 @@ def fixed_point(p: TestProblem, b, omega: float = 1.0, variant: str = "standard"
     reference route for that limit, independent of the eigenbasis: one
     LU solve with I - G|_V on the row space of ``svd(p.A)`` at its default
     rank cut, with no eigendecomposition.  Raises ValueError unless b is
-    a finite real m-vector or m-by-R block, and for an unknown variant.
+    a finite real m-vector or m-by-R block, and for an unknown variant,
+    and NumericalError when ``dgesv`` finds I - G|_V singular.
     """
     restrict = _restriction(variant)
     A = _as_array(p.A, "matrix")
@@ -414,7 +415,7 @@ def fixed_point(p: TestProblem, b, omega: float = 1.0, variant: str = "standard"
     y = y.reshape(y.shape[:1] + b.shape[1:])
     V = sv.V
     Gv = restrict(A, lf, sv).Gv
-    coeff = sla.solve(np.eye(sv.rank) - Gv, V.T @ y, check_finite=False)
+    coeff = _lapack.solve(np.eye(sv.rank) - Gv, V.T @ y)
     return V @ coeff
 
 
@@ -442,14 +443,14 @@ def convergence_conditions(A, omega: float) -> dict:
     sv = svd(A)
     lf = build_L(A, omega)
     V = sv.V
-    U, _ = sla.qr(A @ V, mode="economic", check_finite=False)
+    U = _lapack.qr_q(A @ V)
     AAT = lf.gram()
     I_r = np.eye(sv.rank)
 
     rho_a = np.max(np.abs(eigvals(V.T @ (A.T @ lf.solve(A @ V)) - I_r)))
     MU = lf.solve(AAT @ U)
     rho_b = np.max(np.abs(eigvals(U.T @ MU - I_r)))
-    Q, _ = sla.qr(lf.L @ U, mode="economic", check_finite=False)
+    Q = _lapack.qr_q(lf.L @ U)
     rho_c = np.max(np.abs(eigvals(Q.T @ (AAT @ lf.solve(Q)) - I_r)))
     pencil = eigvals(U.T @ MU)
     rho_d = np.max(np.abs(pencil - 1.0))

@@ -14,7 +14,8 @@ Three classic discrete inverse problems are provided:
   structurally orthogonal.
 
 All generators regenerate the right-hand side as b_bar = A @ x_bar so
-generated systems are consistent to machine precision.  Randomness flows
+generated systems are consistent to machine precision; the product is
+scipy's ``dgemv`` (:func:`_matvec`), not numpy's ``@``.  Randomness flows
 exclusively through numpy's seeded PCG64 generator
 (``numpy.random.default_rng``) so realizations are reproducible.
 """
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._lapack import blas
 from .linalg import _as_array, _check_int, _check_real
 
 __all__ = [
@@ -123,6 +125,16 @@ class RowOrdering:
         return RowOrdering(inv, label=f"inverse({self.label})")
 
 
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a C-ordered A, as one scipy ``dgemv`` on the view A.T, which it reads uncopied.
+
+    numpy's ``@`` would run in numpy's own OpenBLAS and wake its thread
+    pool, whose spinning threads then slow the scipy kernels that follow
+    (README, "BLAS threads").  The bytes are those of ``A @ x``.
+    """
+    return blas.dgemv(1.0, A.T, x, trans=1)
+
+
 def gravity(n: int, d: float) -> TestProblem:
     """1-D gravity surveying problem of size n with source depth d.
 
@@ -139,7 +151,7 @@ def gravity(n: int, d: float) -> TestProblem:
     A = (1.0 / n) * d * (d**2 + (S - T) ** 2) ** (-1.5)
     x_bar = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
     return TestProblem(
-        A=A, x_bar=x_bar, b_bar=A @ x_bar, name="gravity", params={"n": n, "d": d}
+        A=A, x_bar=x_bar, b_bar=_matvec(A, x_bar), name="gravity", params={"n": n, "d": d}
     )
 
 
@@ -176,7 +188,7 @@ def baart(n: int) -> TestProblem:
     j = np.arange(1, n + 1)
     x_bar = (np.cos((j - 1) * ht) - np.cos(j * ht)) / np.sqrt(ht)
     return TestProblem(
-        A=A, x_bar=x_bar, b_bar=A @ x_bar, name="baart", params={"n": n}
+        A=A, x_bar=x_bar, b_bar=_matvec(A, x_bar), name="baart", params={"n": n}
     )
 
 
@@ -329,7 +341,7 @@ def paralleltomo(
     return TestProblem(
         A=A,
         x_bar=x_bar,
-        b_bar=A @ x_bar,
+        b_bar=_matvec(A, x_bar),
         name="paralleltomo",
         params={
             "N": N,

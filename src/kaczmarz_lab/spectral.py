@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import _lapack
 from .linalg import SvdResult, _as_array, _check_factor, _check_real, eig_general, eigvals
 from .operator import LFactor, RestrictedOperator, build_L, restrict_symmetric_to_V, restrict_to_V
 
@@ -256,11 +256,11 @@ def rho_bounds(A, sv: SvdResult, lf: LFactor) -> BoundsReport:
     simple = lam.size < 2 or abs(lam[0] - lam[1]) > 1e-12 * max(1.0, rep.rho)
     assumption_met = bool(rep.top_is_real and lam[0].real > 0.0 and simple)
 
-    norm_G = float(sla.svdvals(Gv, check_finite=False)[0])
+    norm_G = float(_lapack.svdvals(Gv)[0])
     sigma_min = float(sv.S[-1])
-    norm_L = float(sla.svdvals(lf.L, check_finite=False)[0])
+    norm_L = float(_lapack.svdvals(lf.L)[0])
     L_inv = lf.solve(np.eye(lf.m, order="F"))
-    nu = float(sla.eigvalsh(0.5 * (L_inv + L_inv.T), driver="evd", overwrite_a=True)[0])
+    nu = float(_lapack.eigvalsh(0.5 * (L_inv + L_inv.T), overwrite_a=True)[0])
     return BoundsReport(
         rho_actual=rep.rho,
         norm_G=norm_G,
@@ -368,7 +368,7 @@ def symmetric_relations(A, lf: LFactor, sv: SvdResult) -> SymmetricRelations:
     Gv = restrict_to_V(A, lf, sv).Gv
     rho_G = SpectrumReport(eigvals(Gv), lf.omega).rho
     rho_Gs = SpectrumReport(eigvals(restrict_symmetric_to_V(A, lf, sv).Gv), lf.omega).rho
-    norm_G = float(sla.svdvals(Gv, check_finite=False)[0])
+    norm_G = float(_lapack.svdvals(Gv)[0])
     return SymmetricRelations(rho_G=rho_G, rho_Gs=rho_Gs, norm_G=norm_G)
 
 
@@ -385,7 +385,7 @@ def norm_threshold_alpha(
     d1, d2 = diag
 
     def norm2(alpha):
-        return sla.svdvals(np.array([[d1, alpha], [0.0, d2]]))[0]
+        return _lapack.svdvals(np.array([[d1, alpha], [0.0, d2]]))[0]
 
     lo, hi = 0.0, alpha_hi
     if norm2(lo) >= 1.0 or norm2(hi) <= 1.0:

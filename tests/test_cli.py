@@ -164,6 +164,23 @@ def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
     assert shapes == [(32, 32)]
 
 
+def test_commands_never_import_scipy_linalg(tmp_path, subprocess_env):
+    # importing the scipy.linalg package takes about 0.3 s of each CLI
+    # process; the package binds scipy's compiled BLAS and LAPACK without it
+    script = ("import json, sys\n"
+              "import kaczmarz_lab.cli as cli\n"
+              "seen = ['scipy.linalg' in sys.modules]\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main([*argv, '--out', sys.argv[2]]) == 0\n"
+              "    seen.append('scipy.linalg' in sys.modules)\n"
+              "print(json.dumps(seen))\n")
+    runs = [[command, *SMALL[command]] for command in sorted(SMALL)]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
+                          capture_output=True, text=True, env=subprocess_env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * (1 + len(SMALL))
+
+
 def test_L_inverse_only_through_dtrsm(tmp_path, monkeypatch):
     # every L^-1 and L^-T of the library is LFactor.solve, the one dtrsm
     # call, on the view L.T; solve_lower/solve_upper stay as test

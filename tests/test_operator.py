@@ -410,6 +410,19 @@ def test_reference_routines_use_no_numpy_lapack(no_numpy_lapack):
 
 
 class TestFixedPoint:
+    @pytest.mark.parametrize("variant", ["standard", "symmetric"])
+    def test_singular_restriction_raises(self, monkeypatch, variant):
+        # an eigenvalue of G|_V at 1 makes I - G|_V singular: dgesv's
+        # info > 0 is the library's NumericalError, not scipy's LinAlgError
+        def identity(A, lf, sv):
+            return operator.RestrictedOperator(Gv=np.eye(sv.rank), omega=lf.omega)
+
+        monkeypatch.setattr(operator, "restrict_to_V", identity)
+        monkeypatch.setattr(operator, "restrict_symmetric_to_V", identity)
+        p = kl.gravity(12, 0.1)
+        with pytest.raises(NumericalError, match="dgesv failed: info = 1"):
+            kl.fixed_point(p, p.b_bar, variant=variant)
+
     def test_zero_data(self):
         p = kl.gravity(12, 0.1)
         np.testing.assert_allclose(kl.fixed_point(p, np.zeros(12)), np.zeros(12),
