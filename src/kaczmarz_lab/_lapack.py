@@ -18,7 +18,8 @@ routines they call from them.  The functions below stand in for the
 for call: the same routine, the workspace from the same query (``int`` of
 the ``*_lwork`` routine's float), the same arguments, so their outputs
 are scipy's to the bit.  LAPACK's ``info > 0`` (no convergence, a
-singular matrix) raises NumericalError and ``info < 0`` ValueError.
+singular matrix) raises NumericalError and ``info < 0`` ValueError;
+``solve`` also raises NumericalError where scipy warns of an rcond below eps.
 """
 
 from __future__ import annotations
@@ -125,9 +126,21 @@ def lstsq(a, b, cond: float) -> tuple[np.ndarray, int]:
 
 
 def solve(a, b) -> np.ndarray:
-    """a^-1 b by LU with partial pivoting, one dgesv: ``scipy.linalg.solve``'s numbers."""
-    _, _, x, info = lapack.dgesv(a, b)
-    _check(info, "dgesv")
+    """a^-1 b by LU with partial pivoting, with ``scipy.linalg.solve``'s numbers and check.
+
+    dgetrf, then dgecon's reciprocal condition number in the 1-norm, then
+    dgetrs: the two routines of dgesv, with scipy's estimate between them.
+    Where scipy warns that rcond < eps, this raises NumericalError naming
+    rcond, as it does for an exactly singular factor.
+    """
+    lu, piv, info = lapack.dgetrf(a)
+    _check(info, "dgetrf")
+    rcond, info = lapack.dgecon(lu, lapack.dlange("1", a), norm="1")
+    _check(info, "dgecon")
+    if rcond < np.finfo(float).eps:
+        raise NumericalError(f"matrix is singular to working precision: rcond = {rcond:.2e}")
+    x, info = lapack.dgetrs(lu, piv, b)
+    _check(info, "dgetrs")
     return x
 
 

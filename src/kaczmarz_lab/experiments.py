@@ -48,7 +48,10 @@ OUTPUT_ROOT_ENV = "KACZMARZ_LAB_OUT"
 #: omega-scan step (build_L, restriction, eigvals) on gravity(n) took
 #: 3.1/11.4/24.1/70.5 ms on one thread and 4.3/12.9/25.5/67.0 ms on two at
 #: n = 128/256/384/512 (another run: two threads ahead from n = 384).  The
-#: rule reads the size alone, never the host.
+#: rule reads the size alone, never the host.  The scan's own steps run on
+#: one thread at every size: ``spectral.small_omega_scan`` gives each usable
+#: CPU a worker process of its own.  So these timings set the rule for the
+#: other commands, which run in one process.
 ONE_THREAD_MAX_DIM = 256
 
 

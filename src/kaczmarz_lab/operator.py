@@ -405,7 +405,8 @@ def fixed_point(p: TestProblem, b, omega: float = 1.0, variant: str = "standard"
     LU solve with I - G|_V on the row space of ``svd(p.A)`` at its default
     rank cut, with no eigendecomposition.  Raises ValueError unless b is
     a finite real m-vector or m-by-R block, and for an unknown variant,
-    and NumericalError when ``dgesv`` finds I - G|_V singular.
+    and NumericalError when I - G|_V is singular to working precision
+    (LAPACK's rcond estimate below eps, see ``_lapack.solve``).
     """
     restrict = _restriction(variant)
     A = _as_array(p.A, "matrix")

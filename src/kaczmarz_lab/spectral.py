@@ -14,12 +14,22 @@ restrictions they build from A, its factor and the row-space basis.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _lapack
-from .linalg import SvdResult, _as_array, _check_factor, _check_real, eig_general, eigvals
+from .linalg import (
+    SvdResult,
+    _as_array,
+    _check_factor,
+    _check_real,
+    blas_threads,
+    eig_general,
+    eigvals,
+)
 from .operator import LFactor, RestrictedOperator, build_L, restrict_symmetric_to_V, restrict_to_V
 
 __all__ = [
@@ -52,6 +62,10 @@ DEFAULT_ZERO_TOL = 1e-8
 #: Eigenvector-matrix condition number beyond which a spectrum is flagged
 #: near-defective.
 NEAR_DEFECTIVE_KAPPA = 1e12
+
+#: POSIX's SIGKILL, for a failed scan's children (the signal module is not
+#: otherwise imported).
+_SIGKILL = 9
 
 
 @dataclass(frozen=True)
@@ -295,6 +309,82 @@ class OmegaScan:
         return prev
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _dealt_map(fn, items: list, workers: int) -> list:
+    """fn(items) with the items dealt round-robin to up to ``workers`` processes.
+
+    ``fn`` maps a list of items to a list of results of the same length.
+    Worker 0 is this process and takes items 0, w, 2w, ...; each other
+    share runs in a child made by ``os.fork``, which pickles its results,
+    or the exception it raised, into a pipe and exits.  The results come
+    back in the items' order, and a child's exception is raised here with
+    its own type.  Every child is reaped before this returns or raises;
+    when this process fails first, the children are killed.  With one
+    worker, or where ``os.fork`` is missing, ``fn(items)`` runs here.
+    """
+    w = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
+    shares = [items[j::w] for j in range(w)]
+    pids, pipes, done = [], [], False
+    try:
+        for share in shares[1:]:
+            r, wr = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    os.close(r)  # so a write with no reader left fails, not blocks
+                    _worker(fn, share, wr)
+            finally:  # runs in this process only: the child never returns
+                os.close(wr)
+            pids.append(pid)
+        parts = [fn(shares[0])]
+        for pipe in pipes:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError("a scan worker exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            parts.append(value)
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not done:
+                os.kill(pid, _SIGKILL)
+            os.waitpid(pid, 0)
+    out = [None] * len(items)
+    for j, part in enumerate(parts):
+        out[j::w] = part
+    return out
+
+
+def _worker(fn, share: list, fd: int):
+    """A forked child's whole life: fn(share) or its exception, pickled into fd; never returns."""
+    status = 1
+    try:
+        try:
+            payload = pickle.dumps((True, fn(share)))
+        except BaseException as exc:
+            try:  # an exception that will not round-trip goes as its type's name and message
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def small_omega_scan(
     A,
     sv: SvdResult,
@@ -309,25 +399,36 @@ def small_omega_scan(
     :class:`SpectrumReport` with no ``kappa_W``: largest modulus, largest
     |imaginary part|, count of numerically zero eigenvalues, and count of
     eigenvalues with nonpositive real part.  Each omega's factor comes
-    from one A A^T through ``LFactor.with_omega``.
+    from one A A^T, built here, through ``LFactor.with_omega``.
 
+    The omegas are independent, so they are dealt round-robin to one
+    worker per usable CPU (at most one per omega): this process and
+    children forked from it, each running its restrictions and ``eigvals``
+    on one BLAS thread (``linalg.blas_threads(1)``).  So the rows do not
+    depend on the worker count, the host or the caller's thread count.
     Every product and the eigensolve go through scipy's BLAS and LAPACK
     (``build_L``, the ``SweepOperator`` engine behind ``restrict_to_V``,
-    ``linalg.eigvals``), so the scan runs in one OpenBLAS.  At r = 128 a
-    second BLAS thread costs time, so the CLI runs such scans on one
-    (``experiments.ONE_THREAD_MAX_DIM``).  A is made Fortran-ordered once,
-    so no step copies it per omega.  Raises ValueError unless A is a finite
-    real matrix and ``zero_tol`` and ``im_tol`` are finite real numbers >= 0.
+    ``linalg.eigvals``).  A is made Fortran-ordered once, so no step copies
+    it per omega.  An exception raised in a child is raised here with its
+    own type, and no child outlives the call.  Raises ValueError unless A
+    is a finite real matrix, every omega a finite real number > 0, and
+    ``zero_tol`` and ``im_tol`` finite real numbers >= 0.
     """
     zero_tol = _check_real("zero_tol", zero_tol)
     im_tol = _check_real("im_tol", im_tol)
     A = np.asfortranarray(_as_array(A, "matrix"))
-    rows, lf = [], None
-    for omega in sorted(float(w) for w in omegas):
-        lf = build_L(A, omega) if lf is None else lf.with_omega(omega)
-        ro = restrict_to_V(A, lf, sv)
-        rows.append(SpectrumReport(eigvals(ro.Gv), omega, zero_tol))
-    return OmegaScan(rows=tuple(rows), im_tol=im_tol)
+    grid = sorted(_check_real("omega", float(w), positive=True) for w in omegas)
+    if not grid:
+        return OmegaScan(rows=(), im_tol=im_tol)
+    lf = build_L(A, grid[0])
+
+    def eigenvalues(share):
+        return [eigvals(restrict_to_V(A, lf.with_omega(w), sv).Gv) for w in share]
+
+    with blas_threads(1):
+        lams = _dealt_map(eigenvalues, grid, _usable_cpus())
+    rows = tuple(SpectrumReport(lam, w, zero_tol) for w, lam in zip(grid, lams))
+    return OmegaScan(rows=rows, im_tol=im_tol)
 
 
 @dataclass(frozen=True)

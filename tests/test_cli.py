@@ -166,19 +166,22 @@ def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
 
 def test_commands_never_import_scipy_linalg(tmp_path, subprocess_env):
     # importing the scipy.linalg package takes about 0.3 s of each CLI
-    # process; the package binds scipy's compiled BLAS and LAPACK without it
+    # process; the package binds scipy's compiled BLAS and LAPACK without it.
+    # The omega scan's workers are bare os.fork children: importing
+    # multiprocessing or concurrent.futures costs 17-28 ms of start-up
     script = ("import json, sys\n"
+              "heavy = ['scipy.linalg', 'multiprocessing', 'concurrent.futures', 'subprocess']\n"
               "import kaczmarz_lab.cli as cli\n"
-              "seen = ['scipy.linalg' in sys.modules]\n"
+              "seen = [[m for m in heavy if m in sys.modules]]\n"
               "for argv in json.loads(sys.argv[1]):\n"
               "    assert cli.main([*argv, '--out', sys.argv[2]]) == 0\n"
-              "    seen.append('scipy.linalg' in sys.modules)\n"
+              "    seen.append([m for m in heavy if m in sys.modules])\n"
               "print(json.dumps(seen))\n")
     runs = [[command, *SMALL[command]] for command in sorted(SMALL)]
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(runs), str(tmp_path)],
                           capture_output=True, text=True, env=subprocess_env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [False] * (1 + len(SMALL))
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[]] * (1 + len(SMALL))
 
 
 def test_L_inverse_only_through_dtrsm(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ itself is the independent route here: the outputs must agree to the bit.
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -68,13 +69,27 @@ class TestBitwiseScipy:
                 assert_same_bits(x, want)
                 assert rank == want_rank
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")  # baart's I - G|_V
     def test_solve(self, small_problems):
+        # where scipy warns that rcond < eps (baart's I - G|_V), the
+        # wrapper raises; everywhere else it returns scipy's bits
         rng = np.random.default_rng(6)
+        raised = 0
         for _, _, sv, Gv in _cases(small_problems):
             M = np.eye(sv.rank) - Gv
             for b in (rng.standard_normal(sv.rank), rng.standard_normal((sv.rank, 3))):
-                assert_same_bits(_lapack.solve(M, b), sla.solve(M, b))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", sla.LinAlgWarning)
+                    try:
+                        want = sla.solve(M, b)
+                    except sla.LinAlgWarning:
+                        want = None
+                if want is None:
+                    with pytest.raises(NumericalError, match="rcond = "):
+                        _lapack.solve(M, b)
+                    raised += 1
+                else:
+                    assert_same_bits(_lapack.solve(M, b), want)
+        assert raised == 2
 
     def test_qr_q(self, small_problems):
         for p, lf, sv, _ in _cases(small_problems):
@@ -93,7 +108,7 @@ class TestBitwiseScipy:
 
 class TestErrors:
     def test_singular_solve_is_numerical_error(self):
-        with pytest.raises(NumericalError, match="dgesv failed: info = 2"):
+        with pytest.raises(NumericalError, match="dgetrf failed: info = 2"):
             _lapack.solve(np.diag([1.0, 0.0, 1.0]), np.ones(3))
 
     def test_singular_triangle_is_numerical_error(self):

@@ -412,7 +412,7 @@ def test_reference_routines_use_no_numpy_lapack(no_numpy_lapack):
 class TestFixedPoint:
     @pytest.mark.parametrize("variant", ["standard", "symmetric"])
     def test_singular_restriction_raises(self, monkeypatch, variant):
-        # an eigenvalue of G|_V at 1 makes I - G|_V singular: dgesv's
+        # an eigenvalue of G|_V at 1 makes I - G|_V singular: dgetrf's
         # info > 0 is the library's NumericalError, not scipy's LinAlgError
         def identity(A, lf, sv):
             return operator.RestrictedOperator(Gv=np.eye(sv.rank), omega=lf.omega)
@@ -420,8 +420,15 @@ class TestFixedPoint:
         monkeypatch.setattr(operator, "restrict_to_V", identity)
         monkeypatch.setattr(operator, "restrict_symmetric_to_V", identity)
         p = kl.gravity(12, 0.1)
-        with pytest.raises(NumericalError, match="dgesv failed: info = 1"):
+        with pytest.raises(NumericalError, match="dgetrf failed: info = 1"):
             kl.fixed_point(p, p.b_bar, variant=variant)
+
+    def test_numerically_singular_restriction_raises(self):
+        # baart(32) has rank 11 and rcond(I - G|_V) = 1.0e-16 < eps; the
+        # LU solve there was 37 % off the least-norm solution, with no sign
+        p = kl.baart(32)
+        with pytest.raises(NumericalError, match="singular to working precision: rcond = "):
+            kl.fixed_point(p, p.b_bar)
 
     def test_zero_data(self):
         p = kl.gravity(12, 0.1)

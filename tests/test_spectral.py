@@ -1,5 +1,7 @@
 """Tests for spectrum reports, structure, bounds, and omega scans."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -374,9 +376,163 @@ class TestSmallOmegaAgainstDenseRoute:
             for name in ("solve_lower", "solve_upper"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(kl.spectral, "_usable_cpus", lambda: 3)  # one omega per worker
         p = kl.gravity(32, 0.06)
         scan = kl.small_omega_scan(p.A, kl.svd(p.A), [0.5, 1.0, 1.5])
         assert len(scan.rows) == 3
+
+    def test_forbidden_call_in_a_worker_fails_the_scan(self, monkeypatch):
+        # the check above holds in the forked workers too: one that calls
+        # numpy's eigensolve fails the scan
+        def forbidden(*args, **kwargs):
+            raise AssertionError("small_omega_scan left scipy's BLAS")
+
+        parent, eigvals = os.getpid(), kl.spectral.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        monkeypatch.setattr(kl.spectral, "eigvals",
+                            lambda M: eigvals(M) if os.getpid() == parent else np.linalg.eigvals(M))
+        monkeypatch.setattr(kl.spectral, "_usable_cpus", lambda: 3)
+        p = kl.gravity(32, 0.06)
+        with pytest.raises(AssertionError, match="left scipy's BLAS"):
+            kl.small_omega_scan(p.A, kl.svd(p.A), [0.5, 1.0, 1.5])
+        _no_child_left()
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _scan_bits(scan):
+    return [(row.omega, row.eigenvalues.tobytes()) for row in scan.rows]
+
+
+@pytest.fixture(scope="module")
+def tomo24():
+    p = kl.paralleltomo(24, 32, 32)
+    return p, kl.svd(p.A)
+
+
+class TestScanWorkers:
+    """The scan deals its omegas to forked workers, each on one BLAS thread."""
+
+    @staticmethod
+    def _workers(monkeypatch, w):
+        monkeypatch.setattr(kl.spectral, "_usable_cpus", lambda: w)
+
+    def test_gravity_rows_same_bits_on_1_2_3_workers(self, gravity128_01, monkeypatch):
+        # the omegasweep-gravity benchmark grid, passed unsorted
+        grid = np.random.default_rng(3).permutation([0.06 * k for k in range(1, 34)])
+        sv = kl.svd(gravity128_01.A)
+        bits = []
+        for w in (1, 2, 3):
+            self._workers(monkeypatch, w)
+            bits.append(_scan_bits(kl.small_omega_scan(gravity128_01.A, sv, grid)))
+        assert [omega for omega, _ in bits[0]] == sorted(grid)
+        assert bits[0] == bits[1] == bits[2]
+        _no_child_left()
+
+    def test_tomography_rows_same_bits_on_1_2_3_workers(self, tomo24, monkeypatch):
+        # at r = 576 LAPACK's bits move with the thread count, so every
+        # worker runs on one thread
+        p, sv = tomo24
+        bits = []
+        for w in (1, 2, 3):
+            self._workers(monkeypatch, w)
+            bits.append(_scan_bits(kl.small_omega_scan(p.A, sv, [0.5, 0.004])))
+        assert bits[0] == bits[1] == bits[2]
+
+    def test_tomography_rows_independent_of_caller_threads(self, tomo24, monkeypatch):
+        counts = [get() for get, _ in kl.linalg._openblas_thread_controls()]
+        if max(counts, default=1) < 2:
+            pytest.skip("the caller holds no second BLAS thread here")
+        p, sv = tomo24
+        self._workers(monkeypatch, 2)
+        two = _scan_bits(kl.small_omega_scan(p.A, sv, [0.5, 0.004]))
+        assert [get() for get, _ in kl.linalg._openblas_thread_controls()] == counts
+        with kl.linalg.blas_threads(1):
+            one = _scan_bits(kl.small_omega_scan(p.A, sv, [0.5, 0.004]))
+        assert two == one
+
+    def test_child_exception_raised_with_its_type(self, monkeypatch):
+        # omega 0.2 is dealt to the child, which alone raises
+        parent, eigvals = os.getpid(), kl.spectral.eigvals
+
+        def failing(M):
+            if os.getpid() != parent:
+                raise kl.NumericalError("dgeev failed in a worker")
+            return eigvals(M)
+
+        self._workers(monkeypatch, 2)
+        monkeypatch.setattr(kl.spectral, "eigvals", failing)
+        p = kl.gravity(32, 0.06)
+        with pytest.raises(kl.NumericalError, match="dgeev failed in a worker"):
+            kl.small_omega_scan(p.A, kl.svd(p.A), [0.3, 0.1, 0.2])
+        _no_child_left()
+
+    def test_exception_that_cannot_be_pickled_arrives_by_name(self, monkeypatch):
+        class Odd(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        parent, eigvals = os.getpid(), kl.spectral.eigvals
+
+        def failing(M):
+            if os.getpid() != parent:
+                raise Odd(1, 2)
+            return eigvals(M)
+
+        self._workers(monkeypatch, 2)
+        monkeypatch.setattr(kl.spectral, "eigvals", failing)
+        p = kl.gravity(32, 0.06)
+        with pytest.raises(RuntimeError, match="Odd: 1 and 2"):
+            kl.small_omega_scan(p.A, kl.svd(p.A), [0.1, 0.2])
+        _no_child_left()
+
+    def test_parent_failure_kills_and_reaps_children(self, monkeypatch):
+        parent, eigvals = os.getpid(), kl.spectral.eigvals
+
+        def failing(M):
+            if os.getpid() == parent:
+                raise ValueError("worker 0 failed")
+            return eigvals(M)
+
+        self._workers(monkeypatch, 3)
+        monkeypatch.setattr(kl.spectral, "eigvals", failing)
+        p = kl.gravity(32, 0.06)
+        with pytest.raises(ValueError, match="worker 0 failed"):
+            kl.small_omega_scan(p.A, kl.svd(p.A), [0.1, 0.2, 0.3, 0.4])
+        _no_child_left()
+
+    @pytest.mark.parametrize("grid", [[], [0.7]], ids=["empty", "one"])
+    def test_empty_grid_and_one_omega_fork_nothing(self, grid, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked")
+
+        self._workers(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", forbidden)
+        p = kl.gravity(32, 0.06)
+        scan = kl.small_omega_scan(p.A, kl.svd(p.A), grid)
+        assert [row.omega for row in scan.rows] == grid
+
+    def test_without_fork_one_worker(self, monkeypatch):
+        self._workers(monkeypatch, 3)
+        monkeypatch.delattr(os, "fork")
+        p = kl.gravity(32, 0.06)
+        sv = kl.svd(p.A)
+        got = _scan_bits(kl.small_omega_scan(p.A, sv, [0.5, 1.0, 1.5]))
+        monkeypatch.undo()
+        assert got == _scan_bits(kl.small_omega_scan(p.A, sv, [0.5, 1.0, 1.5]))
+
+    def test_bad_omega_rejected_before_any_fork(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("forked")
+
+        self._workers(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", forbidden)
+        p = kl.gravity(16, 0.1)
+        with pytest.raises(ValueError, match="omega must be finite and positive"):
+            kl.small_omega_scan(p.A, kl.svd(p.A), [0.5, np.nan, 1.0])
 
 
 class TestSymmetricRelations:
