@@ -14,29 +14,13 @@ For white noise the expectations have closed forms
     E ||(k-sweep map) e||^2 = sigma^2 * || (k-sweep map) ||_F^2
     E ||xi^k||^2            = sum_i |1 - lambda_i^k|^2 * E|xi_i|^2,
 
-with E|xi_i|^2 = sigma^2 * ||row_i(M)||^2 obtained by exact covariance
-propagation (Monte Carlo sampling is kept for validation only).  The
-coefficient map M = W^+ A_limit comes from the eigendecomposition itself:
-I - G|_V = C (I - Lambda) C^-1 gives M = (I - Lambda)^-1 W^+ B, with
-B = A^T L^-1 for the standard sweep and A^T S for the symmetric one, so
-neither the fixed-point matrix nor an LU of I - G|_V is formed.
-``sharp_maps`` forms M once, and every function here reads it from
-``SharpMaps.M_r`` and ``SharpMaps.M_i``.
-
-G|_V is real, so the modes come in exact conjugate pairs: lambda, the
-rows of W^+ and the columns of W of one pair are conjugates, and so are
-the pair's terms in W diag(phi) M.  The expectations therefore sum over
-one mode per pair with weight 2,
-
-    Re(W diag(phi) Z) = sum_real w_i phi_i z_i + 2 sum_{Im>0} Re(w_i phi_i z_i),
-
-and likewise for E2.  ``SharpMaps`` holds M on those modes only, as its
-real and imaginary parts; ``expected_norms`` and ``xi_profile`` take the
-coefficients M e from there and ``expected_norms`` lifts them with
-``SharpMaps.k_sweep``, in real arithmetic on the real eigenbasis, so no
-complex n-by-r array is formed.  The Monte Carlo samples are lifted in
-blocks of ``_MC_BLOCK``, so the memory they take does not grow with
-their number.
+with E|xi_i|^2 obtained by exact covariance propagation from the rows of
+the coefficient map M (Monte Carlo sampling is kept for validation only).
+``sharp_maps`` forms M once, on the real eigenbasis, and every function
+here reads it from ``SharpMaps.M``; :class:`SharpMaps` says how its real
+coordinates relate to the complex eigenbasis.  The Monte Carlo samples
+are lifted in blocks of ``_MC_BLOCK``, so the memory they take does not
+grow with their number.
 """
 
 from __future__ import annotations
@@ -151,11 +135,13 @@ class XiProfile:
 def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
     """Per-mode decomposition of the noise error for iteration counts ks.
 
-    The coefficients are xi = M e = (I - Lambda)^-1 W^+ (B e), with M read
-    from ``sm`` on one mode of each pair and the other mode's taken as the
-    conjugate.  Requires an invertible eigenbasis: raises NumericalError
-    when the eigenvector condition number exceeds
-    ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound at which
+    The coefficients are xi = (I - Lambda)^-1 W^+ (B e) in the complex
+    eigenbasis, read from the real coordinates c = M e (see
+    :class:`SharpMaps`): xi_j = (c_j - i c_conj[j]) / 2 on the mode of a
+    pair with Im lambda_j > 0, its conjugate on the other, and c_j, with
+    an exact +0 imaginary part, at a real mode.  Requires an invertible
+    eigenbasis: raises NumericalError when the eigenvector condition
+    number exceeds ``spectral.NEAR_DEFECTIVE_KAPPA``, the bound at which
     ``spectral.spectrum`` flags a spectrum near-defective.  Raises
     ValueError unless ``e`` is a finite real m-vector, for an empty ``ks``
     and for a negative or fractional k.
@@ -164,14 +150,14 @@ def xi_profile(sm: SharpMaps, e, ks) -> XiProfile:
         raise NumericalError(
             f"eigenbasis is near-defective (kappa = {sm.kappa_W:.3e})"
         )
-    e = _as_array(e, "e", rows=sm.M_r.shape[1])
+    e = _as_array(e, "e", rows=sm.M.shape[1])
     ks = _check_ks(ks)
-    lam, keep = sm.lam, sm.keep
-    E = e[:, None]
-    z = blas.dgemm(1.0, sm.M_r, E)[:, 0] + 1j * blas.dgemm(1.0, sm.M_i, E)[:, 0]
-    xi = np.empty(sm.r, dtype=complex)
-    xi[sm.conj[keep]] = z.conj()  # the other mode of each pair; real modes are set next
-    xi[keep] = z
+    lam = sm.lam
+    c = blas.dgemm(1.0, sm.M, e[:, None])[:, 0]
+    up = np.flatnonzero(lam.imag > 0)
+    xi = c.astype(complex)
+    xi[up] = 0.5 * (c[up] - 1j * c[sm.conj[up]])
+    xi[sm.conj[up]] = xi[up].conj()
     factors = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
     norms = (factors * (np.abs(xi) ** 2)[None, :]).sum(axis=1)
     return XiProfile(xi=xi, lam=lam, ks=ks, norms=norms)
@@ -182,13 +168,14 @@ class ExpectationReport:
     """Closed-form and sampled expectations of the squared noise error.
 
     ``e1[j]`` = sigma^2 ||A_k||_F^2 for the k = ks[j] sweep map
-    A_k = W (I - Lambda^k) M with M = (I - Lambda)^-1 W^+ B (the expected
-    squared noise-error norm), ``e2[j]`` the eigenbasis counterpart, and
-    ``mc``/``mc_stderr`` the Monte Carlo estimate used for validation.
-    ``e1_estimated`` marks a stochastic trace estimate, used for
-    n > EXPLICIT_MAP_MAX_N: 256 Gaussian probes per k, drawn separately
-    from (and after) the Monte Carlo samples.  sigma and n_mc are the
-    caller's (a CLI run records them in ``config.json``).
+    A_k = W_real (I - D^k) M (the expected squared noise-error norm; see
+    :class:`SharpMaps`), ``e2[j]`` = sum_i |1 - lambda_i^k|^2 E|xi_i|^2,
+    its counterpart in the complex eigenbasis, and ``mc``/``mc_stderr``
+    the Monte Carlo estimate used for validation.  ``e1_estimated`` marks
+    a stochastic trace estimate, used for n > EXPLICIT_MAP_MAX_N: 256
+    Gaussian probes per k, drawn separately from (and after) the Monte
+    Carlo samples.  sigma and n_mc are the caller's (a CLI run records
+    them in ``config.json``).
     """
 
     ks: np.ndarray
@@ -213,18 +200,17 @@ def expected_norms(
 ) -> ExpectationReport:
     """Expected squared noise-error norms, closed form and Monte Carlo.
 
-    E|xi_i|^2 is computed exactly from the noise covariance (sigma^2 times
-    the squared row norms of the coefficient map M = W^+ A_limit); sampling
-    is used only for the validation column.  The Frobenius norms are taken
-    on explicitly formed k-sweep maps up to n = EXPLICIT_MAP_MAX_N.  Beyond
-    that they are estimated from 256 standard Gaussian probes per k, drawn
-    from the same generator after the n_mc Monte Carlo samples.
-
-    Only the modes with Im lambda >= 0 are lifted, the complex ones with
-    weight 2 (see the module docstring), all in real arithmetic.  M does
-    not depend on k: it is ``sm.M_r`` + i ``sm.M_i``, formed once by
-    ``sharp_maps``.  Each k only scales the coefficients by 1 - lambda^k
-    and lifts them with W (``SharpMaps.k_sweep``).
+    E|xi_i|^2 is computed exactly from the noise covariance, through the
+    squared row norms of M: E2 sums sigma^2 ||M_i||^2 |1 - lambda_i^k|^2
+    over all modes, halved on a pair's two rows (j, j'), whose modes share
+    |1 - lambda^k| and E|xi_j|^2 = E|xi_j'|^2 = sigma^2 (||M_j||^2 +
+    ||M_j'||^2) / 4 (see :class:`SharpMaps`).  Sampling is used only for
+    the validation column.  The Frobenius norms
+    are taken on explicitly formed k-sweep maps up to n =
+    EXPLICIT_MAP_MAX_N.  Beyond that they are estimated from 256 standard
+    Gaussian probes per k, drawn from the same generator after the n_mc
+    Monte Carlo samples.  M does not depend on k: each k only applies
+    I - D^k to the coefficients and lifts them (``SharpMaps.k_sweep``).
 
     The samples and probes are drawn and lifted in blocks of at most
     ``_MC_BLOCK``, so the memory they take does not grow with n_mc; the
@@ -237,17 +223,11 @@ def expected_norms(
     _check_int("n_mc", n_mc, 2)
     _check_int("seed", seed, 0)
     ks = _check_ks(ks)
-    M_r, M_i = sm.M_r, sm.M_i
-    m, n = M_r.shape[1], sm.W_real.shape[0]
-    # one mode per conjugate pair: the pair's terms are conjugates, so the
-    # one with Im lambda > 0 stands for both with weight 2
-    lam = sm.lam[sm.keep]
-    wgt = np.where(lam.imag > 0, 2.0, 1.0)
-
-    # rows of M = (I - Lambda)^-1 W^+ B drive the xi covariance
-    e_xi2 = sigma**2 * (np.einsum("ij,ij->i", M_r, M_r) + np.einsum("ij,ij->i", M_i, M_i))
-    phi2 = np.abs(1.0 - lam[None, :] ** ks[:, None]) ** 2
-    e2 = phi2 @ (wgt * e_xi2)
+    M = sm.M
+    m, n = M.shape[1], sm.W_real.shape[0]
+    half = np.where(sm.conj != np.arange(sm.r), 0.5, 1.0)
+    e_xi2 = sigma**2 * half * np.einsum("ij,ij->i", M, M)
+    e2 = np.abs(1.0 - sm.lam[None, :] ** ks[:, None]) ** 2 @ e_xi2
 
     rng = np.random.default_rng(seed)
 
@@ -257,9 +237,9 @@ def expected_norms(
         for lo in range(0, count, _MC_BLOCK):
             draws = rng.standard_normal((min(_MC_BLOCK, count - lo), m))
             draws *= scale  # in place: the values of scale * draws, without a second array
-            Z_r, Z_i = blas.dgemm(1.0, M_r, draws.T), blas.dgemm(1.0, M_i, draws.T)
+            Z = blas.dgemm(1.0, M, draws.T)
             for j, k in enumerate(ks):
-                out[j, lo:lo + draws.shape[0]] = np.sum(sm.k_sweep(k, Z_r, Z_i) ** 2, axis=0)
+                out[j, lo:lo + draws.shape[0]] = np.sum(sm.k_sweep(k, Z) ** 2, axis=0)
         return out
 
     norms2 = sample_norms(n_mc, sigma, ks)
@@ -271,7 +251,7 @@ def expected_norms(
         if e1_estimated:
             e1[j] = sigma**2 * np.mean(sample_norms(256, 1.0, [k])[0])
         else:
-            e1[j] = sigma**2 * np.linalg.norm(sm.k_sweep(k, M_r, M_i), "fro") ** 2
+            e1[j] = sigma**2 * np.linalg.norm(sm.k_sweep(k, M), "fro") ** 2
     return ExpectationReport(
         ks=ks,
         e1=e1,

@@ -17,14 +17,15 @@ suffice; the restricted matrix is the only dense operator-level object.
 iterates through ``LFactor.solve``, the library's only L^-1; ``apply_G``,
 ``apply_Gt``, both restrictions and the randomized sweeps are its sweeps.
 
-:class:`SharpMaps` is the noise map of the sweeps in the eigenbasis of
-G|_V, in real arithmetic: the eigenvalues (the only complex array), the
-lift W and the coefficient map M = (I - Lambda)^-1 W^+ B, which
-``sharp_maps`` forms once.  The lift W (I - Lambda^k) has one route,
-``SharpMaps.k_sweep``; ``apply_Ak_sharp`` and the noise statistics call
-it on coefficients M e, on one mode of each conjugate pair.  The limit of
-the sweeps has an independent reference route, ``fixed_point``: an LU of
-I - G|_V, with no eigendecomposition.
+:class:`SharpMaps` is the noise map of the sweeps on the real eigenbasis
+R0 of G|_V: the eigenvalues (the only complex array), the lift W_real and
+the coefficient map M = (I - D)^-1 R0^-1 V^T B, which ``sharp_maps``
+forms once.  Every function of G|_V acts on those real coordinates
+through one rule, ``_real_f``; the lift W_real (I - D^k) is
+``SharpMaps.k_sweep``, which ``apply_Ak_sharp`` and the noise statistics
+call on coefficients M e.  The limit of the sweeps has an independent
+reference route, ``fixed_point``: an LU of I - G|_V, with no
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -245,36 +246,36 @@ def _restriction(variant: str):
 
 @dataclass(frozen=True)
 class SharpMaps:
-    """The noise map of the sweeps in the eigenbasis of the restricted operator.
+    """The noise map of the sweeps on the real eigenbasis of the restricted operator.
 
     From x0 = 0 with data b the sweeps converge to x = (I - G|_V)^-1 B b,
     where B = A^T L^-1 for the standard sweep (for the symmetric variant,
     G^T G = I - A^T S A and B = A^T S with the SPD weight
     S = (2/omega - 1) L^-T D L^-1).  After k sweeps the iterate is
-    (I - G^k) applied to that limit.  In the eigenbasis W = V C of the
-    restricted operator, with W^+ = C^-1 V^T, the relation
-    I - G|_V = C (I - Lambda) C^-1 turns this into
+    (I - G^k) applied to that limit.  The real eigenbasis R0 =
+    ``EigResult.R0`` gives G|_V R0 = R0 D, with D diagonal at a real mode
+    and the block [[a, b], [-b, a]] at a pair a +- ib (Golub and Van Loan,
+    *Matrix Computations*, 7.4), so with W_real = V R0
+    (column j is Re w_j and column conj[j] is Im w_j for a pair with
+    Im lambda_j > 0, w_j at a real mode)
 
-        x_k = W (I - Lambda^k) M b,    M = (I - Lambda)^-1 W^+ B,
+        x_k = W_real (I - D^k) M b,    M = (I - D)^-1 R0^-1 V^T B,
 
     and M is the one map through which data noise enters the iterates.
+    Any real function f of G|_V acts on these coordinates as f(D), through
+    ``_real_f``.  The coordinates of mode j in the complex eigenbasis are
+    (c_j - i c_conj[j]) / 2 for a pair with Im lambda_j > 0, their
+    conjugate at conj[j], and c_j at a real mode.
 
-    ``lam`` holds the eigenvalues (descending modulus) and ``kappa_W`` the
-    condition number of C.  Everything else is real.  ``W_real`` = V R0 is
-    the lift of the real basis R0 = ``EigResult.R0``, and ``conj[i]`` is
-    the index of lambda_i's conjugate.  For a pair (j, j') with
-    Im lambda_j > 0, columns j and j' of ``W_real`` are Re w_j and Im w_j;
-    a real mode has column w_j.  A pair's two modes are conjugates, so M
-    is held on one mode of each pair, the modes ``keep``: ``M_r`` and
-    ``M_i`` are its real and imaginary parts (``keep.size``-by-m), and
-    :meth:`k_sweep` lifts coefficients on those modes.  No complex basis
-    is formed, and neither the problem, R0 nor G|_V is held.
+    ``lam`` holds the eigenvalues (descending modulus), ``conj[i]`` the
+    index of lambda_i's conjugate and ``kappa_W`` the condition number of
+    the complex eigenvectors.  ``W_real`` (n-by-r) and ``M`` (r-by-m) are
+    real; neither the problem, R0 nor G|_V is held.
     """
 
     lam: np.ndarray
     W_real: np.ndarray
-    M_r: np.ndarray
-    M_i: np.ndarray
+    M: np.ndarray
     conj: np.ndarray
     kappa_W: float
 
@@ -282,28 +283,26 @@ class SharpMaps:
     def r(self) -> int:
         return self.lam.size
 
-    @property
-    def keep(self) -> np.ndarray:
-        """The modes with Im lambda >= 0: every real mode and one of each pair."""
-        return np.flatnonzero(self.lam.imag >= 0)
+    def k_sweep(self, k: int, Z) -> np.ndarray:
+        """W_real (I - D^k) Z for real coordinates Z on R0 (r-by-R)."""
+        return dgemm(1.0, self.W_real, _real_f(1.0 - self.lam ** int(k), self.conj, Z))
 
-    def k_sweep(self, k: int, Z_r, Z_i) -> np.ndarray:
-        """Re(W (I - Lambda^k) Z) for Z = Z_r + i Z_i given on the modes ``keep``.
 
-        Z is r_keep-by-R.  With c = (1 - lambda_j^k) z_j, a pair's two terms
-        w_j c + conj(w_j c) sum to 2 Re(w_j c), so the real coordinates on
-        ``R0`` are 2 Re c at column j and -2 Im c at column j' (Re c at a
-        real mode's), and one real product with ``W_real`` lifts them.
-        """
-        keep = self.keep
-        lam = self.lam[keep]
-        pair = lam.imag > 0
-        phi = np.where(pair, 2.0, 1.0) * (1.0 - lam ** int(k))
-        p_r, p_i = phi.real[:, None], phi.imag[:, None]
-        T = np.empty((self.r, Z_r.shape[1]), order="F")
-        T[keep] = p_r * Z_r - p_i * Z_i
-        T[self.conj[keep[pair]]] = -(p_r * Z_i + p_i * Z_r)[pair]
-        return dgemm(1.0, self.W_real, T)
+def _real_f(f, conj, X) -> np.ndarray:
+    """f(D) X for real coordinates X on R0, given f at the eigenvalues.
+
+    Row i is Re f_i X_i + Im f_i X_conj[i], with Im f_i taken as 0 at a
+    real mode (conj[i] = i).  That is f(D) X for any f with real
+    coefficients (f(conj lambda) = conj f(lambda)); f = lambda gives
+    G|_V R0 = R0 D.  This is the one place that reads the pair layout of
+    R0.  The result keeps X's memory order, and at most one temporary of
+    X's size is alive beside it.
+    """
+    out = X * f.real[:, None]
+    T = X[conj]
+    T *= np.where(conj != np.arange(conj.size), f.imag, 0.0)[:, None]
+    out += T
+    return out
 
 
 def _weight(lf: LFactor, variant: str, E, transpose: bool = False) -> np.ndarray:
@@ -315,44 +314,15 @@ def _weight(lf: LFactor, variant: str, E, transpose: bool = False) -> np.ndarray
     return lf.solve(Y, transpose=True)
 
 
-def _coefficients(lam, conj, Y, BT) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of M = (I - Lambda)^-1 W^+ B on the modes Im lambda >= 0.
-
-    B is given as its m-by-n transpose ``BT`` and W^+ through
-    Y = R0^-1 V^T.  Row j of W^+ is (Y_j - i Y_j') / 2 for a pair (j, j')
-    and Y_j for a real mode; it is divided by d = 1 - lambda_j as
-    x conj(d) / |d|^2, in real arithmetic, before the two real products
-    with B, which read B through ``BT`` uncopied.
-    """
-    keep = np.flatnonzero(lam.imag >= 0)
-    lam = lam[keep]
-    pair = lam.imag > 0
-    d = 1.0 - lam
-    h = np.where(pair, 0.5, 1.0) / (d.real**2 + d.imag**2)
-    a, b = (h * d.real)[:, None], (h * d.imag)[:, None]
-    P, Q = Y[keep], Y[conj[keep]]  # Q_j = Y_j at a real mode
-    re = P * a
-    re -= Q * b  # b = 0 at a real mode
-    P *= -b
-    Q *= -a
-    P += Q
-    del Q
-    P[~pair] = 0.0  # a real mode has no imaginary part: exactly +0
-    M_r = dgemm(1.0, re.T, BT, trans_a=1, trans_b=1)
-    del re  # not held while the second product is formed
-    return M_r, dgemm(1.0, P.T, BT, trans_a=1, trans_b=1)
-
-
 def sharp_maps(A, lf: LFactor, sv: SvdResult, variant: str = "standard") -> SharpMaps:
     """Eigendecompose the restricted operator and form the noise map M.
 
     The lift V R0 of the real eigenvector basis R0 is one ``dgemm``, and
-    Y = R0^-1 V^T one real LU (``dgesv``).  The eigenvectors are C = R0 P,
-    where P mixes each conjugate pair's columns by [[1, 1], [i, -i]], so
-    W^+ = C^-1 V^T = P^-1 Y.  M = (I - Lambda)^-1 W^+ B is then formed
-    once from Y's rows and B^T, which takes triangular solves on the n
-    columns of A, not on the m columns of the identity.  Y, B^T, R0 and
-    G|_V are dropped before this returns (see :class:`SharpMaps`).
+    Y = R0^-1 V^T one real LU (``dgesv``).  M = (I - D)^-1 Y B is then
+    ``_real_f`` of 1 / (1 - lambda) on Y's rows and one product with B^T,
+    which takes triangular solves on the n columns of A, not on the m
+    columns of the identity.  Y, B^T, R0 and G|_V are dropped before this
+    returns (see :class:`SharpMaps`).
 
     Raises NumericalError("non-convergent mode") when some eigenvalue is
     within 1e-12 of 1, since then I - G is not invertible on the row space
@@ -371,15 +341,16 @@ def sharp_maps(A, lf: LFactor, sv: SvdResult, variant: str = "standard") -> Shar
     W_real = dgemm(1.0, sv.V.T, eig.R0, trans_a=1)
     conj, kappa_W = eig.conj, eig.kappa
     del eig  # R0 is not held while M is formed
-    M_r, M_i = _coefficients(lam, conj, Y, _weight(lf, variant, A, transpose=True))
-    return SharpMaps(lam=lam, W_real=W_real, M_r=M_r, M_i=M_i, conj=conj, kappa_W=kappa_W)
+    Y = _real_f(1.0 / (1.0 - lam), conj, Y)  # R0^-1 V^T is not held while B^T is formed
+    M = dgemm(1.0, Y, _weight(lf, variant, A, transpose=True), trans_b=1)
+    return SharpMaps(lam=lam, W_real=W_real, M=M, conj=conj, kappa_W=kappa_W)
 
 
 def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     """Map data e to the k-sweep iterate (I - G^k) applied to the limit.
 
-    Evaluated in the eigenbasis as W (I - Lambda^k) M e, on a vector or on
-    the columns of a block e: the coefficients M e, lifted by
+    Evaluated on the real eigenbasis as W_real (I - D^k) M e, on a vector
+    or on the columns of a block e: the coefficients M e, lifted by
     :meth:`SharpMaps.k_sweep`, the routine of ``expected_norms``.  k = 0
     yields the zero vector and k -> infinity approaches the fixed point,
     which :func:`fixed_point` takes from an LU of I - G|_V instead.
@@ -387,9 +358,8 @@ def apply_Ak_sharp(sm: SharpMaps, e, k: int) -> np.ndarray:
     finite real m-vector or m-by-R block.
     """
     k = int(_check_ks([k])[0])
-    e = _as_array(e, "e", rows=sm.M_r.shape[1], block=True)
-    E = e.reshape(e.shape[0], -1)
-    x = sm.k_sweep(k, dgemm(1.0, sm.M_r, E), dgemm(1.0, sm.M_i, E))
+    e = _as_array(e, "e", rows=sm.M.shape[1], block=True)
+    x = sm.k_sweep(k, dgemm(1.0, sm.M, e.reshape(e.shape[0], -1)))
     return x.reshape(x.shape[:1] + e.shape[1:])
 
 

@@ -216,7 +216,7 @@ def test_L_inverse_only_through_dtrsm(tmp_path, monkeypatch):
     assert operator.convergence_conditions(p.A, 1.0)["e"]
     sm = operator.sharp_maps(p.A, operator.build_L(p.A, 1.0), linalg.svd(p.A),
                              variant="symmetric")
-    assert sm.M_r.shape[1] == p.m
+    assert sm.M.shape[1] == p.m
     assert operator.fixed_point(p, p.b_bar, variant="symmetric").shape == (p.n,)
     assert callers == {operator.LFactor.solve.__code__}
 

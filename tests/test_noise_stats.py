@@ -214,7 +214,7 @@ def _per_k_reference(sm, sigma, ks, n_mc, seed, estimated):
     n_mc Monte Carlo samples first, then 256 E1 probes per k when the
     estimator is used.
     """
-    m = sm.M_r.shape[1]
+    m = sm.M.shape[1]
     rng = np.random.default_rng(seed)
     draws = sigma * rng.standard_normal((n_mc, m))
     e1, mc, stderr = [], [], []
@@ -238,7 +238,7 @@ def gravity32_variant(request):
 
 
 class TestExpectedNormsAgainstPerKRoute:
-    # expected_norms forms M = (I - Lambda)^-1 W^+ B once, draws and lifts
+    # expected_norms forms M = (I - D)^-1 R0^-1 V^T B once, draws and lifts
     # in blocks and only rescales per k; the reference sends every sample
     # through apply_Ak_sharp (B, then the same real coefficients and lift)
     # for every k
@@ -269,10 +269,10 @@ class TestExpectedNormsAgainstPerKRoute:
 def _all_modes_reference(case, sigma, ks, n_mc, seed, estimated):
     """E1, E2, mc and stderr with every mode lifted in complex arithmetic.
 
-    The same closed forms and generator draws as expected_norms, without
-    folding each conjugate pair into one mode of weight 2, and with W^+ from
-    a complex solve with C rather than from the real LU.  B is sharp_maps'
-    own B^T transposed.
+    The same closed forms and generator draws as expected_norms, on the
+    complex eigenbasis rather than the real coordinates on R0, and with W^+
+    from a complex solve with C rather than from the real LU.  B is
+    sharp_maps' own B^T transposed.
     """
     sm, m = case.sm, case.p.m
     W, W_plus = _complex_basis(case)
@@ -305,8 +305,8 @@ def gravity32_pairs(request):
 
 
 class TestExpectedNormsOneModePerPair:
-    # expected_norms lifts only the modes with Im lambda >= 0, the complex
-    # ones with weight 2; the reference lifts all of them
+    # expected_norms works on the real coordinates, where a pair's two modes
+    # share two rows of M; the reference lifts every complex mode
     KS = [0, 1, 5, 20]
 
     @pytest.mark.parametrize("max_n", [noise_stats.EXPLICIT_MAP_MAX_N, 8])

@@ -602,31 +602,47 @@ def _complex_reference(case, eig):
     return C, np.linalg.solve(C, case.sv.V.T.astype(complex))
 
 
+def _complex_rows(sm, Z) -> np.ndarray:
+    """Rows of real coordinates Z on R0 in the complex eigenbasis.
+
+    (Z_j - i Z_conj[j]) / 2 for a pair with Im lambda_j > 0, its conjugate
+    at conj[j], and Z_j at a real mode.
+    """
+    out = Z.astype(complex)
+    up = np.flatnonzero(sm.lam.imag > 0)
+    out[up] = (Z[up] - 1j * Z[sm.conj[up]]) / 2
+    out[sm.conj[up]] = out[up].conj()
+    return out
+
+
 class TestRealRouteWInv:
     """The noise map M from the real W^+ route against a complex solve with C."""
 
     def test_matches_complex_solve(self, real_route_case):
-        # M_r + i M_i are the kept rows of (I - Lambda)^-1 W^+ B, with W^+
-        # from a complex solve and B from an explicit inverse of L
+        # M's rows, read in the complex eigenbasis, are (I - Lambda)^-1 W^+ B,
+        # with W^+ from a complex solve and B from an explicit inverse of L
         _, case, eig = real_route_case
         sm = case.sm
         _, W_plus = _complex_reference(case, eig)
         B = dense_B(case.p.A, case.lf, case.variant)
-        want = ((W_plus / (1.0 - sm.lam)[:, None]) @ B)[sm.keep]
-        assert sm.M_r.shape == sm.M_i.shape == want.shape
-        assert np.max(np.abs(sm.M_r + 1j * sm.M_i - want)) <= 1e-10 * np.max(np.abs(want))
+        want = (W_plus / (1.0 - sm.lam)[:, None]) @ B
+        assert sm.M.shape == want.shape
+        got = _complex_rows(sm, sm.M)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_conjugate_rows_exact(self, real_route_case):
-        # one mode of each pair is kept, and a real mode's imaginary part is +0
+        # the coordinates xi_profile reads from M e are exact conjugates on
+        # each pair, and a real mode's imaginary part is +0
         name, case, eig = real_route_case
         sm = case.sm
         conj = eig.conj
         assert np.array_equal(sm.lam[conj], sm.lam.conj())
-        keep = sm.keep
-        assert np.array_equal(np.union1d(keep, conj[keep]), np.arange(sm.r))
-        assert keep.size == sm.r - np.count_nonzero(sm.lam.imag > 0)
-        real = sm.lam[keep].imag == 0
-        assert not sm.M_i[real].any() and not np.signbit(sm.M_i[real]).any()
+        assert np.array_equal(conj[conj], np.arange(sm.r))
+        e = np.random.default_rng(4).standard_normal(case.p.m)
+        xi = kl.xi_profile(sm, e, [1]).xi
+        assert np.array_equal(xi[conj], xi.conj())
+        real = sm.lam.imag == 0
+        assert not xi.imag[real].any() and not np.signbit(xi.imag[real]).any()
         if name in ("gravity128", "tomo24"):
             assert np.count_nonzero(sm.lam.imag) > 0
         else:
@@ -640,8 +656,26 @@ class TestRealRouteWInv:
         sm, V = case.sm, case.sv.V
         e = np.random.default_rng(5).standard_normal((case.p.m, 3))
         x = V @ (V.T @ (dense_B(case.p.A, case.lf, case.variant) @ e))
-        got = sm.k_sweep(1, sm.M_r @ e, sm.M_i @ e)
+        got = sm.k_sweep(1, sm.M @ e)
         np.testing.assert_allclose(got, x, rtol=0, atol=1e-9 * sm.kappa_W * np.abs(x).max())
+
+
+class TestRealF:
+    """``_real_f`` is f(D) for the real block-diagonal D with G|_V R0 = R0 D."""
+
+    def test_one_rule(self, real_route_case):
+        _, case, eig = real_route_case
+        lam, conj, R0 = eig.eigenvalues, eig.conj, eig.R0
+        I_r = np.eye(lam.size)
+        D = operator._real_f(lam, conj, I_r)
+        Gv = restricted_gv(case)
+        res = np.linalg.norm(Gv @ R0 - R0 @ D, 2)
+        assert res <= 1e-13 * np.linalg.norm(Gv, 2) * np.linalg.norm(R0, 2)
+        for k in (2, 5):
+            np.testing.assert_allclose(operator._real_f(lam**k, conj, I_r),
+                                       np.linalg.matrix_power(D, k), rtol=0, atol=1e-14)
+        inv = operator._real_f(1.0 / (1.0 - lam), conj, I_r)
+        np.testing.assert_allclose(inv @ (I_r - D), I_r, rtol=0, atol=1e-14)
 
 
 class TestRealFields:
@@ -656,7 +690,7 @@ class TestRealFields:
             if isinstance(value, np.ndarray) and f.name != "lam":
                 assert not np.iscomplexobj(value), f.name
         assert sm.W_real.shape == (case.p.n, sm.r)
-        assert sm.M_r.shape == sm.M_i.shape == (sm.keep.size, case.p.m)
+        assert sm.M.shape == (sm.r, case.p.m)
 
     def test_complex_forms_are_the_eager_ones(self, real_route_case):
         # the complex eigenvectors that R0 and conj stand for are LAPACK's,
@@ -670,15 +704,16 @@ class TestRealFields:
         assert C.tobytes() == lapack_eigenvectors(restricted_gv(case)).astype(complex).tobytes()
         lift = dgemm(1.0, V.T, eig.R0, trans_a=1)
         BT = operator._weight(case.lf, case.variant, case.p.A, transpose=True)
-        M_r, M_i = operator._coefficients(sm.lam, eig.conj, dgesv(eig.R0, V.T)[2], BT)
-        for got, want in ((sm.W_real, lift), (sm.M_r, M_r), (sm.M_i, M_i)):
+        Y = operator._real_f(1.0 / (1.0 - sm.lam), eig.conj, dgesv(eig.R0, V.T)[2])
+        M = dgemm(1.0, Y, BT, trans_b=1)
+        for got, want in ((sm.W_real, lift), (sm.M, M)):
             assert got.dtype == want.dtype
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
         assert np.array_equal(sm.conj, eig.conj)
 
     def test_holds_only_the_eigenbasis(self, small_problems):
         # the bytes sharp_maps allocates and still holds after it returns are
-        # its five arrays and the small objects around them: neither the
+        # its four arrays and the small objects around them: neither the
         # real basis R0, G|_V (8 KiB each at r = 32), Y = R0^-1 V^T nor B^T
         # stays alive
         p = small_problems[0]
@@ -691,7 +726,7 @@ class TestRealFields:
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        kept = sum(a.nbytes for a in (sm.W_real, sm.M_r, sm.M_i, sm.lam, sm.conj))
+        kept = sum(a.nbytes for a in (sm.W_real, sm.M, sm.lam, sm.conj))
         assert sm.r == 32
         assert held <= kept + 4096
 
