@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import ConfigError, NumericalError
@@ -63,5 +64,19 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":  # pragma: no cover
+def entry() -> None:
+    """The console entry of ``kaczmarz-lab`` and ``python -m kaczmarz_lab.cli``.
+
+    The objects that importing numpy, scipy's LAPACK and the package left
+    behind are moved to the collector's permanent generation
+    (``gc.freeze``) before ``main`` runs.  So the collections at exit and in
+    forked workers skip them, and a worker's pages are not copied by the
+    collector touching them.  ``main`` called in-process freezes nothing.
+    Exits with ``main``'s code.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":  # pragma: no cover
+    entry()

@@ -48,10 +48,11 @@ OUTPUT_ROOT_ENV = "KACZMARZ_LAB_OUT"
 #: omega-scan step (build_L, restriction, eigvals) on gravity(n) took
 #: 3.1/11.4/24.1/70.5 ms on one thread and 4.3/12.9/25.5/67.0 ms on two at
 #: n = 128/256/384/512 (another run: two threads ahead from n = 384).  The
-#: rule reads the size alone, never the host.  The scan's own steps run on
-#: one thread at every size: ``spectral.small_omega_scan`` gives each usable
-#: CPU a worker process of its own.  So these timings set the rule for the
-#: other commands, which run in one process.
+#: rule reads the size alone, never the host.  Work dealt to forked workers
+#: (``spectral._dealt_map``: the omega scan, errhist's methods) runs on one
+#: thread per worker at every size, and the scan's steps on one thread even
+#: with one worker.  So these timings set the rule for the rest, which runs
+#: in one process.
 ONE_THREAD_MAX_DIM = 256
 
 
@@ -323,7 +324,14 @@ def _errhist_method(p: TestProblem, cfg: ExperimentConfig, method: str, noisy_b,
 def cmd_errhist(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
     """Error histories for the configured methods, noise-free and noisy.
 
-    Each noise realization is drawn once and shared by all methods.
+    Each noise realization is drawn once, here, and shared by all methods.
+    The methods do not depend on each other, so they are dealt to one
+    worker per usable CPU (``spectral._dealt_map``): this process and
+    forked children, each on one BLAS thread.  Each worker writes its
+    methods' CSVs and sends back only their error curves and summary
+    records, never the iterates.  With one method or one CPU the methods
+    run here, at ``run_command``'s thread count.  The summary and the plot
+    list the methods in the configured order.
     """
     if cfg.sweeps < 1:
         raise ConfigError("errhist needs at least one sweep")
@@ -331,10 +339,15 @@ def cmd_errhist(cfg: ExperimentConfig, p: TestProblem, outdir: Path) -> dict:
         p.b_bar + cfg.sigma * np.random.default_rng([cfg.noise_seed, real]).standard_normal(p.m)
         for real in range(cfg.realizations)
     ] if cfg.sigma > 0 else []
+
+    def solve(methods):
+        return [_errhist_method(p, cfg, method, noisy_b, outdir) for method in methods]
+
+    results = spectral._dealt_map(solve, cfg.methods, spectral._usable_cpus())
     summary = {"methods": {}, "problem": p.name, "m": p.m, "n": p.n}
     series = {}
-    for method in cfg.methods:
-        errors, summary["methods"][method] = _errhist_method(p, cfg, method, noisy_b, outdir)
+    for method, (errors, record) in zip(cfg.methods, results):
+        summary["methods"][method] = record
         series[method] = (list(range(len(errors))), errors)
     svgplot.line_plot(
         outdir / "errhist.svg",

@@ -292,7 +292,8 @@ def monotonicity_probe(lam, ks) -> MonotonicityReport:
     ``lam`` is a nonempty, finite, 1-d real or complex array, for an empty
     ``ks`` and for a negative or fractional k.
     """
-    ks = np.unique(_check_ks(ks))
+    # sorted() and set(), not np.unique, which imports numpy.ma (10-20 ms)
+    ks = np.array(sorted(set(_check_ks(ks).tolist())), dtype=int)
     lam = np.asarray(lam)
     if lam.dtype.kind not in "biufc" or lam.ndim != 1 or lam.size == 0:
         raise ValueError("lam must be a nonempty 1-d real or complex array, "

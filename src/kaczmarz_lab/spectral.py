@@ -322,44 +322,51 @@ def _dealt_map(fn, items: list, workers: int) -> list:
     ``fn`` maps a list of items to a list of results of the same length.
     Worker 0 is this process and takes items 0, w, 2w, ...; each other
     share runs in a child made by ``os.fork``, which pickles its results,
-    or the exception it raised, into a pipe and exits.  The results come
-    back in the items' order, and a child's exception is raised here with
-    its own type.  Every child is reaped before this returns or raises;
-    when this process fails first, the children are killed.  With one
-    worker, or where ``os.fork`` is missing, ``fn(items)`` runs here.
+    or the exception it raised, into a pipe and exits.  With two or more
+    workers, every worker, this process included, runs on one BLAS thread
+    (``linalg.blas_threads(1)``), so that w processes do not share the CPUs
+    among w times the library's threads.  The results come back in the
+    items' order, and a child's exception is raised here with its own
+    type.  Every child is reaped before this returns or raises; when this
+    process fails first, the children are killed.  With one worker, or
+    where ``os.fork`` is missing, ``fn(items)`` runs here at the caller's
+    thread count.
     """
     w = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
+    if w == 1:
+        return fn(items)
     shares = [items[j::w] for j in range(w)]
     pids, pipes, done = [], [], False
-    try:
-        for share in shares[1:]:
-            r, wr = os.pipe()
-            pipes.append(os.fdopen(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    os.close(r)  # so a write with no reader left fails, not blocks
-                    _worker(fn, share, wr)
-            finally:  # runs in this process only: the child never returns
-                os.close(wr)
-            pids.append(pid)
-        parts = [fn(shares[0])]
-        for pipe in pipes:
-            data = pipe.read()
-            if not data:
-                raise RuntimeError("a scan worker exited without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            parts.append(value)
-        done = True
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            if not done:
-                os.kill(pid, _SIGKILL)
-            os.waitpid(pid, 0)
+    with blas_threads(1):
+        try:
+            for share in shares[1:]:
+                r, wr = os.pipe()
+                pipes.append(os.fdopen(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        os.close(r)  # so a write with no reader left fails, not blocks
+                        _worker(fn, share, wr)
+                finally:  # runs in this process only: the child never returns
+                    os.close(wr)
+                pids.append(pid)
+            parts = [fn(shares[0])]
+            for pipe in pipes:
+                data = pipe.read()
+                if not data:
+                    raise RuntimeError("a forked worker exited without a result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                parts.append(value)
+            done = True
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                if not done:
+                    os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
     out = [None] * len(items)
     for j, part in enumerate(parts):
         out[j::w] = part

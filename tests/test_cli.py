@@ -1,8 +1,11 @@
 """Tests for the command-line driver and the experiment commands."""
 
+import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from scipy.linalg.blas import dtrsm
 
 from kaczmarz_lab import experiments, linalg, operator, spectral
 from kaczmarz_lab.cli import build_parser, main
-from kaczmarz_lab.errors import ConfigError
+from kaczmarz_lab.errors import ConfigError, NumericalError
 from kaczmarz_lab.experiments import COMMANDS, SETTINGS, ExperimentConfig, run_command
 
 
@@ -91,6 +94,61 @@ def test_csv_independent_of_blas_threads(command, args, tmp_path, monkeypatch):
     assert _csv_bytes(tmp_path / "multi" / command) == _csv_bytes(tmp_path / "rule" / command)
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestErrhistWorkers:
+    """errhist deals its methods to forked workers, one per usable CPU."""
+
+    @staticmethod
+    def _forbid_fork(monkeypatch):
+        def forbidden():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", forbidden)
+
+    def test_outputs_same_bytes_on_1_2_3_workers(self, tmp_path, monkeypatch):
+        outs = []
+        for w in (1, 2, 3):
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_usable_cpus", lambda: w)
+                if w == 1:
+                    self._forbid_fork(m)
+                out = tmp_path / str(w)
+                assert main(["errhist", *SMALL["errhist"], "--out", str(out)]) == 0
+            outdir = out / "errhist"
+            # the plot lists the methods in the configured order
+            outs.append({**_csv_bytes(outdir), **{name: (outdir / name).read_bytes()
+                                                  for name in ("summary.json", "errhist.svg")}})
+            _no_child_left()
+        assert set(outs[0]) == EXPECTED_CSVS["errhist"] | {"summary.json", "errhist.svg"}
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_worker_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # with two workers the symmetric sweep is dealt to the child
+        parent, run = os.getpid(), experiments.run
+
+        def failing(*args, **kwargs):
+            if os.getpid() != parent:
+                raise NumericalError("sweep failed in a worker")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(experiments, "run", failing)
+        assert main(["errhist", *SMALL["errhist"], "--out", str(tmp_path)]) == 3
+        assert "sweep failed in a worker" in capsys.readouterr().err
+        _no_child_left()
+
+    def test_one_method_never_forks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "_usable_cpus", lambda: 3)
+        self._forbid_fork(monkeypatch)
+        argv = SMALL["errhist"][:SMALL["errhist"].index("--methods")]
+        assert main(["errhist", *argv, "--methods", "cgls", "--out", str(tmp_path)]) == 0
+        assert set(_csv_bytes(tmp_path / "errhist")) == {"history_cgls.csv", "split_cgls.csv"}
+
+
 @pytest.mark.parametrize("command, fname", [("eigplot", "spectrum.csv"), ("noisestats", "xi.csv")])
 def test_modulus_is_scalar_abs(command, fname, tmp_path):
     # the CSV moduli are what scalar abs() of the complex value gives; np.abs
@@ -167,10 +225,12 @@ def test_noisestats_one_eigendecomposition(tmp_path, monkeypatch):
 def test_commands_never_import_scipy_linalg(tmp_path, subprocess_env):
     # importing the scipy.linalg package takes about 0.3 s of each CLI
     # process; the package binds scipy's compiled BLAS and LAPACK without it.
-    # The omega scan's workers are bare os.fork children: importing
-    # multiprocessing or concurrent.futures costs 17-28 ms of start-up
+    # The forked workers are bare os.fork children: importing
+    # multiprocessing or concurrent.futures costs 17-28 ms of start-up.
+    # np.unique imports numpy.ma, 10-20 ms of a noisestats process
     script = ("import json, sys\n"
-              "heavy = ['scipy.linalg', 'multiprocessing', 'concurrent.futures', 'subprocess']\n"
+              "heavy = ['scipy.linalg', 'multiprocessing', 'concurrent.futures', 'subprocess',\n"
+              "         'numpy.ma']\n"
               "import kaczmarz_lab.cli as cli\n"
               "seen = [[m for m in heavy if m in sys.modules]]\n"
               "for argv in json.loads(sys.argv[1]):\n"
@@ -408,13 +468,39 @@ class TestConfigSources:
         assert (tmp_path / "envroot" / "structure" / "structure.csv").exists()
 
     def test_console_entry_point(self, tmp_path, subprocess_env):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kaczmarz_lab.cli", "structure",
-             "--problem", "gravity", "--n", "16", "--d", "0.1",
-             "--out", str(tmp_path)],
-            capture_output=True, text=True, env=subprocess_env,
-        )
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "kaczmarz_lab.cli", *argv,
+                                   "--out", str(tmp_path)],
+                                  capture_output=True, text=True, env=subprocess_env)
+
+        proc = cli("structure", "--problem", "gravity", "--n", "16", "--d", "0.1")
         assert proc.returncode == 0, proc.stderr
+        # the benchmark's checker reads the printed omega0 against summary.json
+        proc = cli("omegasweep", *SMALL["omegasweep"])
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "omegasweep" / "summary.json").read_text())
+        assert f"omega0 = {summary['omega0']}" in proc.stdout.splitlines()
+        proc = cli("noisestats", "--problem", "gravity", "--n", "16")
+        assert proc.returncode == 2
+        assert "config error: noisestats requires sigma > 0" in proc.stderr
+        # main called in-process freezes nothing
+        assert main(["structure", "--problem", "gravity", "--n", "16",
+                     "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == 0
+
+    def test_entry_freezes_before_main(self, subprocess_env):
+        # python -m kaczmarz_lab.cli and the installed script both run entry()
+        script = ("import gc\n"
+                  "import kaczmarz_lab.cli as cli\n"
+                  "cli.main = lambda: print(gc.get_freeze_count()) or 7\n"
+                  "cli.entry()\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=subprocess_env)
+        assert proc.returncode == 7, proc.stderr
+        assert int(proc.stdout) > 1000
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        if pyproject.exists():
+            assert 'kaczmarz-lab = "kaczmarz_lab.cli:entry"' in pyproject.read_text()
 
 
 class TestSettings:

@@ -454,6 +454,24 @@ class TestScanWorkers:
             one = _scan_bits(kl.small_omega_scan(p.A, sv, [0.5, 0.004]))
         assert two == one
 
+    def test_two_or_more_workers_run_on_one_blas_thread(self):
+        # the thread rule lives in _dealt_map: every worker of a split runs
+        # on one thread, and one worker keeps the caller's counts
+        def counts():
+            return [get() for get, _ in kl.linalg._openblas_thread_controls()]
+
+        caller = counts()
+        if max(caller, default=1) < 2:
+            pytest.skip("the caller holds no second BLAS thread here")
+
+        def seen(share):
+            return [counts() for _ in share]
+
+        assert kl.spectral._dealt_map(seen, [0, 1, 2], 3) == [[1] * len(caller)] * 3
+        assert kl.spectral._dealt_map(seen, [0, 1, 2], 1) == [caller] * 3
+        assert counts() == caller
+        _no_child_left()
+
     def test_child_exception_raised_with_its_type(self, monkeypatch):
         # omega 0.2 is dealt to the child, which alone raises
         parent, eigvals = os.getpid(), kl.spectral.eigvals
